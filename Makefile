@@ -63,8 +63,7 @@ fleet-bench:
 	$(PYTHON) -m pytest benchmarks/test_fleet_throughput.py -q -s
 
 # Telemetry overhead benchmark only: enabled-vs-disabled warm launch
-# throughput (<=5% budget) plus verdict/footer parity; regenerates
-# BENCH_obs.json.
+# throughput (<=5% budget) plus verdict/footer parity.
 obs-bench:
 	$(PYTHON) -m pytest benchmarks/test_obs_overhead.py -q -s
 

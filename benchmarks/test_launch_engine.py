@@ -1,6 +1,6 @@
-"""Launch-engine benchmark: closure compilation + warm-boot snapshots.
+"""Launch-engine benchmark: source codegen + warm-boot snapshots.
 
-The acceptance bar for the compile-and-replay engine: a *cold*
+The acceptance bar for the codegen-and-replay engine: a *cold*
 (launch-cache-empty) 8-system campaign must run at >= 3x the launch
 throughput of the tree-walking baseline (the seed's engine: tree
 dispatch, no snapshots), while producing bit-identical verdicts and
@@ -34,7 +34,7 @@ TREE_BASELINE = InterpreterOptions(
 SPEEDUP_FLOOR = 3.0
 
 # The codegen engine + zero-copy restore must at least double the
-# closure engine's seed-era warm throughput on the slowest system.
+# tree engine's seed-era warm throughput on the slowest system.
 WARM_SPEEDUP_FLOOR = 2.0
 
 
@@ -105,14 +105,14 @@ def test_cold_campaign_3x_throughput_with_identical_results(inference):
         f"({tree_mis} misconfigurations):\n"
         f"  tree baseline      {tree_time:6.2f}s  "
         f"{tree_throughput:7.1f} misconfigs/s\n"
-        f"  compiled+snapshots {new_time:6.2f}s  "
+        f"  codegen+snapshots  {new_time:6.2f}s  "
         f"{new_throughput:7.1f} misconfigs/s\n"
         f"  speedup {speedup:.2f}x (floor {SPEEDUP_FLOOR}x); "
         f"boots {stats.boots}, captures {stats.captures}, "
         f"resumes {stats.resumes}"
     )
     assert speedup >= SPEEDUP_FLOOR, (
-        f"compiled launch engine is only {speedup:.2f}x the tree "
+        f"codegen launch engine is only {speedup:.2f}x the tree "
         f"baseline (floor {SPEEDUP_FLOOR}x)"
     )
 
@@ -162,20 +162,21 @@ def test_codegen_doubles_the_warm_launch_floor():
     """storage_a is the fleet's warm-throughput floor (its boot bundle
     is array-heavy, so the seed's per-resume `pickle.loads` dominated
     every warm launch).  The codegen engine riding the zero-copy
-    restore must clear 2x the closure engine's seed-era warm
-    throughput on it, measured head-to-head in this process."""
+    restore must clear 2x the tree engine's seed-era warm throughput
+    on it (tree walking plus the seed's pickle restore), measured
+    head-to-head in this process."""
     system = get_system("storage_a")
-    legacy = _warm_throughput(system, "compiled", legacy_restore=True)
+    legacy = _warm_throughput(system, "tree", legacy_restore=True)
     codegen = _warm_throughput(system, "codegen")
     speedup = codegen / legacy
     emit(
         "Warm launch floor (storage_a):\n"
-        f"  closure + pickle restore (seed)  {legacy:7.1f} launches/s\n"
+        f"  tree + pickle restore (seed)     {legacy:7.1f} launches/s\n"
         f"  codegen + zero-copy restore      {codegen:7.1f} launches/s\n"
         f"  speedup {speedup:.2f}x (floor {WARM_SPEEDUP_FLOOR}x)"
     )
     assert speedup >= WARM_SPEEDUP_FLOOR, (
-        f"codegen warm launches are only {speedup:.2f}x the closure "
+        f"codegen warm launches are only {speedup:.2f}x the tree "
         f"engine's seed-era throughput (floor {WARM_SPEEDUP_FLOOR}x)"
     )
 

@@ -4,8 +4,9 @@ The serve tier's reason to exist: a resident service skips SPEX
 inference and checker compilation on every request, so sustained
 validation throughput under concurrent clients must dwarf the cold
 CLI path (`python -m repro.reporting.cli check`), which pays the full
-pipeline per invocation.  The measured ratio is recorded in
-``BENCH_serve.json`` via the canonical `tools/bench_json.py` writer.
+pipeline per invocation.  The measured ratio is printed with the
+benchmark tier's output; `perfbench/` is the repo's recorded serve
+benchmark.
 """
 
 import asyncio
@@ -18,14 +19,9 @@ import pytest
 
 from conftest import emit
 
+from repro.serve import BackgroundServer, ServeClient
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "tools"))
-
-from bench_json import write_payload  # noqa: E402
-
-from repro.serve import BackgroundServer, ServeClient  # noqa: E402
-
-OUTPUT = REPO_ROOT / "BENCH_serve.json"
 
 N_CLIENTS = 8
 CHECKS_PER_CLIENT = 150
@@ -141,37 +137,3 @@ def test_sustained_serve_throughput_vs_cold_cli(cold_cli_rate):
         "(access-control rotation)"
     )
     assert nginx_flagged == nginx_checks // 2
-
-    write_payload(
-        OUTPUT,
-        {
-            "generated_unix": int(time.time()),
-            "workload": {
-                "system": "mysql",
-                "clients": N_CLIENTS,
-                "checks_per_client": CHECKS_PER_CLIENT,
-                "distinct_configs": len(CONFIGS),
-            },
-            "cold_cli_checks_per_s": round(cli_rate, 2),
-            "serve_checks_per_s": round(serve_rate, 2),
-            "speedup": round(speedup, 1),
-            "required_speedup": REQUIRED_SPEEDUP,
-            "systems": [
-                {
-                    "system": "mysql",
-                    "clients": N_CLIENTS,
-                    "checks": checks,
-                    "checks_per_s": round(serve_rate, 2),
-                    "flagged": None,
-                },
-                {
-                    "system": "nginx",
-                    "clients": NGINX_CLIENTS,
-                    "checks": nginx_checks,
-                    "checks_per_s": round(nginx_rate, 2),
-                    "flagged": nginx_flagged,
-                },
-            ],
-        },
-    )
-    emit(f"wrote {OUTPUT}")

@@ -111,13 +111,13 @@ class Campaign:
     snapshot_cache: "SnapshotCache | None" = None
     # Overrides the harness's interpreter options (engine selection,
     # budgets) - the launch-engine benchmarks use this to pit the
-    # tree-walking baseline against the compiled engine on identical
+    # tree-walking baseline against the codegen engine on identical
     # campaigns.  None keeps the harness default.  Not picklable, so
     # banned on the process-executor path - use `engine` there.
     harness_options: InterpreterOptions | None = None
-    # Launch-engine override as a plain string ("tree" | "compiled" |
-    # "codegen"); unlike `harness_options` it crosses the pickle
-    # boundary, so process-executor workers honour it too.
+    # Launch-engine override as a plain string ("tree" | "codegen");
+    # unlike `harness_options` it crosses the pickle boundary, so
+    # process-executor workers honour it too.
     engine: str | None = None
 
     def run_spex(self) -> SpexReport:

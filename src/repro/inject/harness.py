@@ -60,11 +60,12 @@ class InjectionHarness:
     )
     stop_at_first_failure: bool = True
     sort_shortest_first: bool = True
-    # Launch-engine override ("tree" | "compiled" | "codegen").  When
-    # set, `options` is replaced post-init with a copy carrying this
-    # engine, so the knob travels through the options fingerprint and
-    # every cache key automatically.  A picklable string (unlike a
-    # whole `InterpreterOptions`), so `Campaign`/process executors can
+    # Launch-engine override ("tree" | "codegen").  When set,
+    # `options` is replaced post-init with a copy carrying this engine
+    # (validated like any `InterpreterOptions.engine`), so the knob
+    # travels through the options fingerprint and every cache key
+    # automatically.  A picklable string (unlike a whole
+    # `InterpreterOptions`), so `Campaign`/process executors can
     # forward it to workers.
     engine: str | None = None
     # When set, launches are served content-addressed: identical

@@ -1,6 +1,6 @@
 """Sampled profiling hooks for the launch engine.
 
-Per-statement instrumentation would dwarf the compiled engine's wins,
+Per-statement instrumentation would dwarf the codegen engine's wins,
 so the profiler samples whole *launches*: every ``sample_every``-th
 launch (the first one included, so short runs still produce data) has
 its boot and replay phases timed and its step-budget consumption

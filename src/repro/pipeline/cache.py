@@ -284,7 +284,7 @@ def snapshot_fingerprint(
     Covers everything the boot prefix reads: which system boots (its
     program and OS fixtures are deterministic per name), the rendered
     config text, the launch argv (main's boot code reads it), and the
-    interpreter knobs - including the engine, so tree and compiled
+    interpreter knobs - including the engine, so tree and codegen
     launches never share a snapshot.  The request queue is
     deliberately absent: boot state is request-independent by the
     boundary's definition.

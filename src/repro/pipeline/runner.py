@@ -226,8 +226,8 @@ class CampaignPipeline:
     # multithreaded parent is unsafe).
     batch_executor: str | Executor | None = None
     # Launch-engine override for every campaign of the sweep ("tree" |
-    # "compiled" | "codegen"); a plain string, so it survives the
-    # process-executor pickle boundary.  None keeps the default.
+    # "codegen"); a plain string, so it survives the process-executor
+    # pickle boundary.  None keeps the default.
     engine: str | None = None
     # Resilience (see docs/ROBUSTNESS.md).  `retry_policy` supervises
     # campaign tasks: worker crashes and watchdog timeouts re-enqueue

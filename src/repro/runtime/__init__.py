@@ -20,7 +20,6 @@ from repro.runtime.faults import (
 from repro.runtime.os_model import EmulatedOS, FileNode, LogRecord
 from repro.runtime.process import ProcessResult, ProcessStatus, run_program
 from repro.runtime.interpreter import Interpreter, InterpreterOptions
-from repro.runtime.compile import LaunchPlan, compile_program, plan_for
 from repro.runtime.snapshot import (
     BootRecord,
     BootSnapshot,
@@ -40,14 +39,11 @@ __all__ = [
     "HangFault",
     "Interpreter",
     "InterpreterOptions",
-    "LaunchPlan",
     "LogRecord",
     "MachineFault",
     "ProcessResult",
     "ProcessStatus",
     "SegmentationFault",
     "boot_launch",
-    "compile_program",
-    "plan_for",
     "run_program",
 ]

@@ -1,24 +1,28 @@
-"""Source-codegen launch engine - the launch engine's layer 3.
+"""Source-codegen launch engine - the one fast launch engine.
 
-The closure engine (`repro.runtime.compile`) already lowered each AST
-node into a bound Python closure, but executing a statement still pays
-one Python *frame* per node: every child evaluation is a closure call.
-This module lowers each linked :class:`~repro.lang.program.Program`
-once into real **Python source text** - one generated Python function
-per MiniC function, plus one function per top-level statement of
-`main` (the snapshot engine's stepwise runners) - compiles it once
-with `compile()`/`exec`, and memoizes the resulting plan on the
-`Program` instance.  Inside a generated function an entire MiniC
-statement is straight-line Python: the step-budget tick, the int fast
-paths and the local-variable fast paths are open-coded, so only calls,
-builtins and the genuinely polymorphic slow paths leave the frame.
+The tree-walking interpreter re-dispatches on ``type(node)`` for every
+statement and expression of every launch.  This module lowers each
+linked :class:`~repro.lang.program.Program` once into real **Python
+source text** - one generated Python function per MiniC function, plus
+one function per top-level statement of `main` (the snapshot engine's
+stepwise runners) - compiles it once with `compile()`/`exec`, and
+memoizes the resulting plan on the `Program` instance.  Inside a
+generated function an entire MiniC statement is straight-line Python:
+the step-budget tick, the int fast paths and the local-variable fast
+paths are open-coded, so only calls, builtins and the genuinely
+polymorphic slow paths leave the frame.
 
-Parity contract: identical to the other two engines - same results,
-logs, responses, `steps` counts and step-sensitive faults, enforced
-by `tests/runtime/test_engine_parity.py`.  Where semantics are subtle
-(evaluation order, re-reads after compound assignment, signal
+A `Program` is treated as immutable once lowered - ``add_source``
+after ``codegen_plan_for`` is outside the contract (call bindings
+would go stale).
+
+Parity contract: identical to the tree-walking reference - same
+results, logs, responses, `steps` counts and step-sensitive faults,
+enforced by `tests/runtime/test_engine_parity.py` and the generated
+programs of `tests/runtime/test_engine_fuzz.py`.  Where semantics are
+subtle (evaluation order, re-reads after compound assignment, signal
 propagation through loops and switches) the generated code mirrors
-`repro.runtime.compile` closure by closure; shared value-level
+the tree-walker's `_exec_*`/`_eval_*` methods; shared value-level
 helpers (`binop`, `coerce`, `_values_equal`, ...) are the very same
 module functions, reached through the generated module's namespace.
 
@@ -35,7 +39,7 @@ This is the only module in the tree allowed to call `exec` (the
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 
 from repro.lang.ast_nodes import (
     Assign,
@@ -74,13 +78,11 @@ from repro.lang import types as ct
 from repro.lang.program import Program
 from repro.obs.metrics import get_registry
 from repro.runtime.builtins import REGISTRY
-from repro.runtime.compile import (
-    _MISSING,
-    _budget,
-    _globals_are_pure,
-    _incdec_fallback,
+from repro.runtime.faults import (
+    HangFault,
+    SegmentationFault,
+    StackOverflowFault,
 )
-from repro.runtime.faults import SegmentationFault, StackOverflowFault
 from repro.runtime.interpreter import (
     Frame,
     InterpreterError,
@@ -111,25 +113,34 @@ from repro.runtime.values import (
 
 _SOURCE_NAME = "<minic-codegen>"
 
+# Unique "absent" sentinel for single-probe dict lookups (a MiniC
+# variable can legitimately hold any Python value, including None).
+_MISSING = object()
+
 
 @dataclass
 class CodegenPlan:
     """One program's generated-source form, shared by all launches.
 
-    Duck-type compatible with `repro.runtime.compile.LaunchPlan` where
-    the runtime layers care: `bodies` (empty - `invokes` covers every
-    defined function through `Interpreter.call_function`'s fast path),
-    `main_steps` (the snapshot engine's per-top-level-statement
-    runners), and the `globals_pure`/`globals_template` pair the
-    warm-boot engine fills.  `source` is the full generated module
-    text; `invokes` maps function name -> generated
-    ``_fn_<name>(rt, args)``.
+    `source` is the full generated module text; `invokes` maps
+    function name -> generated ``_fn_<name>(rt, args)``, which
+    `Interpreter.call_function` hands every call of a defined
+    function; `main_steps` holds main's *top-level* statement runners
+    individually, so the warm-boot snapshot engine
+    (`repro.runtime.snapshot`) can execute and checkpoint between
+    them.
+
+    `globals_pure` is true when no global initializer contains a call:
+    then the post-global-init interpreter state is a pure function of
+    the program (no OS reads, no ticks), and the snapshot engine fills
+    `globals_template` with a privatized, purity-scanned state bundle
+    (`snapshot.StateBundleCopier`) so later launches restore
+    copy-on-write instead of re-running `_init_globals`.
     """
 
     program: Program
     source: str
     invokes: dict
-    bodies: dict
     main_steps: tuple
     globals_pure: bool = False
     globals_template: object = None
@@ -140,9 +151,8 @@ _PLANS_LOCK = threading.Lock()
 
 def codegen_plan_for(program: Program) -> CodegenPlan:
     """The memoized codegen plan of a program (generates + compiles on
-    first use; stored on the `Program` instance like the closure
-    engine's plan, so every launch of a registered system shares one
-    codegen pass)."""
+    first use; stored on the `Program` instance, so every launch of a
+    registered system shares one codegen pass)."""
     plan = getattr(program, "_codegen_plan", None)
     if plan is None:
         with _PLANS_LOCK:
@@ -180,21 +190,62 @@ def compile_codegen(program: Program) -> CodegenPlan:
         program=program,
         source=source,
         invokes=invokes,
-        bodies={},
         main_steps=main_steps,
         globals_pure=_globals_are_pure(program),
     )
 
 
+def _globals_are_pure(program: Program) -> bool:
+    """No global initializer contains a (direct or indirect) call -
+    the precondition for sharing one post-global-init state template
+    across launches."""
+    return not any(
+        decl.init is not None and _contains_call(decl.init)
+        for decl in program.globals.values()
+    )
+
+
+def _contains_call(expr: Expr) -> bool:
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Call, CallIndirect)):
+            return True
+        if not isinstance(node, Expr):
+            continue
+        for field_info in dataclass_fields(node):
+            value = getattr(node, field_info.name)
+            if isinstance(value, Expr):
+                stack.append(value)
+            elif isinstance(value, list):
+                stack.extend(v for v in value if isinstance(v, Expr))
+    return False
+
+
 # -- runtime helpers reached from generated code ------------------------------
 #
-# Each mirrors one slow path of the closure engine verbatim; the
-# generated fast paths in front of them are open-coded.
+# Each mirrors one slow path of the tree-walker verbatim; the generated
+# fast paths in front of them are open-coded.
+
+
+def _budget(rt):
+    raise HangFault(f"step budget exceeded ({rt._max_steps} steps)")
+
+
+def _incdec_fallback(rt, name, operand_loc, loc, delta, prefix):
+    """++/-- on a name that is not a local: errno, a global, or an
+    undefined-variable error - the tree-walker's slot path verbatim."""
+    slot = rt._name_slot(name, operand_loc)
+    old = slot.get(loc)
+    if not isinstance(old, (int, float)):
+        raise SegmentationFault(f"++/-- on non-number {old!r}", loc)
+    slot.set(old + delta, loc)
+    return slot.get(loc) if prefix else old
 
 
 def _name_fb(rt, value, name, loc, is_function):
     """Identifier-load fallback: static marker, errno, global,
-    function ref, or undefined (`_c_identifier`'s tail)."""
+    function ref, or undefined (`_eval_identifier`'s tail)."""
     if value is not _MISSING:  # a _StaticMarker probed from the locals
         return rt.statics[value.key]
     if name == "errno":
@@ -211,7 +262,7 @@ def _name_env_slot(rt, current, name, target_loc):
     """Assignment-target resolution outside the plain-local fast path:
     (env, key, declared type) for a static or global, None for errno.
     Raises for an undefined name *before* the right-hand side runs,
-    exactly like `_c_assign_name`/`resolve_slot`."""
+    exactly like the tree-walker's `resolve_slot`."""
     if current is not _MISSING:  # a _StaticMarker
         key = current.key
         return (rt.statics, key, rt.static_types.get(key))
@@ -239,8 +290,8 @@ def _finish_assign(rt, slot3, rhs, compound, loc):
 
 
 def _incdec_slow(rt, current, name, operand_loc, loc, delta, prefix):
-    """++/-- on a static marker or a non-local name (the closure
-    engine's marker branch plus `_incdec_fallback`)."""
+    """++/-- on a static marker or a non-local name (the static
+    branch of `_name_slot` plus `_incdec_fallback`)."""
     if current is _MISSING:
         return _incdec_fallback(rt, name, operand_loc, loc, delta, prefix)
     key = current.key
@@ -536,8 +587,8 @@ class _FunctionEmitter:
     def stmt(self, node, ind: int) -> None:
         method = self._STMT.get(type(node))
         if method is None:
-            # Mirror the closure engine: unknown nodes fail when (and
-            # only when) executed, with the same message and no tick.
+            # Unknown nodes fail when (and only when) executed, with
+            # the tree-walker's message.
             self.w(ind, f"_unhandled_stmt({type(node).__name__!r})")
             return
         method(self, node, ind)
@@ -571,7 +622,7 @@ class _FunctionEmitter:
             return f"rt._zero_for({kt})"
         if isinstance(init, InitList):
             # Brace initializers reuse the interpreter's materializer,
-            # exactly like the closure engine.
+            # exactly like the tree-walker.
             return f"rt._materialize({kt}, {self.const(init)})"
         expr, _pure = self.value(init, ind)
         return f"coerce({kt}, {expr})"
@@ -667,9 +718,9 @@ class _FunctionEmitter:
             (i, case) for i, case in enumerate(arms) if case.value is not None
         ]
         if case_arms:
-            # Sequential value probing, exactly like the closure
-            # engine's scan: each case value is evaluated in order
-            # until one matches; default arms are compile-time facts.
+            # Sequential value probing, exactly like the tree-walker's
+            # scan: each case value is evaluated in order until one
+            # matches; default arms are compile-time facts.
             self.w(ind, "while True:")
             for i, case in case_arms:
                 expr, _pure = self.value(case.value, ind + 1)
@@ -943,7 +994,7 @@ class _FunctionEmitter:
             lambda: self.value(node.other, ind + 1)
         )
         if not then_lines and not other_lines:
-            # Plain truthy, no int fast path - like the closure engine.
+            # Plain truthy, no int fast path - like the tree-walker.
             return f"({then} if truthy({cond}) else {other})", False
         result = self.temp()
         self.w(ind, f"if truthy({cond}):")
@@ -964,7 +1015,7 @@ class _FunctionEmitter:
             self.w(ind, f"{slot}.set({rhs}, {kloc})")
         else:
             # Compound: the right-hand side runs first, then the slot
-            # is re-read for the combine (closure-engine order).
+            # is re-read for the combine (tree-walker order).
             rhs_t = self.hoist(ind, rhs)
             self.w(
                 ind,
@@ -987,7 +1038,7 @@ class _FunctionEmitter:
         if compound is not None:
             # Re-read the local *after* the right-hand side ran, so the
             # side effects of the right-hand side are visible to the
-            # combine (closure-engine order).
+            # combine (tree-walker order).
             if not pure:
                 rhs = self.hoist(ind + 1, rhs)
             rhs = f"binop({compound!r}, L[{name!r}], {rhs}, {kloc})"

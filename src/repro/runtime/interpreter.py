@@ -107,21 +107,31 @@ class InterpreterOptions:
     # inside CPython's default recursion limit while still letting
     # runaway recursion manifest as a SIGSEGV-style fault.
     max_call_depth: int = 100
-    # Which launch engine executes function bodies: "compiled" lowers
-    # the AST once into bound Python closures (`repro.runtime.compile`)
-    # and is the default; "codegen" lowers it further into generated
+    # Which launch engine executes function bodies (one of `ENGINES`):
+    # "codegen", the default, lowers the AST once into generated
     # Python source compiled with `compile()`/`exec`
-    # (`repro.runtime.codegen`), trading a slightly bigger one-time
-    # compile for the fastest per-launch execution; "tree" is the
-    # original tree-walking interpreter, kept as the reference
-    # semantics for the differential parity suite.  All three are
-    # bit-identical by contract (same verdicts, logs, steps, faults).
-    engine: str = "compiled"
+    # (`repro.runtime.codegen`); "tree" is the original tree-walking
+    # interpreter, kept as the reference semantics for the
+    # differential parity suite.  The two are bit-identical by
+    # contract (same verdicts, logs, steps, faults).
+    engine: str = "codegen"
     # Warm-boot snapshots (`repro.runtime.snapshot`): replay a
     # config's boot prefix from a captured state copy instead of
     # re-interpreting it on every launch.  Read by the harness layer;
     # results are identical either way, only the work differs.
     warm_boot: bool = True
+
+    #: The launch engines `engine` may name.
+    ENGINES = ("tree", "codegen")
+
+    def __post_init__(self) -> None:
+        # A misspelt engine must fail loudly, not silently fall back
+        # to another engine (`dataclasses.replace` re-runs this too).
+        if self.engine not in self.ENGINES:
+            raise ValueError(
+                f"unknown launch engine {self.engine!r}; "
+                f"expected one of {', '.join(self.ENGINES)}"
+            )
 
     def fingerprint(self) -> str:
         """Stable content hash of every execution knob.
@@ -150,7 +160,6 @@ class Interpreter:
         "os",
         "options",
         "plan",
-        "_compiled_bodies",
         "_invokes",
         "_max_steps",
         "_max_call_depth",
@@ -211,15 +220,14 @@ class Interpreter:
         self._init_globals()
 
     def _bind_plan(self, plan) -> None:
-        """Attach a compiled `LaunchPlan` (or None for tree-walking).
+        """Attach a `CodegenPlan` (or None for tree-walking).
 
         `_max_steps` is memoized off the options because the budget
         check sits on the per-statement hot path of both engines; the
         options must not be mutated after construction.
         """
         self.plan = plan
-        self._compiled_bodies = plan.bodies if plan is not None else {}
-        self._invokes = getattr(plan, "invokes", None) or {}
+        self._invokes = plan.invokes if plan is not None else {}
         self._max_steps = self.options.max_steps
         self._max_call_depth = self.options.max_call_depth
 
@@ -388,11 +396,7 @@ class Interpreter:
         self.frames.append(frame)
         try:
             if fn.body is not None:
-                runner = self._compiled_bodies.get(fn.name)
-                if runner is not None:
-                    runner(self)
-                else:
-                    self.exec_block(fn.body)
+                self.exec_block(fn.body)
             result: object = zero_value(fn.return_type)
         except _ReturnSignal as ret:
             result = coerce(fn.return_type, ret.value)
@@ -774,9 +778,9 @@ def _int_of(value, loc) -> int:
 #
 # These module-level helpers are the single implementation of MiniC's
 # value-level semantics, used by both the tree-walking methods above
-# and the closure compiler (`repro.runtime.compile`).  Sharing them is
-# what makes the two engines bit-identical by construction for
-# everything below statement/expression dispatch.
+# and the codegen engine's generated code (`repro.runtime.codegen`).
+# Sharing them is what makes the two engines bit-identical by
+# construction for everything below statement/expression dispatch.
 
 
 def binop(op: str, left, right, loc: Location):

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from repro.lang.program import Program
 from repro.lang.source import Location
 from repro.runtime.codegen import codegen_plan_for
-from repro.runtime.compile import plan_for
 from repro.runtime.faults import ExitProcess, HangFault, MachineFault
 from repro.runtime.interpreter import Interpreter, InterpreterOptions
 from repro.runtime.os_model import EmulatedOS, LogRecord
@@ -132,17 +131,14 @@ def run_program(
 ) -> ProcessResult:
     """Execute a program's main() and capture the process outcome.
 
-    With `options.engine == "compiled"` (the default) the program's
-    memoized `LaunchPlan` executes the function bodies; with
-    `"codegen"` its generated-source `CodegenPlan` does.  Pass a
-    `plan` explicitly only to share a pre-fetched plan on a hot path.
+    With `options.engine == "codegen"` (the default) the program's
+    memoized generated-source `CodegenPlan` executes the function
+    bodies; `"tree"` walks the AST.  Pass a `plan` explicitly only to
+    share a pre-fetched plan on a hot path.
     """
     os_model = os_model if os_model is not None else EmulatedOS()
     options = options if options is not None else InterpreterOptions()
-    if plan is None:
-        if options.engine == "compiled":
-            plan = plan_for(program)
-        elif options.engine == "codegen":
-            plan = codegen_plan_for(program)
+    if plan is None and options.engine == "codegen":
+        plan = codegen_plan_for(program)
     interp = Interpreter(program, os_model, options, plan=plan)
     return capture_outcome(interp, lambda: interp.run_main(argv))

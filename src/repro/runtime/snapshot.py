@@ -1,4 +1,4 @@
-"""Warm-boot snapshots - the launch engine's layer 2.
+"""Warm-boot snapshots - the launch engine's replay layer.
 
 Every launch of one (system, config) pair executes an identical boot
 prefix: `main()` reads the config file, validates it, binds ports and
@@ -48,8 +48,7 @@ from pathlib import Path
 from repro.lang.ast_nodes import FunctionDef
 from repro.lang.program import Program
 from repro.lang.source import Location
-from repro.runtime.codegen import codegen_plan_for
-from repro.runtime.compile import LaunchPlan, plan_for
+from repro.runtime.codegen import CodegenPlan, codegen_plan_for
 from repro.runtime.faults import ExitProcess, StackOverflowFault
 from repro.runtime.interpreter import (
     Frame,
@@ -77,6 +76,12 @@ from repro.runtime.values import (
 )
 
 from repro.lang import types as ct
+
+#: The launch-plan lowering step under its engine-neutral name.
+#: `boot_launch` calls `codegen_plan_for`; both names stay bound here
+#: so instrumentation that wraps the lowering by name
+#: (`perfbench/tracing.py`) finds either one.
+plan_for = codegen_plan_for
 
 
 @dataclass
@@ -580,12 +585,7 @@ def boot_launch(
     from it, the snapshot supplies the whole world.
     """
     options = options if options is not None else InterpreterOptions()
-    if options.engine == "compiled":
-        plan = plan_for(program)
-    elif options.engine == "codegen":
-        plan = codegen_plan_for(program)
-    else:
-        plan = None
+    plan = codegen_plan_for(program) if options.engine == "codegen" else None
     # Sampled profiling (repro.obs): every Nth launch times its whole
     # phase - replay (resumed) or boot (cold) - and records the step
     # budget actually consumed.  Off-sample launches pay one counter.
@@ -619,7 +619,7 @@ def _fresh_interpreter(
     program: Program,
     os_model: EmulatedOS,
     options: InterpreterOptions,
-    plan: LaunchPlan | None,
+    plan: CodegenPlan | None,
 ) -> Interpreter:
     """A cold interpreter, via the plan's global-init template when the
     program's global initializers are call-free (then the initialized
@@ -652,11 +652,11 @@ def _fresh_interpreter(
 # -- stepwise execution ------------------------------------------------------
 
 
-def _main_runners(program: Program, plan: LaunchPlan | None) -> tuple:
+def _main_runners(program: Program, plan: CodegenPlan | None) -> tuple:
     """Per-top-level-statement runners for main, engine-appropriate.
 
-    Compiled plans carry their statement closures; the tree engine
-    wraps each statement in an `exec_stmt` call.  Either way one
+    Codegen plans carry their generated statement functions; the tree
+    engine wraps each statement in an `exec_stmt` call.  Either way one
     runner executes one statement with full launch semantics.
     """
     if plan is not None:
@@ -707,14 +707,14 @@ def _run_stepwise(
     interp: Interpreter,
     argv: list[str] | None,
     record: BootRecord,
-    plan: LaunchPlan | None,
+    plan: CodegenPlan | None,
     hint: BoundaryHint | None = None,
     stats: BootStats | None = None,
 ) -> int:
     """Execute main() top-level statement by statement.
 
     Equivalent to `Interpreter.run_main` (the statements run through
-    the same per-statement machinery `exec_block`/a compiled body
+    the same per-statement machinery `exec_block`/a generated body
     would drive), with two additions between statements: learning the
     boot boundary, and capturing the snapshot.  On a probe run with a
     `hint` the capture is speculative - taken at the hinted index and
@@ -821,7 +821,7 @@ def _resume(
     program: Program,
     requests: list[str] | None,
     options: InterpreterOptions,
-    plan: LaunchPlan | None,
+    plan: CodegenPlan | None,
     record: BootRecord,
 ) -> ProcessResult:
     """Rebuild an interpreter from the snapshot and run only main's

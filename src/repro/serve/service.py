@@ -107,7 +107,6 @@ class ValidationService:
         spex_options: SpexOptions | None = None,
         max_workers: int | None = None,
         max_results: int = DEFAULT_MAX_RESULTS,
-        engine: str | None = None,
         max_pending: int | None = None,
         deadline_seconds: float | None = None,
         circuit_threshold: int = 5,
@@ -138,9 +137,6 @@ class ValidationService:
         # not see each other's request latencies.
         self.registry = MetricsRegistry()
         self._warmup_by_system: dict[str, float] = {}
-        # Launch engine pre-warmed per system during start(), so the
-        # first interpreter-backed request never pays plan lowering.
-        self._engine = engine
         # Degradation posture (see docs/ROBUSTNESS.md): a bounded
         # admission count sheds load with typed `overloaded` errors, a
         # per-request deadline converts stuck checks into typed
@@ -196,31 +192,12 @@ class ValidationService:
         checker = checker_for_system(
             self._systems[name], self._options, caches=self.caches
         )
-        self._warm_launch_plan(name)
         # Runs on pool threads during start(); plain dict assignment
         # per distinct key is safe and the timings feed the metrics op.
         elapsed = time.perf_counter() - begun
         self._warmup_by_system[name] = elapsed
         self.registry.gauge(f"serve.warmup_seconds.{name}", elapsed)
         return checker
-
-    def _warm_launch_plan(self, name: str) -> None:
-        """Lower the system program's launch plan for the configured
-        engine at warm-up, so the first ground-truth launch request
-        pays only execution, not lowering.  Plans memoize on the
-        `Program` instance, so this is idempotent and thread-safe."""
-        engine = self._engine
-        if engine is None:
-            return
-        program = self._systems[name].program()
-        if engine == "codegen":
-            from repro.runtime.codegen import codegen_plan_for
-
-            codegen_plan_for(program)
-        elif engine == "compiled":
-            from repro.runtime.compile import plan_for
-
-            plan_for(program)
 
     async def close(self) -> None:
         if self._pool is not None:

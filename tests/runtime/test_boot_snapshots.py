@@ -66,11 +66,11 @@ def make_os(config="mode=ok"):
     return os_model
 
 
-def options(engine="compiled"):
+def options(engine="codegen"):
     return InterpreterOptions(engine=engine)
 
 
-def cold(program, requests=None, config="mode=ok", engine="compiled"):
+def cold(program, requests=None, config="mode=ok", engine="codegen"):
     os_model = make_os(config)
     if requests:
         os_model.queue_requests(requests)
@@ -81,7 +81,7 @@ def cold(program, requests=None, config="mode=ok", engine="compiled"):
 
 
 def warm(program, record, requests=None, config="mode=ok", stats=None,
-         hint=None, engine="compiled"):
+         hint=None, engine="codegen"):
     return boot_launch(
         program,
         lambda: make_os(config),

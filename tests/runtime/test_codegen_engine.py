@@ -1,9 +1,10 @@
 """Unit tier for the source-codegen launch engine and the zero-copy
 snapshot machinery it ships with.
 
-The differential contract (codegen == tree == closure on every
-observable channel) lives in `test_engine_parity`; this file pins the
-codegen engine's own guarantees: deterministic generated source,
+The differential contract (codegen == tree on every observable
+channel) lives in `test_engine_parity` and `test_engine_fuzz`; this
+file pins the codegen engine's own guarantees: engine selection,
+deterministic generated source,
 correct fault/budget semantics on crafted programs, snapshot
 capture/resume under the codegen engine, and the shared-memory
 snapshot pool's lifecycle - including that a crashed worker can never
@@ -85,7 +86,26 @@ class TestGeneratedSource:
         assert "helper" in plan.invokes
         assert "main" in plan.invokes
         assert plan.main_steps  # stepwise runners for snapshot boots
-        assert plan.bodies == {}  # duck-types LaunchPlan's attribute
+
+
+class TestEngineSelection:
+    def test_codegen_is_the_default_engine(self):
+        assert InterpreterOptions().engine == "codegen"
+        assert InterpreterOptions.ENGINES == ("tree", "codegen")
+
+    @pytest.mark.parametrize("engine", ["codgen", "compiled", "", "TREE"])
+    def test_unknown_engine_names_are_rejected(self, engine):
+        with pytest.raises(ValueError, match="unknown launch engine"):
+            InterpreterOptions(engine=engine)
+
+    def test_harness_override_is_validated(self):
+        from repro.inject.harness import InjectionHarness
+
+        system = get_system("vsftpd")
+        with pytest.raises(ValueError, match="codgen"):
+            InjectionHarness(system, engine="codgen")
+        harness = InjectionHarness(system, engine="tree")
+        assert harness.options.engine == "tree"
 
 
 class TestCraftedSemantics:

@@ -1,8 +1,7 @@
-"""Differential parity suite: all launch engines vs the tree-walker.
+"""Differential parity suite: the codegen engine vs the tree-walker.
 
-The closure-compiled engine (`repro.runtime.compile`) and the
-source-codegen engine (`repro.runtime.codegen`) must be bit-identical
-to the tree-walking interpreter for every externally observable
+The source-codegen engine (`repro.runtime.codegen`) must be
+bit-identical to the tree-walking interpreter for every externally observable
 channel SPEX-INJ reads: status, exit code, fault signal and reason,
 fault location, logs, responses, and the *step count* (fault
 classification is step-budget-sensitive, so steps are part of the
@@ -20,8 +19,8 @@ from repro.runtime.interpreter import InterpreterOptions
 from repro.runtime.process import ProcessStatus, run_program
 from repro.systems.registry import get_system, system_names
 
-# The tree-walker is the reference; every other engine must match it.
-ENGINES = ("tree", "compiled", "codegen")
+# The tree-walker is the reference; the codegen engine must match it.
+ENGINES = ("tree", "codegen")
 
 
 def assert_same_result(candidate, reference):

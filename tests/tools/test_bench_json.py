@@ -78,26 +78,17 @@ class TestWritePayload:
 
 
 class TestBenchCheckSchema:
-    """`make bench-check` compares warm rows across schema generations."""
+    """`make bench-check` reads the committed warm rows per engine."""
 
     def test_engine_matrix_rows(self):
         row = {
             "tree_launches_per_s": 100.0,
             "engines": {
-                "compiled": {"cold_launches_per_s": 1.0,
-                             "warm_launches_per_s": 900.0},
                 "codegen": {"cold_launches_per_s": 2.0,
                             "warm_launches_per_s": 1100.0},
             },
         }
-        assert _committed_warm_rows(row) == {
-            "compiled": 900.0,
-            "codegen": 1100.0,
-        }
-
-    def test_pre_matrix_flat_row_reads_as_compiled(self):
-        row = {"cold_launches_per_s": 1.0, "warm_launches_per_s": 650.0}
-        assert _committed_warm_rows(row) == {"compiled": 650.0}
+        assert _committed_warm_rows(row) == {"codegen": 1100.0}
 
     def test_row_without_warm_numbers_is_empty(self):
         assert _committed_warm_rows({"tree_launches_per_s": 9.0}) == {}
@@ -108,5 +99,5 @@ class TestBenchCheckSchema:
         )
         for name, row in committed["systems"].items():
             rows = _committed_warm_rows(row)
-            assert set(rows) == {"compiled", "codegen"}, name
+            assert set(rows) == {"codegen"}, name
             assert all(v > 0 for v in rows.values()), name

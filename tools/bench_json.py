@@ -10,9 +10,9 @@ Run via ``make bench-json``.  Captures, for every registered system:
 * ``engines.<name>.warm_launches_per_s`` - that engine replaying from
   warm-boot snapshots (the steady state of functional-test driving);
 
-one row per real engine (``compiled``, ``codegen``), plus the cold
-8-system campaign wall-clock under tree/compiled/codegen, the
-speedups, and the run's cache/boot counters.  Future PRs append their
+one row per fast engine (``codegen``), plus the cold 8-system
+campaign wall-clock under tree and codegen, the speedup, and the
+run's cache/boot counters.  Future PRs append their
 own runs by regenerating the file and comparing against the committed
 numbers.
 
@@ -54,11 +54,13 @@ TREE_BASELINE = InterpreterOptions(
     engine="tree",
     warm_boot=False,
 )
-COMPILED = InterpreterOptions(max_steps=400_000, max_virtual_seconds=120.0)
+LAUNCH_OPTIONS = InterpreterOptions(
+    max_steps=400_000, max_virtual_seconds=120.0
+)
 
 #: Launch engines benchmarked per system (tree is the separate
 #: historical baseline row).
-ENGINES = ("compiled", "codegen")
+ENGINES = ("codegen",)
 
 LAUNCH_REPS = 3
 
@@ -97,14 +99,14 @@ def _bench_engine(system, engine: str) -> dict:
     launches = 0
     for _ in range(LAUNCH_REPS):
         launches += _launch_pass(
-            InjectionHarness(system, options=COMPILED, engine=engine),
+            InjectionHarness(system, options=LAUNCH_OPTIONS, engine=engine),
             system,
         )
     out["cold_launches_per_s"] = launches / (time.perf_counter() - started)
 
     # Warm: one harness keeps its boot records, so repeated passes
     # replay from snapshots (no launch cache - every launch computes).
-    harness = InjectionHarness(system, options=COMPILED, engine=engine)
+    harness = InjectionHarness(system, options=LAUNCH_OPTIONS, engine=engine)
     _launch_pass(harness, system)  # warm the records
     started = time.perf_counter()
     launches = sum(_launch_pass(harness, system) for _ in range(LAUNCH_REPS))
@@ -132,7 +134,9 @@ def bench_warm_only(system) -> dict:
     """bench-check's fast path: warm rows only, per engine."""
     out = {}
     for engine in ENGINES:
-        harness = InjectionHarness(system, options=COMPILED, engine=engine)
+        harness = InjectionHarness(
+            system, options=LAUNCH_OPTIONS, engine=engine
+        )
         _launch_pass(harness, system)
         _launch_pass(harness, system)  # records warm after two passes
         started = time.perf_counter()
@@ -148,7 +152,7 @@ def bench_campaigns() -> dict:
     for system in iter_systems(None):
         Campaign(system, inference_cache=caches.inference).run_spex()
 
-    def sweep(harness_options, snapshot_cache, engine=None):
+    def sweep(harness_options, snapshot_cache):
         duration = 0.0
         misconfigurations = 0
         for system in iter_systems(None):
@@ -157,7 +161,6 @@ def bench_campaigns() -> dict:
                 inference_cache=caches.inference,
                 harness_options=harness_options,
                 snapshot_cache=snapshot_cache,
-                engine=engine,
             )
             started = time.perf_counter()
             report = campaign.run()
@@ -168,20 +171,13 @@ def bench_campaigns() -> dict:
     tree_time, misconfigs = sweep(TREE_BASELINE, None)
     snapshot_cache = SnapshotCache()
     new_time, _ = sweep(None, snapshot_cache)
-    codegen_cache = SnapshotCache()
-    codegen_time, _ = sweep(None, codegen_cache, engine="codegen")
     return {
         "misconfigurations": misconfigs,
         "tree_wall_time_s": round(tree_time, 3),
         "wall_time_s": round(new_time, 3),
-        "codegen_wall_time_s": round(codegen_time, 3),
         "tree_throughput_misconfigs_per_s": round(misconfigs / tree_time, 2),
         "throughput_misconfigs_per_s": round(misconfigs / new_time, 2),
-        "codegen_throughput_misconfigs_per_s": round(
-            misconfigs / codegen_time, 2
-        ),
         "speedup": round(tree_time / new_time, 2),
-        "codegen_speedup": round(tree_time / codegen_time, 2),
         "boot_stats": snapshot_cache.boot_stats.snapshot(),
     }
 
@@ -300,18 +296,12 @@ def check_chaos() -> int:
 
 
 def _committed_warm_rows(row: dict) -> dict[str, float]:
-    """Warm throughput per engine from one system's committed row,
-    tolerating the pre-engine-matrix schema (flat keys = compiled)."""
-    engines = row.get("engines")
-    if engines:
-        return {
-            engine: stats["warm_launches_per_s"]
-            for engine, stats in engines.items()
-            if "warm_launches_per_s" in stats
-        }
-    if "warm_launches_per_s" in row:
-        return {"compiled": row["warm_launches_per_s"]}
-    return {}
+    """Warm throughput per engine from one system's committed row."""
+    return {
+        engine: stats["warm_launches_per_s"]
+        for engine, stats in row.get("engines", {}).items()
+        if "warm_launches_per_s" in stats
+    }
 
 
 def check_regressions() -> int:
@@ -382,7 +372,6 @@ def main(argv: list[str] | None = None) -> int:
         "generated_unix": int(time.time()),
         "engines": {
             "baseline": "tree-walking interpreter, no warm-boot snapshots",
-            "compiled": "closure-compiled launch plans + warm-boot snapshots",
             "codegen": (
                 "source-generated Python module + zero-copy snapshot restore"
             ),
