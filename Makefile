@@ -9,7 +9,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # this.
 export PYTHONHASHSEED := 0
 
-.PHONY: test test-fast lint bench bench-json bench-check chaos chaos-json fleet-bench obs-bench trace-demo docs-check quickstart pipeline fleet serve all
+.PHONY: test test-fast lint bench bench-json bench-check perfbench chaos chaos-json fleet-bench obs-bench trace-demo docs-check quickstart pipeline fleet serve all
 
 all: test docs-check
 
@@ -44,6 +44,13 @@ bench-json:
 # BENCH_GUARD=1 to fail on any >20% per-system/engine regression.
 bench-check:
 	$(PYTHON) tools/bench_json.py --check
+
+# The repository benchmark (perfbench/README.md): one workload of
+# audit, audit-process, fleet or serve, end-to-end metrics only; the
+# last stdout line is the JSON result.
+WORKLOAD ?= audit
+perfbench:
+	python3 perfbench/run.py --workload $(WORKLOAD) --seed 1 --seconds 30 --trace 0
 
 # Chaos tier: every recovery path proven end-to-end (kill/resume
 # checkpoint parity, retry/quarantine, serve load-shedding and circuit

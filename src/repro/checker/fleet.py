@@ -822,8 +822,7 @@ def _validate_chunk_by_name(task):
     """Process-pool entry point for one corpus chunk.
 
     Returns (outcomes, chunk duration, checker-cache stats delta,
-    metrics delta); outcomes are compact value objects, so no slimming
-    is needed.  The metrics delta folds the worker's chunk counters
+    metrics delta); outcomes are compact value objects.  The metrics delta folds the worker's chunk counters
     and stage-timing histograms into the parent registry."""
     (
         name,

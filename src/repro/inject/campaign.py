@@ -370,22 +370,6 @@ class Campaign:
         )
 
 
-def slim_verdicts(verdicts: list[InjectionVerdict]) -> None:
-    """Drop per-verdict interpreter snapshots before verdicts cross a
-    pickle boundary: they exist for in-campaign silent-violation
-    checks, quadruple the pickle size, and no aggregate consumer reads
-    them.  Slimming replaces each result with a copy rather than
-    mutating it: the original may be a live launch-cache entry whose
-    snapshot later batches still read."""
-    from dataclasses import replace
-
-    for verdict in verdicts:
-        if verdict.startup_result is not None:
-            verdict.startup_result = replace(
-                verdict.startup_result, interpreter=None
-            )
-
-
 # -- process-executor batch workers -----------------------------------------
 #
 # Batch tasks are dispatched by (system name, spex options, batch index)
@@ -481,10 +465,10 @@ def _pooled_snapshot_cache(manifest: dict | None):
 def _test_batch_by_name(task):
     """Process-pool entry point for one `MisconfigurationBatch`.
 
-    Returns (batch index, slimmed verdicts, launch-cache stats delta,
-    boot-stats delta, metrics delta); interpreter snapshots are
-    dropped before the verdicts cross the pickle boundary -
-    silent-violation classification already happened in this process.
+    Returns (batch index, verdicts, launch-cache stats delta,
+    boot-stats delta, metrics delta); the verdicts' startup results
+    carry effective config values, never an interpreter, so they
+    cross the pickle boundary small.
     The metrics delta folds the worker's counters/histograms into the
     parent registry exactly like the cache deltas fold into
     `CacheStats`.
@@ -508,7 +492,6 @@ def _test_batch_by_name(task):
     registry.inc("campaign.batches")
     if harness.launch_cache is None:
         verdicts = harness.test_batch(batch, template)
-        slim_verdicts(verdicts)
         return (
             batch_index,
             verdicts,
@@ -518,7 +501,6 @@ def _test_batch_by_name(task):
         )
     before = harness.launch_cache.stats.snapshot()
     verdicts = harness.test_batch(batch, template)
-    slim_verdicts(verdicts)
     delta = _stats_delta(before, harness.launch_cache.stats.snapshot())
     return (
         batch_index,

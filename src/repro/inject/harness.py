@@ -120,7 +120,7 @@ class InjectionHarness:
         self, config_text: str, requests: list[str] | None = None
     ) -> ProcessResult:
         if self.launch_cache is None:
-            return self._launch(config_text, requests)
+            return self._observed_launch(config_text, requests)
         if self._options_fingerprint is None:
             self._options_fingerprint = self.options.fingerprint()
         key = self.launch_cache.key_for(
@@ -131,7 +131,7 @@ class InjectionHarness:
             options_fingerprint=self._options_fingerprint,
         )
         return self.launch_cache.get_or_compute(
-            key, lambda: self._cacheable_launch(config_text, requests)
+            key, lambda: self._observed_launch(config_text, requests)
         )
 
     def _launch(
@@ -199,16 +199,34 @@ class InjectionHarness:
             return self.snapshot_cache.boot_stats
         return self._boot_stats
 
-    def _cacheable_launch(
+    def _observed_launch(
         self, config_text: str, requests: list[str] | None
     ) -> ProcessResult:
+        """One launch, reduced to what the harness reads back.
+
+        A startup run's only interpreter state ever read is its
+        effective config values (the silent-violation check), so they
+        are resolved once into `effective_values` and the interpreter
+        is dropped from every result: cached results and verdicts then
+        hold no interpreter heap.
+        """
         result = self._launch(config_text, requests)
-        if requests:
-            # Only startup snapshots are read back (silent-violation
-            # checks); dropping request-run interpreters bounds the
-            # cache's footprint to one snapshot per unique config.
-            result.interpreter = None
+        if not requests:
+            result.effective_values = self._effective_values(
+                result.interpreter
+            )
+        result.interpreter = None
         return result
+
+    def _effective_values(self, interp) -> dict[str, object]:
+        """`{param: value}` for every effective-value location of the
+        system that resolves in `interp`'s globals."""
+        values = {}
+        for param, (var, path) in self.system.effective_locations.items():
+            value, resolved = self._resolve_effective(interp, var, path)
+            if resolved:
+                values[param] = value
+        return values
 
     def baseline_ok(self) -> bool:
         """The unmodified template must start and pass all tests."""
@@ -398,22 +416,18 @@ class InjectionHarness:
         )
 
     def _silently_changed(self, misconf, startup: ProcessResult):
-        interp = startup.interpreter
-        if interp is None:
+        effective = startup.effective_values
+        if effective is None:
             return None
         for param, injected in misconf.settings:
-            location = self.system.effective_locations.get(param)
-            if location is None:
+            if param not in effective:
+                # No effective-value location, or one that cannot be
+                # traversed (missing global, non-struct hop, absent
+                # field): no evidence of a changed value - reporting
+                # it as a silent violation would blame the harness's
+                # own bookkeeping on the system.
                 continue
-            var, path = location
-            value, resolved = self._resolve_effective(interp, var, path)
-            if not resolved:
-                # An effective-value location that cannot be traversed
-                # (missing global, non-struct hop, absent field) is no
-                # evidence of a changed value - reporting it as a
-                # silent violation would blame the harness's own
-                # bookkeeping on the system.
-                continue
+            value = effective[param]
             intended = self.system.decoder_for(param)(injected)
             if value is None and intended is None:
                 continue

@@ -247,8 +247,9 @@ class LaunchCache(ContentCache):
     All of those share one interpreter run.
 
     Cached `ProcessResult`s follow the store's immutable-by-convention
-    contract; the harness slims request-driven results (drops the
-    interpreter snapshot) *before* insertion, never after.
+    contract; the harness reduces every result to what it reads back
+    (no interpreter; startup runs keep their effective config values)
+    *before* insertion, never after.
     """
 
     def key_for(

@@ -36,12 +36,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core import SpexOptions
-from repro.inject.campaign import (
-    Campaign,
-    CampaignReport,
-    Vulnerability,
-    slim_verdicts,
-)
+from repro.inject.campaign import Campaign, CampaignReport, Vulnerability
 from repro.inject.generators import GeneratorRegistry, default_generators
 from repro.inject.reactions import ReactionCategory
 from repro.obs import get_registry, metrics_delta, span
@@ -144,7 +139,7 @@ class PipelineReport:
 def _save_campaign_checkpoint(
     ckpt_spec: tuple[str, str, str] | None, report: CampaignReport
 ) -> None:
-    """Persist one finished (slimmed) campaign report, keyed by the
+    """Persist one finished campaign report, keyed by the
     campaign fingerprint within the sweep's run key.  Runs inside the
     task (worker or inline), so completed campaigns survive a mid-run
     kill of the sweep."""
@@ -187,7 +182,6 @@ def _run_campaign_by_name(
         engine=engine,
     )
     report = campaign.run()
-    slim_verdicts(report.verdicts)
     _save_campaign_checkpoint(ckpt_spec, report)
     return (
         name,
@@ -435,7 +429,6 @@ class CampaignPipeline:
             index, name = indexed
             report, duration = self._run_one(name, batch_spec)
             if ckpt_specs[index] is not None:
-                slim_verdicts(report.verdicts)
                 _save_campaign_checkpoint(ckpt_specs[index], report)
             return report, duration
 

@@ -1001,8 +1001,11 @@ def _memset(interp, args, loc):
         for i in range(min(n, len(target), 4096)):
             target.cells[i] = value & 0xFF
     elif isinstance(target, ArrayValue):
-        for i in range(min(n, len(target.items))):
-            target.items[i] = value & 0xFF
+        if target.shared:
+            target.privatize()
+        items = target.items
+        for i in range(min(n, len(items))):
+            items[i] = value & 0xFF
     return target
 
 

@@ -47,7 +47,12 @@ class ProcessResult:
     logs: list[LogRecord] = field(default_factory=list)
     responses: list[str] = field(default_factory=list)
     steps: int = 0
+    # The finished run's interpreter, for callers that inspect its
+    # state; the injection harness drops it and keeps only
+    # `effective_values` (`{param: value}` at each resolvable
+    # effective-value location, startup runs only).
     interpreter: Interpreter | None = None
+    effective_values: dict[str, object] | None = None
     # Memo of the joined log text, keyed by the log list's identity and
     # length so appends (and list replacement) invalidate it.
     _log_text: str | None = field(

@@ -91,18 +91,23 @@ class BootSnapshot:
 
     The bundle is held as a private structure-copied bundle
     (`slim_state`) and each resume takes a **copy-on-write restore**
-    through `copy_state_bundle`: immutable state (strings, numbers,
-    `CType` tables, locations, log records) is shared by reference and
-    only the mutable spine - dicts, lists, frames, struct/array
-    values, slots, file nodes, the `EmulatedOS` - is rebuilt.  That
-    replaces the old full `pickle.loads` round-trip per resume, which
-    re-materialized every immutable leaf as well.  Identity relations
-    inside the bundle (a `Pointer` into the globals dict, a shared
-    `FileHandle`) survive the copy exactly as they did under pickle.
+    through its `copier`: immutable state (strings, numbers, `CType`
+    tables, locations, log records) is shared by reference, and so is
+    every array whose elements all are (the `items` list is marked
+    shared and privatized by the resume's first write to it - see
+    `StateBundleCopier`).  Only the rest of the mutable spine - dicts,
+    lists, frames, struct/array values, slots, file nodes, the
+    `EmulatedOS` - is rebuilt.  Identity relations inside the bundle
+    (a `Pointer` into the globals dict, a shared `FileHandle`) survive
+    the copy exactly as they did under pickle.
+
+    Capture scans the live state once and `StateBundleCopier.fork`s
+    it: `slim_state` is the fork's private copy and `copier` carries
+    the live scan's recipe translated to it, so no resume rescans.
 
     `blob` holds the same slim bundle pickled - the cross-process
     transport form used by the shared-memory `SnapshotPool` (process
-    workers map the bytes and unpickle once, then resume via
+    workers map the bytes, unpickle and scan once, then resume via
     copy-on-write like everyone else).  `state` is the legacy
     deep-copy fallback for bundles the structure copier refuses.
     """
@@ -111,8 +116,9 @@ class BootSnapshot:
     blob: bytes | None = None
     state: dict | None = None
     slim_state: dict | None = None
-    # Per-process purity scan over `slim_state`, built on first resume
-    # (it holds `id()`s into the live bundle, so it never travels).
+    # Purity recipe over `slim_state`: set at capture, or built on the
+    # first resume of a transported snapshot (it holds `id()`s into
+    # this process's bundle, so it never travels).
     copier: "StateBundleCopier | None" = field(
         default=None, repr=False, compare=False
     )
@@ -159,7 +165,7 @@ def _global_types_of(program: Program) -> dict:
 # -- copy-on-write state restore ---------------------------------------------
 #
 # `Interpreter.STATE_FIELDS` closes over a small, known universe of
-# runtime classes.  `copy_state_bundle` walks that graph once,
+# runtime classes.  `StateBundleCopier` walks that graph,
 # rebuilding only the mutable spine and sharing every immutable leaf
 # (numbers, strings, `CType` tables, `Location`s, log records, static
 # markers) by reference.  The memo is `copy.deepcopy`-compatible
@@ -299,7 +305,18 @@ def _copy_array(obj, memo):
     new = ArrayValue.__new__(ArrayValue)
     memo[id(obj)] = new
     new.element_type = obj.element_type
-    new.items = _copy_value(obj.items, memo)
+    items = obj.items
+    fixups = memo.get(_FIXUPS_KEY)
+    if fixups is not None and fixups.get(id(items)) == ():
+        # Every element is shareable: share the list itself, copy-on-
+        # write.  Both sides are marked, so whichever writes first
+        # (`ArrayValue.set`/`memset`) privatizes its own copy.
+        memo[id(items)] = items
+        new.items = items
+        obj.shared = new.shared = True
+        return new
+    new.items = _copy_value(items, memo)
+    new.shared = False
     return new
 
 
@@ -424,11 +441,14 @@ def _scan_fixups(obj, fixups: dict[int, tuple], seen: set[int]) -> None:
     For a dict or list the recipe is the tuple of keys/indices whose
     values are NOT shareable by reference: every copy then starts from
     one C-level `dict()`/`list.copy()` and rewrites only those slots.
-    A `set(map(type, ...))` probe keeps the all-shareable check at C
-    speed, so a 64k-element int array costs one set-build here instead
-    of 64k Python-level copy calls on every restore.  Sets and tuples
+    A `count(0)` (all zeros) or `set(map(type, ...))` probe keeps the
+    all-shareable check at C speed, so a 64k-element int array costs
+    one C-level pass here instead of 64k Python-level copy calls on
+    every restore.  Sets and tuples
     get a recipe only when fully shareable (tuples are then shared
-    outright - immutable containers of immutables)."""
+    outright - immutable containers of immutables).  A list recipe of
+    ``()`` also lets `_copy_array` share an array's `items` list
+    copy-on-write instead of copying it."""
     kind = type(obj)
     if _shareable_type(kind):
         return
@@ -436,6 +456,12 @@ def _scan_fixups(obj, fixups: dict[int, tuple], seen: set[int]) -> None:
     if key in seen:
         return
     seen.add(key)
+    if kind is list and obj and obj[0] == 0 and obj.count(0) == len(obj):
+        # All zeros (a fresh `malloc` arena, a zeroed array): one
+        # C-level count instead of a per-element type probe.  Only
+        # numbers compare equal to 0 among runtime values.
+        fixups[key] = ()
+        return
     if kind is dict:
         kinds = set(map(type, obj.values()))
         if all(_shareable_type(k) for k in kinds):
@@ -478,34 +504,54 @@ class StateBundleCopier:
 
     The fixup scan runs once; every `copy()` after that duplicates
     containers with one C-level `dict()`/`list.copy()` plus targeted
-    rewrites of their few mutable slots, and shares all-immutable
-    tuples outright - the difference between beating and losing to
-    `pickle.loads` on array-heavy bundles.  Resumed runs mutate only
-    the copies, never the source bundle, so the scan never goes stale.
+    rewrites of their few mutable slots, shares all-immutable tuples
+    outright, and shares each all-shareable `ArrayValue.items` list
+    with the copy (the **shared-array invariant**: both arrays are
+    marked `shared`, and the first write through either privatizes
+    its own list, so no write is ever seen through another bundle).
+    A resume therefore pays for the arrays it writes, not for every
+    array the bundle holds.  Resumed runs mutate only the copies,
+    never the source bundle, so the scan never goes stale.
+
+    `fork()` is how a live bundle becomes a frozen one: it copies the
+    bundle and builds the copy's recipe by translating this one
+    through the copy memo, so one purity scan serves both.  `fixups`
+    is that translated recipe; it holds `id()`s into `state`, so a
+    copier never leaves its process.
     """
 
     __slots__ = ("state", "_fixups")
 
-    def __init__(self, state: dict) -> None:
+    def __init__(
+        self, state: dict, fixups: dict[int, tuple] | None = None
+    ) -> None:
         self.state = state
-        self._fixups: dict[int, tuple] = {}
-        _scan_fixups(state, self._fixups, set())
+        if fixups is None:
+            fixups = {}
+            _scan_fixups(state, fixups, set())
+        self._fixups = fixups
 
     def copy(self) -> dict:
+        """An independent copy of the bundle: semantically
+        `copy.deepcopy(state)` - no write through the runtime's
+        writers is ever observed through the other side, and identity
+        relations inside the bundle survive."""
         return _copy_value(self.state, {_FIXUPS_KEY: self._fixups})
 
+    def fork(self) -> "StateBundleCopier":
+        """A copier over a fresh private copy of this bundle, its
+        recipe translated through the memo rather than rescanned.
 
-def copy_state_bundle(state: dict) -> dict:
-    """A fully independent copy of an interpreter state bundle, with
-    every immutable leaf shared by reference (copy-on-write restore).
-
-    Semantically equivalent to `copy.deepcopy(state)` / a pickle
-    round-trip: mutating the copy can never be observed through the
-    original, and identity relations inside the bundle survive.
-    Repeated copies of one bundle should hold a `StateBundleCopier`
-    instead, amortizing the purity scan.
-    """
-    return StateBundleCopier(state).copy()
+        The copy has the same shape as the source - every scanned
+        container maps to its copy (or, when shared outright, to
+        itself), and a slot impure in the source stays impure in the
+        copy - so the translated recipe equals a fresh scan of it."""
+        memo: dict = {_FIXUPS_KEY: self._fixups}
+        state = _copy_value(self.state, memo)
+        fixups = {
+            id(memo[key]): recipe for key, recipe in self._fixups.items()
+        }
+        return StateBundleCopier(state, fixups)
 
 
 @dataclass
@@ -636,9 +682,7 @@ def _fresh_interpreter(
         try:
             # Privatize once; every later cold boot restores from this
             # bundle copy-on-write instead of re-running the inits.
-            plan.globals_template = StateBundleCopier(
-                copy_state_bundle(bundle)
-            )
+            plan.globals_template = StateBundleCopier(bundle).fork()
         except Exception:
             # Uncopyable initializer values: template disabled.
             plan.globals_pure = False
@@ -795,9 +839,11 @@ def _capture(interp: Interpreter, boundary: int) -> BootSnapshot:
 
     The boot prefix never touches the queue (by the boundary's
     definition), so the captured state is request-independent; resumed
-    launches install their own queue.  One pickle (or fallback
-    deepcopy) over the whole bundle preserves identity relations
-    (pointers into environment dicts, shared file handles).
+    launches install their own queue.  One copy-on-write fork (or a
+    fallback deepcopy) over the whole bundle preserves identity
+    relations (pointers into environment dicts, shared file handles);
+    the live run keeps going on arrays now shared with the snapshot,
+    privatizing each one it writes.
     """
     os_model = interp.os
     saved_requests = os_model.requests
@@ -807,12 +853,14 @@ def _capture(interp: Interpreter, boundary: int) -> BootSnapshot:
         slim = dict(bundle)
         slim.pop("global_types")  # rebuilt from the program on resume
         try:
-            private = copy_state_bundle(slim)
+            private = StateBundleCopier(slim).fork()
         except Exception:
             # Uncopyable state (e.g. a custom builtin planted a value
             # even deepcopy refuses): keep a live deep copy instead.
             return BootSnapshot(boundary=boundary, state=copy.deepcopy(bundle))
-        return BootSnapshot(boundary=boundary, slim_state=private)
+        return BootSnapshot(
+            boundary=boundary, slim_state=private.state, copier=private
+        )
     finally:
         os_model.requests = saved_requests
 

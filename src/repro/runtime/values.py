@@ -56,13 +56,21 @@ class StructValue:
 
 
 class ArrayValue:
-    """A fixed-length array with element type for coercion and bounds."""
+    """A fixed-length array with element type for coercion and bounds.
 
-    __slots__ = ("element_type", "items")
+    `items` may be shared copy-on-write with other arrays (snapshot
+    restores hand every resume the captured list; see
+    `repro.runtime.snapshot`).  `shared` marks such a list: the first
+    write through `set` (or the `memset` builtin - the only two writers
+    of `items`) takes a private copy before mutating it.
+    """
+
+    __slots__ = ("element_type", "items", "shared")
 
     def __init__(self, element_type: ct.CType | None, items: list[object]):
         self.element_type = element_type
         self.items = items
+        self.shared = False
 
     def __len__(self) -> int:
         return len(self.items)
@@ -73,7 +81,15 @@ class ArrayValue:
 
     def set(self, index: int, value: object, location: Location | None = None) -> None:
         self._check(index, location)
+        if self.shared:
+            self.privatize()
         self.items[index] = coerce(self.element_type, value)
+
+    def privatize(self) -> None:
+        """Give this array its own copy of a shared `items` list (every
+        writer calls this before its first write)."""
+        self.items = self.items.copy()
+        self.shared = False
 
     def _check(self, index: int, location: Location | None) -> None:
         if not isinstance(index, int):

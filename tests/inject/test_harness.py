@@ -286,13 +286,14 @@ class TestEffectiveValueTraversal:
     def test_unresolvable_location_is_not_a_silent_violation(self, openldap):
         harness = InjectionHarness(openldap)
         misconf = _misconf("index_intlen", "300")
-        # An interpreter snapshot missing the effective-value global
-        # is "no evidence", never a reported value change.
+        # A startup run missing the effective-value global is "no
+        # evidence", never a reported value change.
         startup = ProcessResult(
             status=ProcessStatus.EXITED,
             exit_code=0,
-            interpreter=_StubInterp({}),
+            effective_values=harness._effective_values(_StubInterp({})),
         )
+        assert "index_intlen" not in startup.effective_values
         assert harness._silently_changed(misconf, startup) is None
 
     def test_resolved_divergent_value_is_reported(self, openldap):
@@ -301,10 +302,32 @@ class TestEffectiveValueTraversal:
         startup = ProcessResult(
             status=ProcessStatus.EXITED,
             exit_code=0,
-            interpreter=_StubInterp({"index_intlen": 255}),
+            effective_values=harness._effective_values(
+                _StubInterp({"index_intlen": 255})
+            ),
         )
         changed = harness._silently_changed(misconf, startup)
         assert changed == ("index_intlen", "300", 255)
+
+    def test_startup_results_keep_effective_values_not_interpreters(
+        self, openldap
+    ):
+        """The harness resolves every effective-value location of a
+        startup run once and drops the interpreter; the silent-violation
+        check reads the resolved map."""
+        harness = InjectionHarness(openldap)
+        startup = harness.launch(openldap.default_config)
+        assert startup.interpreter is None
+        assert set(startup.effective_values) == set(
+            openldap.effective_locations
+        )
+        value = startup.effective_values["index_intlen"]
+        misconf = _misconf("index_intlen", str(value))
+        assert harness._silently_changed(misconf, startup) is None
+        diverged = _misconf("index_intlen", str(value + 1))
+        assert harness._silently_changed(diverged, startup) == (
+            "index_intlen", str(value + 1), value
+        )
 
 
 if __name__ == "__main__":

@@ -68,14 +68,23 @@ class TestHarnessLaunchCaching:
         assert ping is not startup
         assert harness.launch_cache.stats.misses == 2
 
-    def test_startup_snapshot_kept_request_runs_slimmed(self, harness):
+    def test_cache_keeps_effective_values(self, harness):
         config = harness.system.default_config
         startup = harness.launch(config)
         request_run = harness.launch(config, ["PING"])
-        # Silent-violation checks read startup snapshots; request runs
-        # are slimmed before caching to bound the cache's footprint.
-        assert startup.interpreter is not None
+        # Silent-violation checks read a startup run's effective config
+        # values, resolved before caching; no cached result holds an
+        # interpreter, which bounds the cache's footprint.
+        assert startup.interpreter is None
         assert request_run.interpreter is None
+        assert set(startup.effective_values) == set(
+            harness.system.effective_locations
+        )
+        assert request_run.effective_values is None
+        # A cache hit hands back the same resolved values.
+        assert harness.launch(config).effective_values == (
+            startup.effective_values
+        )
 
     def test_uncached_harness_reruns_every_launch(self):
         harness = InjectionHarness(get_system("openldap"))

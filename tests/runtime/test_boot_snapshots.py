@@ -251,15 +251,24 @@ class TestHarnessIntegration:
         )
 
     def test_silent_violation_evidence_survives_resume(self):
-        """Resumed startup results still carry a live interpreter for
-        effective-value reads (the silent-violation path)."""
+        """Resumed startup results carry the effective config values a
+        cold boot reads (the silent-violation path) - and no
+        interpreter."""
         system = get_system("vsftpd")
         harness = InjectionHarness(system)
         config = system.default_config
         harness.launch(config)
         harness.launch(config, system.tests[0].requests)
         # A fresh startup launch of the same config resumes and must
-        # still expose interpreter globals.
+        # still report every effective value.
         result = harness.launch(config)
-        assert result.interpreter is not None
-        assert "conf_bool" in result.interpreter.globals or result.interpreter.globals
+        assert harness.boot_stats.resumes == 1
+        assert result.interpreter is None
+        cold = InjectionHarness(
+            system,
+            options=InterpreterOptions(
+                max_steps=400_000, max_virtual_seconds=120.0, warm_boot=False
+            ),
+        ).launch(config)
+        assert set(result.effective_values) == set(system.effective_locations)
+        assert result.effective_values == cold.effective_values

@@ -22,16 +22,20 @@ from repro.runtime.codegen import (
     compile_codegen,
     generate_source,
 )
+from repro.runtime.builtins import REGISTRY
 from repro.runtime.interpreter import InterpreterOptions
+from repro.runtime.os_model import EmulatedOS
 from repro.runtime.process import ProcessStatus, run_program
 from repro.runtime.snapshot import (
     BootRecord,
     BootSnapshot,
     BootStats,
     SnapshotPool,
+    StateBundleCopier,
+    _scan_fixups,
     boot_launch,
-    copy_state_bundle,
 )
+from repro.runtime.values import ArrayValue, Pointer, VarSlot
 from repro.systems.registry import get_system
 
 
@@ -258,7 +262,7 @@ class TestCopyStateBundle:
     def test_mutable_containers_are_privatized(self):
         inner = {"k": [1, 2]}
         state = {"globals": inner, "alias": inner}
-        copied = copy_state_bundle(state)
+        copied = StateBundleCopier(state).copy()
         assert copied["globals"] is not inner
         # Aliasing is preserved: both keys still point at one dict.
         assert copied["globals"] is copied["alias"]
@@ -267,8 +271,163 @@ class TestCopyStateBundle:
 
     def test_atomic_leaves_are_shared(self):
         state = {"name": "vsftpd", "count": 7, "flag": True, "none": None}
-        copied = copy_state_bundle(state)
+        copied = StateBundleCopier(state).copy()
         assert copied == state
+
+    def test_pointer_among_zeros_is_privatized(self):
+        """The all-zeros fast path must not wave through a list that is
+        all zeros but one: the hidden pointer is copied, and retargeted
+        at the copy's globals."""
+        env = {"x": 5}
+        items = [0] * 65536
+        items[40_000] = Pointer(VarSlot(env, "x"))
+        env["arena"] = ArrayValue(None, items)
+        copied = StateBundleCopier({"globals": env}).copy()
+        arena = copied["globals"]["arena"]
+        assert arena.items is not items
+        assert not arena.shared
+        pointer = arena.items[40_000]
+        assert pointer is not items[40_000]
+        assert pointer.slot.env is copied["globals"]
+        pointer.store(9)
+        assert env["x"] == 5
+        assert copied["globals"]["x"] == 9
+
+    def test_all_zero_arrays_are_shared_not_copied(self):
+        arena = ArrayValue(None, [0] * 65536)
+        copier = StateBundleCopier({"globals": {"arena": arena}})
+        copied = copier.copy()["globals"]["arena"]
+        assert copied.items is arena.items
+        assert copied.shared and arena.shared
+
+    def test_forked_recipe_equals_a_fresh_scan(self):
+        """`fork` translates the live scan through the copy memo; the
+        result must be exactly what rescanning the private copy finds,
+        on a synthetic bundle and on a real captured boot."""
+        env = {"n": 1, "name": "x", "t": (1, "a")}
+        env["p"] = Pointer(VarSlot(env, "n"))
+        env["arr"] = ArrayValue(None, [0, 3, env["p"]])
+        env["zeros"] = ArrayValue(None, [0] * 1024)
+        env["nested"] = [[1, 2], {"k": env["p"]}, {3, 4}, (env["p"],)]
+        live = {"globals": env, "statics": {("f", "s"): 2}}
+        bundles = [StateBundleCopier(live).fork()]
+
+        system = get_system("storage_a")
+        record = BootRecord()
+
+        def make_os():
+            os_model = system.make_os()
+            system.install_config(os_model, system.default_config)
+            return os_model
+
+        argv = [system.name, system.config_path]
+        for _ in range(2):  # probe, then capture
+            boot_launch(
+                system.program(), make_os, argv,
+                InterpreterOptions(max_steps=400_000), record,
+            )
+        assert record.can_resume
+        bundles.append(record.snapshot.copier)
+        assert record.snapshot.copier.state is record.snapshot.slim_state
+
+        for forked in bundles:
+            fresh: dict = {}
+            _scan_fixups(forked.state, fresh, set())
+            assert forked._fixups == fresh
+            assert len(fresh) > 3
+
+    def test_writes_stay_in_their_own_resume(self):
+        """A resume's `set` or `memset` is invisible to its siblings
+        and to the snapshot, although all of them start out sharing one
+        list."""
+        snapshot = StateBundleCopier(
+            {"globals": {"buf": ArrayValue(None, [0, 5, 0, 0])}}
+        ).fork()
+        written, memset, clean = (
+            snapshot.copy()["globals"]["buf"] for _ in range(3)
+        )
+        source = snapshot.state["globals"]["buf"]
+        assert written.items is memset.items is clean.items is source.items
+        written.set(3, 7)
+        REGISTRY.get("memset")(None, [memset, 9, 2], None)
+        assert written.items == [0, 5, 0, 7]
+        assert memset.items == [9, 9, 0, 0]
+        assert clean.items == source.items == [0, 5, 0, 0]
+        assert snapshot.copy()["globals"]["buf"].items == [0, 5, 0, 0]
+
+    def test_live_write_after_capture_does_not_leak(self):
+        """Capture shares the live run's arrays with the snapshot; the
+        live run keeps executing and must privatize before writing."""
+        live = ArrayValue(None, [0, 5, 0, 0])
+        snapshot = StateBundleCopier({"globals": {"buf": live}}).fork()
+        assert snapshot.state["globals"]["buf"].items is live.items
+        live.set(0, 1)
+        REGISTRY.get("memset")(None, [live, 8, 4], None)
+        assert live.items == [8, 8, 8, 8]
+        assert snapshot.state["globals"]["buf"].items == [0, 5, 0, 0]
+        assert snapshot.copy()["globals"]["buf"].items == [0, 5, 0, 0]
+
+
+ARENA_SERVER = """
+int *arena;
+int boot() {
+    arena = malloc(64);
+    arena[1] = 5;
+    return 0;
+}
+int main() {
+    boot();
+    char *req = recv_request();
+    while (req != NULL) {
+        if (strcmp(req, "set") == 0) {
+            arena[3] = 7;
+        }
+        if (strcmp(req, "memset") == 0) {
+            memset(arena, 9, 2);
+        }
+        send_response(sprintf("%d %d %d %d", arena[0], arena[1], arena[3], arena[63]));
+        req = recv_request();
+    }
+    return 0;
+}
+"""
+
+
+class TestCopyOnWriteResumes:
+    """The shared-array invariant end to end: a captured `malloc` arena
+    is shared by every resume, and no run's writes reach another."""
+
+    def _launch(self, program, record, requests, stats=None):
+        options = InterpreterOptions(warm_boot=record is not None)
+        if record is None:
+            os_model = EmulatedOS()
+            os_model.queue_requests(requests)
+            return run_program(program, os_model, options=options)
+        return boot_launch(
+            program, EmulatedOS, None, options, record,
+            requests=requests, stats=stats,
+        )
+
+    def test_resumes_match_cold_runs_whatever_the_order(self):
+        program = _program(ARENA_SERVER)
+        record = BootRecord()
+        stats = BootStats()
+        # Probe, then a capture run whose live tail writes the arena
+        # after the snapshot was taken.
+        self._launch(program, record, ["set"], stats)
+        self._launch(program, record, ["set", "memset"], stats)
+        assert record.can_resume
+        expected = {
+            "get": ["0 5 0 0"],
+            "set": ["0 5 7 0"],
+            "memset": ["9 9 0 0"],
+        }
+        for request in ("get", "memset", "get", "set", "get", "set"):
+            resumed = self._launch(program, record, [request], stats)
+            cold = self._launch(program, None, [request])
+            assert resumed.responses == cold.responses == expected[request]
+            assert resumed.steps == cold.steps
+        assert stats.resumes == 6
 
 
 class TestSnapshotPool:

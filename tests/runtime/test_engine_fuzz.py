@@ -17,6 +17,13 @@ and `steps`.  A diverging program is shrunk (statements deleted and
 compound statements flattened while the divergence persists) and the
 failure message carries the minimal source; pin it in `REGRESSIONS`
 so it is re-checked on every run.
+
+The snapshot leg reuses the generator for the warm-boot engine
+(`repro.runtime.snapshot`): a request poll is inserted at a seeded
+top-level statement of `main`, so the statements before it are the
+boot prefix, and a cold run must agree on the same channels with the
+probe, the capturing run and two successive resumes of one
+`boot_launch` record.
 """
 
 from __future__ import annotations
@@ -28,10 +35,15 @@ import pytest
 
 from repro.lang.program import Program
 from repro.runtime.interpreter import InterpreterOptions
+from repro.runtime.os_model import EmulatedOS
 from repro.runtime.process import ProcessStatus, run_program
+from repro.runtime.snapshot import BootRecord, BootStats, boot_launch
 
 N_SEEDS = 100
 MAX_STEPS = 5_000
+#: The snapshot leg's seeds (parsing and lowering each program
+#: dominates its cost, so it draws half as many).
+SNAPSHOT_SEEDS = 50
 
 #: Shrunk fuzzer output, pinned so it is re-checked on every run.  Each
 #: program was shrunk from a seed that caught a deliberately broken
@@ -422,17 +434,12 @@ class ProgramGenerator:
 # -- differential execution ---------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1024)
-def outcome(source: str, engine: str) -> tuple:
+def observe(launch) -> tuple:
     """Every observable channel of one run, as a comparable tuple (an
     escaping interpreter error counts as an outcome too)."""
-    program = Program.from_sources({"main.c": source})
-    options = InterpreterOptions(
-        max_steps=MAX_STEPS, engine=engine, warm_boot=False
-    )
     try:
-        result = run_program(program, options=options)
-    except Exception as exc:  # both engines must raise alike
+        result = launch()
+    except Exception as exc:  # every run must raise alike
         return ("raised", type(exc).__name__, str(exc))
     return (
         result.status,
@@ -444,6 +451,63 @@ def outcome(source: str, engine: str) -> tuple:
         tuple(result.responses),
         result.steps,
     )
+
+
+@functools.lru_cache(maxsize=1024)
+def outcome(source: str, engine: str) -> tuple:
+    program = Program.from_sources({"main.c": source})
+    options = InterpreterOptions(
+        max_steps=MAX_STEPS, engine=engine, warm_boot=False
+    )
+    return observe(lambda: run_program(program, options=options))
+
+
+#: The snapshot leg's request queue, drained by the inserted poll.
+POLL = "send_response(recv_request());"
+REQUESTS = ("ping",)
+
+
+def with_request_poll(program: MiniCProgram, seed: int) -> MiniCProgram:
+    """`program` with `POLL` inserted as a top-level statement of main
+    at a seeded position (its own RNG: the generator's stream, and so
+    every other test's program, is unchanged)."""
+    body = program.functions[-1][2]
+    body.insert(random.Random(seed).randint(0, len(body)), [POLL])
+    return program
+
+
+@functools.lru_cache(maxsize=1024)
+def snapshot_outcomes(
+    source: str,
+) -> tuple[tuple, list[tuple], BootRecord, BootStats]:
+    """The cold outcome, and the outcomes of four successive warm
+    launches of one boot record: probe, capture, resume, resume."""
+    program = Program.from_sources({"main.c": source})
+    options = InterpreterOptions(max_steps=MAX_STEPS)
+
+    def cold_run():
+        os_model = EmulatedOS()
+        os_model.queue_requests(list(REQUESTS))
+        return run_program(
+            program, os_model, options=InterpreterOptions(
+                max_steps=MAX_STEPS, warm_boot=False
+            )
+        )
+
+    record, stats = BootRecord(), BootStats()
+    warm = [
+        observe(lambda: boot_launch(
+            program, EmulatedOS, None, options, record,
+            requests=list(REQUESTS), stats=stats,
+        ))
+        for _ in range(4)
+    ]
+    return observe(cold_run), warm, record, stats
+
+
+def snapshot_diverges(source: str) -> bool:
+    cold, warm, _, _ = snapshot_outcomes(source)
+    return any(run != cold for run in warm)
 
 
 def diverges(source: str) -> bool:
@@ -532,6 +596,33 @@ def test_generated_program_parity(seed):
             f"tree:    {outcome(minimal, 'tree')}\n"
             f"codegen: {outcome(minimal, 'codegen')}"
         )
+
+
+@pytest.mark.parametrize("seed", range(SNAPSHOT_SEEDS))
+def test_snapshot_resume_parity(seed):
+    program = with_request_poll(ProgramGenerator(seed).program(), seed)
+    source = program.source()
+    cold, warm, record, stats = snapshot_outcomes(source)
+    if any(run != cold for run in warm):
+        minimal = shrink(program, failing=snapshot_diverges).source()
+        pytest.fail(
+            f"seed {seed}: a warm launch diverges from the cold run; "
+            f"shrunk program:\n{minimal}\n"
+            f"cold: {snapshot_outcomes(minimal)[0]}\n"
+            f"warm: {snapshot_outcomes(minimal)[1]}"
+        )
+    # Whenever the boot reached the poll, the last two launches resumed.
+    assert stats.resumes == (0 if record.boundary is None else 2)
+
+
+def test_snapshot_leg_resumes_most_programs():
+    """Most of the seed range reaches the poll, so the leg exercises
+    capture and resume rather than cold boots."""
+    resumed = 0
+    for seed in range(SNAPSHOT_SEEDS):
+        program = with_request_poll(ProgramGenerator(seed).program(), seed)
+        resumed += snapshot_outcomes(program.source())[3].resumes == 2
+    assert resumed >= SNAPSHOT_SEEDS // 2
 
 
 @pytest.mark.parametrize("name", sorted(REGRESSIONS))
