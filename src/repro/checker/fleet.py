@@ -50,7 +50,7 @@ from repro.checker.corpus import (
     pool_digest,
 )
 from repro.checker.validate import validate_config
-from repro.obs import get_registry, metrics_delta, span
+from repro.obs import get_registry, span
 from repro.resilience import CheckpointStore, FailedShard, RetryPolicy
 
 DEFAULT_CHUNK_SIZE = 256
@@ -72,6 +72,15 @@ class ConfigOutcome:
     @property
     def is_mistaken(self) -> bool:
         return self.planted_kind is not None
+
+
+@dataclass(frozen=True)
+class ChunkResult:
+    """One validated corpus chunk: its outcomes, in index order, and
+    the seconds spent validating them."""
+
+    outcomes: list[ConfigOutcome]
+    duration: float
 
 
 @dataclass
@@ -234,7 +243,7 @@ def run_fleet(
     pool digests), so a checkpoint can never leak across specs.
     """
     from repro.pipeline.cache import PipelineCaches
-    from repro.pipeline.executor import ProcessExecutor, resolve_executor
+    from repro.pipeline.executor import resolve_executor
     from repro.systems.registry import iter_systems
 
     caches = caches if caches is not None else PipelineCaches()
@@ -280,7 +289,7 @@ def run_fleet(
     run_key = _fleet_run_key(
         contexts, size, seed, mistake_rate, chunk_size, options
     )
-    restored: dict[int, tuple[list[ConfigOutcome], float]] = {}
+    restored: dict[int, ChunkResult] = {}
     pending: list[tuple[int, tuple[str, int, int]]] = []
     if checkpoint is not None:
         registry = get_registry()
@@ -296,38 +305,25 @@ def run_fleet(
         pending = list(enumerate(tasks))
 
     failed_shards: list[FailedShard] = []
-    executed: dict[int, tuple[list[ConfigOutcome], float]] = {}
+    executed: dict[int, ChunkResult] = {}
     if pending:
         pending_tasks = [task for _, task in pending]
         with span(
             "fleet.validate", executor=chosen.name, chunks=len(pending_tasks)
         ):
-            if isinstance(chosen, ProcessExecutor) and len(pending_tasks) > 1:
-                chunk_results, failures = _run_chunks_in_processes(
-                    chosen,
-                    contexts,
-                    pending_tasks,
-                    options,
-                    seed,
-                    mistake_rate,
-                    caches,
-                    retry_policy=retry_policy,
-                    chaos=chaos,
-                    checkpoint=checkpoint,
-                    run_key=run_key,
-                )
-            else:
-                chunk_results, failures = _run_chunks_inline(
-                    chosen,
-                    contexts,
-                    pending_tasks,
-                    seed,
-                    mistake_rate,
-                    retry_policy=retry_policy,
-                    chaos=chaos,
-                    checkpoint=checkpoint,
-                    run_key=run_key,
-                )
+            chunk_results, failures = _run_chunks(
+                chosen,
+                contexts,
+                pending_tasks,
+                options,
+                seed,
+                mistake_rate,
+                caches,
+                retry_policy,
+                chaos,
+                checkpoint,
+                run_key,
+            )
         for (position, task), result in zip(pending, chunk_results):
             if result is not None:
                 executed[position] = result
@@ -347,7 +343,7 @@ def run_fleet(
     for position, (name, _, _) in enumerate(tasks):
         result = restored.get(position) or executed.get(position)
         if result is not None:
-            folds[name].absorb(*result)
+            folds[name].absorb(result)
 
     results = [
         fold.result(name, contexts[name].from_cache)
@@ -410,14 +406,12 @@ def _task_shard_key(task: tuple[str, int, int]) -> str:
     return f"{name}:{start}:{count}"
 
 
-def _encode_chunk_payload(
-    outcomes: list[ConfigOutcome], duration: float
-) -> bytes:
+def _encode_chunk_payload(result: ChunkResult) -> bytes:
     """JSON-frame one chunk's outcomes.  Floats round-trip exactly
     through json (repr-based), so a resumed fold is bit-identical."""
     return json.dumps(
         {
-            "duration": duration,
+            "duration": result.duration,
             "outcomes": [
                 [
                     o.index,
@@ -428,16 +422,14 @@ def _encode_chunk_payload(
                     o.warnings,
                     list(o.error_kinds),
                 ]
-                for o in outcomes
+                for o in result.outcomes
             ],
         },
         sort_keys=True,
     ).encode("utf-8")
 
 
-def _decode_chunk_payload(
-    blob: bytes | None,
-) -> tuple[list[ConfigOutcome], float] | None:
+def _decode_chunk_payload(blob: bytes | None) -> ChunkResult | None:
     """Inverse of `_encode_chunk_payload`; None on any malformed blob
     (the store already digest-verifies, this guards schema drift)."""
     if blob is None:
@@ -464,7 +456,7 @@ def _decode_chunk_payload(
                 error_kinds,
             ) in data["outcomes"]
         ]
-        return outcomes, data["duration"]
+        return ChunkResult(outcomes, data["duration"])
     except (KeyError, TypeError, ValueError):
         return None
 
@@ -473,65 +465,85 @@ def _save_chunk_checkpoint(
     checkpoint: CheckpointStore | None,
     run_key: str,
     task: tuple[str, int, int],
-    outcomes: list[ConfigOutcome],
-    duration: float,
+    result: ChunkResult,
 ) -> None:
     if checkpoint is None:
         return
     checkpoint.save(
-        run_key,
-        _task_shard_key(task),
-        _encode_chunk_payload(outcomes, duration),
+        run_key, _task_shard_key(task), _encode_chunk_payload(result)
     )
     get_registry().inc("resilience.checkpoint_saves")
 
 
-def _run_chunks_inline(
+def _run_chunks(
     executor,
     contexts: dict[str, _SystemContext],
     tasks: list[tuple[str, int, int]],
+    options: SpexOptions,
     seed: int,
     mistake_rate: float,
+    caches,
     retry_policy: RetryPolicy | None,
     chaos,
     checkpoint: CheckpointStore | None,
     run_key: str,
 ) -> tuple[list, list[FailedShard]]:
-    """Serial/thread chunk execution, with per-chunk checkpoint saves
-    *inside* the task so completed chunks survive a mid-run kill."""
-    from repro.pipeline.executor import _chaos_invoke
+    """Fan the chunks out.  In-process chunks share the parent's
+    compiled checkers directly; a process pool gets tasks by name (see
+    the worker section below).  Either way each chunk checkpoints
+    inside its own task, so completed chunks survive a mid-run kill."""
+    from repro.pipeline.executor import ProcessExecutor
 
-    def task_fn(task):
-        outcomes, duration = _validate_chunk_inline(
-            contexts[task[0]], task, seed, mistake_rate
+    seed_keys = []
+    if isinstance(executor, ProcessExecutor) and len(tasks) > 1:
+        task_fn = _validate_chunk_by_name
+        options_fp = options.fingerprint()
+        for name, context in contexts.items():
+            key = (name, options_fp)
+            _FLEET_SEEDS[key] = caches.inference.peek(
+                caches.inference.key_for(context.system, options)
+            )
+            seed_keys.append(key)
+        ckpt_spec = (
+            (str(checkpoint.root), run_key) if checkpoint is not None else None
         )
-        _save_chunk_checkpoint(
-            checkpoint, run_key, task, outcomes, duration
-        )
-        return outcomes, duration
+        shards = [
+            (
+                name,
+                options,
+                seed,
+                mistake_rate,
+                start,
+                count,
+                contexts[name].digest,
+                tuple(sorted(contexts[name].mix.items())),
+                ckpt_spec,
+            )
+            for name, start, count in tasks
+        ]
+    else:
 
-    if retry_policy is not None:
+        def task_fn(task):
+            result = _validate_chunk(
+                contexts[task[0]], task, seed, mistake_rate
+            )
+            _save_chunk_checkpoint(checkpoint, run_key, task, result)
+            return result
+
+        shards = tasks
+    try:
         supervised = executor.map_resilient(
-            task_fn, tasks, retry_policy, chaos=chaos, label="fleet"
+            task_fn,
+            shards,
+            retry_policy,
+            chaos=chaos,
+            label="fleet",
+            caches=caches,
         )
-        return supervised.results, supervised.failures
-    if chaos is not None:
-        # Chaos with no retry budget: faults abort the run (the
-        # checkpointed chunks are what the resume test recovers from).
-        return (
-            executor.map(
-                lambda indexed: _chaos_invoke(
-                    task_fn,
-                    indexed[1],
-                    chaos,
-                    f"fleet:{indexed[0]}|a1",
-                    False,
-                ),
-                list(enumerate(tasks)),
-            ),
-            [],
-        )
-    return executor.map(task_fn, tasks), []
+    finally:
+        for key in seed_keys:
+            _FLEET_SEEDS.pop(key, None)
+    return supervised.results, supervised.failures
 
 
 class _SystemFold:
@@ -548,9 +560,9 @@ class _SystemFold:
         self.planted_ids: list[str] = []
         self.flagged_mistaken: list[ConfigOutcome] = []
 
-    def absorb(self, outcomes: list[ConfigOutcome], duration: float) -> None:
-        self.duration += duration
-        for outcome in outcomes:
+    def absorb(self, result: ChunkResult) -> None:
+        self.duration += result.duration
+        for outcome in result.outcomes:
             self.corpus_size += 1
             self.errors += outcome.errors
             self.warnings += outcome.warnings
@@ -591,35 +603,34 @@ def _outcome_of(config: SyntheticConfig, report) -> ConfigOutcome:
     )
 
 
-def _validate_chunk_inline(
+def _validate_chunk(
     context: _SystemContext,
     task: tuple[str, int, int],
     seed: int,
     mistake_rate: float,
-) -> tuple[list[ConfigOutcome], float]:
-    """Serial/thread chunk task: share the parent's compiled checker
-    directly (closures are pure, so threads are safe)."""
+) -> ChunkResult:
+    """Generate and validate one chunk of a system's corpus (closures
+    are pure, so threads may share the checker)."""
     _, start, count = task
     registry = get_registry()
     registry.inc("fleet.chunks")
     begun = time.perf_counter()
-    outcomes = []
-    for config in iter_corpus(
-        context.system,
-        context.pool,
-        count,
-        seed=seed,
-        mistake_rate=mistake_rate,
-        mix=context.mix,
-        start=start,
-        template=context.template,
-    ):
-        outcomes.append(
-            _outcome_of(config, validate_config(context.checker, config.text))
+    outcomes = [
+        _outcome_of(config, validate_config(context.checker, config.text))
+        for config in iter_corpus(
+            context.system,
+            context.pool,
+            count,
+            seed=seed,
+            mistake_rate=mistake_rate,
+            mix=context.mix,
+            start=start,
+            template=context.template,
         )
+    ]
     duration = time.perf_counter() - begun
     registry.observe("fleet.chunk_seconds", duration)
-    return outcomes, duration
+    return ChunkResult(outcomes, duration)
 
 
 # -- interpreter ground-truthing ---------------------------------------------
@@ -701,129 +712,54 @@ def ground_truth_agreement(
 # Mirrors `repro.inject.campaign`'s worker design: the parent plants
 # pure seed data (the inference result) in module state right before
 # the pool forks; each worker privately memoizes its rebuilt context
-# (checker, pool, template) so serving many chunks pays the rebuild
-# once, and verifies the pool digest so a divergent re-inference fails
-# loudly instead of planting different mistakes.
+# (system, mistake pool, template) so serving many chunks pays the
+# rebuild once, and verifies the pool digest so a divergent
+# re-inference fails loudly instead of planting different mistakes.
+# Checkers come from the worker's checker cache (`worker_caches()`),
+# whose hits and misses ride home in each chunk's envelope.
 
 _FLEET_SEEDS: dict[tuple[str, str], object] = {}
-_FLEET_CONTEXTS: dict[tuple[str, str], tuple] = {}
+_FLEET_CONTEXTS: dict[tuple[str, str], _SystemContext] = {}
 
 
-def _run_chunks_in_processes(
-    executor,
-    contexts: dict[str, _SystemContext],
-    tasks: list[tuple[str, int, int]],
-    options: SpexOptions,
-    seed: int,
-    mistake_rate: float,
-    caches,
-    retry_policy: RetryPolicy | None = None,
-    chaos=None,
-    checkpoint: CheckpointStore | None = None,
-    run_key: str = "",
-) -> tuple[list, list[FailedShard]]:
-    from repro.pipeline.executor import _chaos_call
-
-    options_fp = options.fingerprint()
-    seed_keys = []
-    for name, context in contexts.items():
-        key = (name, options_fp)
-        spex_report = caches.inference.peek(
-            caches.inference.key_for(context.system, options)
-        )
-        _FLEET_SEEDS[key] = spex_report
-        seed_keys.append(key)
-    ckpt_root = str(checkpoint.root) if checkpoint is not None else None
-    worker_tasks = [
-        (
-            name,
-            options,
-            seed,
-            mistake_rate,
-            start,
-            count,
-            contexts[name].digest,
-            tuple(sorted(contexts[name].mix.items())),
-            # Workers checkpoint their own completed chunks, so a
-            # mid-run kill of the parent loses nothing already folded.
-            (ckpt_root, run_key, _task_shard_key((name, start, count)))
-            if ckpt_root is not None
-            else None,
-        )
-        for name, start, count in tasks
-    ]
-    failures: list[FailedShard] = []
-    try:
-        if retry_policy is not None:
-            supervised = executor.map_resilient(
-                _validate_chunk_by_name,
-                worker_tasks,
-                retry_policy,
-                chaos=chaos,
-                label="fleet",
-            )
-            raw = supervised.results
-            failures = supervised.failures
-        elif chaos is not None:
-            raw = executor.map(
-                _chaos_call,
-                [
-                    (
-                        _validate_chunk_by_name,
-                        task,
-                        chaos,
-                        f"fleet:{position}|a1",
-                        True,
-                    )
-                    for position, task in enumerate(worker_tasks)
-                ],
-            )
-        else:
-            raw = executor.map(_validate_chunk_by_name, worker_tasks)
-    finally:
-        for key in seed_keys:
-            _FLEET_SEEDS.pop(key, None)
-    out: list = []
-    for entry in raw:
-        if entry is None:  # quarantined shard
-            out.append(None)
-            continue
-        outcomes, duration, checker_delta, obs_delta = entry
-        caches.checkers.absorb_stats(checker_delta)
-        get_registry().absorb(obs_delta)
-        out.append((outcomes, duration))
-    return out, failures
-
-
-def _fleet_worker_context(name: str, options: SpexOptions):
+def _fleet_worker_context(name: str, options: SpexOptions) -> _SystemContext:
+    """The worker's rebuilt context for one system; its checker and
+    mix are filled in per chunk."""
     from repro.inject.campaign import Campaign
+    from repro.pipeline.executor import worker_caches
     from repro.systems.registry import get_system
 
     key = (name, options.fingerprint())
     context = _FLEET_CONTEXTS.get(key)
-    if context is not None:
-        return context + ({"hits": 1},)
-    system = get_system(name)
-    spex_report = _FLEET_SEEDS.get(key)
-    if spex_report is None:
-        # Spawn start method (or a cold worker): recompute; the pool
-        # digest check below catches any hash-seed divergence.
-        spex_report = Campaign(system, spex_options=options).run_spex()
-    from repro.checker.compile import compile_checker
+    if context is None:
+        system = get_system(name)
+        spex_report = _FLEET_SEEDS.get(key)
+        if spex_report is None:
+            # Spawn start method (or a cold worker): recompute; the
+            # pool digest check catches any hash-seed divergence.
+            spex_report = Campaign(system, spex_options=options).run_spex()
+        # `checker_for_system` finds the report here instead of
+        # re-inferring.
+        inference = worker_caches().inference
+        inference.put(inference.key_for(system, options), spex_report)
+        pool = corpus_pool(spex_report, system)
+        context = _SystemContext(
+            system=system,
+            checker=None,
+            pool=pool,
+            digest=pool_digest(pool),
+            mix={},
+            template=system.template_ar(),
+            from_cache=False,
+        )
+        _FLEET_CONTEXTS[key] = context
+    return context
 
-    checker = compile_checker(spex_report, system)
-    pool = corpus_pool(spex_report, system)
-    context = (system, checker, pool, pool_digest(pool), system.template_ar())
-    _FLEET_CONTEXTS[key] = context
-    return context + ({"misses": 1},)
 
+def _validate_chunk_by_name(task) -> ChunkResult:
+    """Process-pool entry point for one corpus chunk."""
+    from repro.pipeline.executor import worker_caches
 
-def _validate_chunk_by_name(task):
-    """Process-pool entry point for one corpus chunk.
-
-    Returns (outcomes, chunk duration, checker-cache stats delta,
-    metrics delta); outcomes are compact value objects.  The metrics delta folds the worker's chunk counters
-    and stage-timing histograms into the parent registry."""
     (
         name,
         options,
@@ -835,40 +771,25 @@ def _validate_chunk_by_name(task):
         mix_items,
         ckpt_spec,
     ) = task
-    system, checker, pool, digest, template, stats_delta = (
-        _fleet_worker_context(name, options)
-    )
-    if digest != parent_digest:
+    context = _fleet_worker_context(name, options)
+    if context.digest != parent_digest:
         raise RuntimeError(
             f"worker rebuilt a divergent mistake pool for {name}: the "
             "plantable misconfigurations do not match what the parent "
             "sampled from (re-inference is sensitive to the interpreter "
             "hash seed; use a fork start method or set PYTHONHASHSEED)"
         )
-    registry = get_registry()
-    obs_before = registry.snapshot()
-    registry.inc("fleet.chunks")
-    mix = dict(mix_items)
-    begun = time.perf_counter()
-    outcomes = []
-    for index in range(start, start + count):
-        config = generate_config(
-            name, pool, template, mix, seed, index, mistake_rate
-        )
-        outcomes.append(
-            _outcome_of(config, validate_config(checker, config.text))
-        )
-    duration = time.perf_counter() - begun
-    registry.observe("fleet.chunk_seconds", duration)
-    if ckpt_spec is not None:
-        ckpt_root, run_key, shard_key = ckpt_spec
-        CheckpointStore(ckpt_root).save(
-            run_key, shard_key, _encode_chunk_payload(outcomes, duration)
-        )
-        registry.inc("resilience.checkpoint_saves")
-    return (
-        outcomes,
-        duration,
-        stats_delta,
-        metrics_delta(obs_before, registry.snapshot()),
+    checker = checker_for_system(
+        context.system, options, caches=worker_caches()
     )
+    chunk = (name, start, count)
+    result = _validate_chunk(
+        dataclasses.replace(context, checker=checker, mix=dict(mix_items)),
+        chunk,
+        seed,
+        mistake_rate,
+    )
+    if ckpt_spec is not None:
+        root, run_key = ckpt_spec
+        _save_chunk_checkpoint(CheckpointStore(root), run_key, chunk, result)
+    return result

@@ -36,7 +36,7 @@ from repro.inject.generators import (
 from repro.inject.harness import InjectionHarness, InjectionVerdict
 from repro.inject.reactions import ReactionCategory
 from repro.knowledge import default_knowledge
-from repro.obs import get_registry, metrics_delta, span
+from repro.obs import get_registry, span
 from repro.lang.source import Location
 from repro.runtime.interpreter import InterpreterOptions
 from typing import TYPE_CHECKING
@@ -266,6 +266,11 @@ class Campaign:
         # tiny manifest through the seed store.  Workers map the
         # segments instead of receiving per-task pickles; the parent
         # unlinks everything when the map completes.
+        from repro.pipeline.cache import (
+            LaunchCache,
+            PipelineCaches,
+            SnapshotCache,
+        )
         from repro.runtime.snapshot import SnapshotPool
 
         pool = SnapshotPool()
@@ -298,21 +303,27 @@ class Campaign:
             )
             for index, batch in enumerate(batches)
         ]
+        # Worker store deltas fold into this campaign's own caches
+        # (a disabled layer folds into a throwaway).
+        stores = PipelineCaches(
+            launches=(
+                self.launch_cache
+                if self.launch_cache is not None
+                else LaunchCache()
+            ),
+            snapshots=(
+                self.snapshot_cache
+                if self.snapshot_cache is not None
+                else SnapshotCache()
+            ),
+        )
         try:
-            results = executor.map(_test_batch_by_name, tasks)
+            return executor.map_resilient(
+                _test_batch_by_name, tasks, caches=stores
+            ).results
         finally:
             _WORKER_SEEDS.pop(seed_key, None)
             pool.close()
-        verdict_lists: list[list[InjectionVerdict]] = [None] * len(batches)
-        for index, verdicts, launch_stats, boot_stats, obs_delta in results:
-            verdict_lists[index] = verdicts
-            if self.launch_cache is not None:
-                self.launch_cache.absorb_stats(launch_stats)
-            if self.snapshot_cache is not None:
-                self.snapshot_cache.absorb_boot_stats(boot_stats)
-            # Worker telemetry folds in exactly like the cache deltas.
-            get_registry().absorb(obs_delta)
-        return verdict_lists
 
     def _case_alterations(self, spex_report: SpexReport, template):
         """Case-altered values for parameters whose dataflow shows
@@ -378,11 +389,13 @@ class Campaign:
 #
 # * `_WORKER_SEEDS` is written by the *parent* right before the pool
 #   forks: fork-started workers inherit the parent's inference result
-#   and launch cache for free.  (Pure seed data - a worker that misses
-#   it recomputes the same values.)
+#   and launch cache entries for free.  (Pure seed data - a worker that
+#   misses it recomputes the same values.)
 # * `_WORKER_CONTEXTS` is each worker process's private memo of the
 #   rebuilt (harness, batches, template) context, so a worker serving
-#   many batches of one campaign pays the rebuild once.
+#   many batches of one campaign pays the rebuild once.  The harness
+#   runs on the worker's stores (`worker_caches()`), whose counters
+#   ride home in each shard's envelope.
 
 _WORKER_SEEDS: dict[tuple[str, str], tuple] = {}
 _WORKER_CONTEXTS: dict[tuple[str, str], tuple] = {}
@@ -415,30 +428,37 @@ def _worker_context(
     use_launch_cache: bool,
     engine: str | None = None,
 ):
-    from repro.pipeline.cache import LaunchCache
+    from repro.pipeline.executor import worker_caches
+    from repro.runtime.snapshot import SnapshotPool
     from repro.systems.registry import get_system
 
     key = (name, spex_options.fingerprint(), use_launch_cache, engine)
     context = _WORKER_CONTEXTS.get(key)
     if context is None:
         seed = _WORKER_SEEDS.get(key[:2])
-        spex_report, launch_cache, manifest = (
+        spex_report, parent_launches, manifest = (
             seed if seed else (None, None, None)
         )
         campaign = Campaign(get_system(name), spex_options=spex_options)
         if spex_report is None:
             spex_report = campaign.run_spex()
-        if use_launch_cache and launch_cache is None:
-            launch_cache = LaunchCache()
-        if not use_launch_cache:
-            # The parent disabled launch caching (memory bound, cold
-            # timing measurements); workers must honour that.
-            launch_cache = None
+        caches = worker_caches()
+        # The parent disabled launch caching (memory bound, cold timing
+        # measurements): workers must honour that.
+        launch_cache = caches.launches if use_launch_cache else None
+        if launch_cache is not None and parent_launches is not None:
+            launch_cache.preload(parent_launches)
+        # Boot snapshots the parent published arrive through its
+        # shared-memory pool; a vanished segment just boots cold.
+        for cache_key, entry in (manifest or {}).items():
+            blob = SnapshotPool.fetch(entry)
+            if blob is not None:
+                caches.snapshots.preload_snapshot(cache_key, entry[2], blob)
         batches, template = campaign.generate(spex_report)
         harness = InjectionHarness(
             campaign.system,
             launch_cache=launch_cache,
-            snapshot_cache=_pooled_snapshot_cache(manifest),
+            snapshot_cache=caches.snapshots,
             engine=engine,
         )
         context = (harness, batches, template)
@@ -446,32 +466,13 @@ def _worker_context(
     return context
 
 
-def _pooled_snapshot_cache(manifest: dict | None):
-    """A worker-private `SnapshotCache` seeded from the parent's
-    shared-memory snapshot pool (None manifest or an empty one yields
-    a plain cold cache; a vanished segment just boots cold)."""
-    from repro.pipeline.cache import SnapshotCache
-    from repro.runtime.snapshot import SnapshotPool
-
-    cache = SnapshotCache()
-    if manifest:
-        for cache_key, entry in manifest.items():
-            blob = SnapshotPool.fetch(entry)
-            if blob is not None:
-                cache.preload_snapshot(cache_key, entry[2], blob)
-    return cache
-
-
-def _test_batch_by_name(task):
+def _test_batch_by_name(task) -> list[InjectionVerdict]:
     """Process-pool entry point for one `MisconfigurationBatch`.
 
-    Returns (batch index, verdicts, launch-cache stats delta,
-    boot-stats delta, metrics delta); the verdicts' startup results
-    carry effective config values, never an interpreter, so they
-    cross the pickle boundary small.
-    The metrics delta folds the worker's counters/histograms into the
-    parent registry exactly like the cache deltas fold into
-    `CacheStats`.
+    Returns the batch's verdicts; their startup results carry
+    effective config values, never an interpreter, so they cross the
+    pickle boundary small.  The harness uses the worker's stores, so
+    their counters ride home in the shard's envelope.
     """
     name, spex_options, batch_index, digest, use_launch_cache, engine = task
     harness, batches, template = _worker_context(
@@ -486,30 +487,5 @@ def _test_batch_by_name(task):
             "is sensitive to the interpreter hash seed; use a fork "
             "start method or set PYTHONHASHSEED)"
         )
-    registry = get_registry()
-    boot_before = harness.boot_stats.snapshot()
-    obs_before = registry.snapshot()
-    registry.inc("campaign.batches")
-    if harness.launch_cache is None:
-        verdicts = harness.test_batch(batch, template)
-        return (
-            batch_index,
-            verdicts,
-            {},
-            _stats_delta(boot_before, harness.boot_stats.snapshot()),
-            metrics_delta(obs_before, registry.snapshot()),
-        )
-    before = harness.launch_cache.stats.snapshot()
-    verdicts = harness.test_batch(batch, template)
-    delta = _stats_delta(before, harness.launch_cache.stats.snapshot())
-    return (
-        batch_index,
-        verdicts,
-        delta,
-        _stats_delta(boot_before, harness.boot_stats.snapshot()),
-        metrics_delta(obs_before, registry.snapshot()),
-    )
-
-
-def _stats_delta(before: dict, after: dict) -> dict:
-    return {key: after[key] - before[key] for key in after}
+    get_registry().inc("campaign.batches")
+    return harness.test_batch(batch, template)

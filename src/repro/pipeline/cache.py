@@ -176,6 +176,12 @@ class ContentCache(Generic[T]):
         with self._lock:
             return self._entries.setdefault(key, value)
 
+    def preload(self, other: "ContentCache[T]") -> None:
+        """Copy `other`'s entries in without counting them: a forked
+        worker's store starts from what its parent had cached."""
+        with self._lock:
+            self._entries.update(other._entries)
+
     def absorb_stats(self, delta: dict[str, int]) -> None:
         """Fold a worker process's counter delta in, under the lock
         (concurrent campaigns absorb into one shared cache)."""
@@ -415,6 +421,11 @@ def checker_fingerprint(
     return digest.hexdigest()
 
 
+# The store layers a process shard reports home in its envelope; the
+# inference and campaign layers live in the parent only.
+WORKER_LAYERS = ("launches", "snapshots", "checkers")
+
+
 @dataclass
 class PipelineCaches:
     """The cache layers one pipeline (or several, sharing) uses.
@@ -430,6 +441,35 @@ class PipelineCaches:
     checkers: ContentCache = field(default_factory=ContentCache)
     snapshots: SnapshotCache = field(default_factory=SnapshotCache)
 
+    def snapshot(self) -> dict[str, dict[str, int]]:
+        """Per-layer counters as plain dicts (what `stats` publishes)."""
+        return {
+            "inference": self.inference.stats.snapshot(),
+            "campaigns": self.campaigns.stats.snapshot(),
+            "launches": self.launches.stats.snapshot(),
+            "checkers": self.checkers.stats.snapshot(),
+            "snapshots": self.snapshots.boot_stats.snapshot(),
+        }
+
+    def delta(self, before: dict) -> dict[str, dict[str, int]]:
+        """What the worker-shipped layers counted since `before` (a
+        `snapshot`): the ``stats`` of a process shard's envelope."""
+        after = self.snapshot()
+        return {
+            layer: {
+                name: value - before[layer][name]
+                for name, value in after[layer].items()
+            }
+            for layer in WORKER_LAYERS
+        }
+
+    def absorb(self, stats: dict[str, dict[str, int]]) -> None:
+        """Fold a process shard's store deltas (`delta`) in: how what
+        worker stores counted reaches the caller's stores."""
+        self.launches.absorb_stats(stats.get("launches", {}))
+        self.checkers.absorb_stats(stats.get("checkers", {}))
+        self.snapshots.absorb_boot_stats(stats.get("snapshots", {}))
+
     def stats(self) -> dict[str, dict[str, int]]:
         """Per-layer counters, routed through the metrics registry.
 
@@ -441,13 +481,7 @@ class PipelineCaches:
         pre-registry dict-of-snapshots form.
         """
         registry = get_registry()
-        sections = {
-            "inference": self.inference.stats.snapshot(),
-            "campaigns": self.campaigns.stats.snapshot(),
-            "launches": self.launches.stats.snapshot(),
-            "checkers": self.checkers.stats.snapshot(),
-            "snapshots": self.snapshots.boot_stats.snapshot(),
-        }
+        sections = self.snapshot()
         for layer, counters in sections.items():
             for name, value in counters.items():
                 registry.gauge(f"cache.{layer}.{name}", value)

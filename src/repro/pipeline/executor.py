@@ -1,64 +1,148 @@
-"""Pluggable executors: how the pipeline fans campaign tasks out.
+"""Pluggable executors and the one worker protocol behind every fan-out.
 
 Three strategies cover the deployment spectrum:
 
 * `SerialExecutor` - one task at a time, in submission order.  The
   reference semantics every other executor must match (the parity
   tests compare their `Vulnerability` sets against it).
-* `ThreadExecutor` - a thread pool.  Campaign work is pure Python, so
-  threads mostly help when system emulation waits on the (emulated)
-  OS; it is also the cheapest way to exercise the cache's thread
-  safety.
+* `ThreadExecutor` - a thread pool.  Campaign and fleet work is pure
+  Python and holds the GIL, so threads buy no speed (measured on a
+  2-core machine, see the class docstring); they are the cheapest way
+  to exercise the caches' thread safety.
 * `ProcessExecutor` - a process pool (`fork` where available).  Real
   multi-core speedup; tasks and results cross a pickle boundary, so
   process tasks are dispatched by system *name* and rebuilt in the
   worker rather than shipped as closures.
 
+One dispatch.  Every executor offers `map_resilient(fn, items,
+policy=None, chaos=None, label="", caches=None)`, and `map(fn, items)`
+is the same dispatch returning bare results.  Both run one module-level code path,
+`_dispatch`:
+
+* With no `policy` a run fails fast: each shard gets one attempt and
+  the first failure in input order re-raises its original exception.
+* With a `RetryPolicy` the run is supervised: worker death
+  (`BrokenProcessPool`) and watchdog timeouts are detected, failed
+  shards re-enqueue with capped exponential backoff + deterministic
+  jitter, and shards that exhaust their attempts become structured
+  `FailedShard` records instead of aborting the run.  Recovery events
+  surface as ``resilience.*`` counters through ``repro.obs``.
+* A `repro.chaos.ChaosSchedule` perturbs every shard attempt in either
+  mode.  Only a shard inside a disposable process-pool worker may
+  SIGKILL itself; anywhere else a fired kill raises `ChaosError`.
+* A lone shard with no policy runs inline in the caller, with no pool.
+
 All executors preserve input order in their results, so downstream
 aggregation never depends on scheduling.
 
-Beyond plain `map`, every executor offers `map_resilient`: a
-supervised fan-out that detects worker death (`BrokenProcessPool`)
-and shard watchdog timeouts, re-enqueues failed shards with capped
-exponential backoff + deterministic jitter (`RetryPolicy`), and
-quarantines shards that exhaust their attempts into structured
-`FailedShard` records instead of aborting the run.  Recovery events
-surface as ``resilience.*`` counters through ``repro.obs``.
+One worker protocol.  A process-executor shard runs under
+`_run_shard`, which hands back a `WorkerEnvelope(result, stats,
+metrics)`: the entry point's plain result, the delta of the stores it
+used (`worker_caches()`, shaped like `PipelineCaches.stats()`), and the
+`metrics_delta` of its registry.  The parent folds each envelope once,
+in `_fold`: `stats` into the caller's `caches` through
+`PipelineCaches.absorb`, `metrics` into the parent registry only when
+the shard really ran in a pool worker (an inline shard already
+recorded into the parent's own registry).  Worker entry points - the
+pipeline's campaigns, a campaign's batches, the fleet's chunks - take
+their stores from `worker_caches()` and return plain results.
 """
 
 from __future__ import annotations
 
+import contextvars
 import gc
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from repro.obs import get_registry
+from repro.obs import get_registry, metrics_delta
+from repro.pipeline.cache import PipelineCaches
 from repro.resilience import FailedShard, ResilientMapResult, RetryPolicy
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-def _default_workers() -> int:
-    return max(2, min(8, (os.cpu_count() or 2)))
+@dataclass(frozen=True)
+class WorkerEnvelope:
+    """What one process shard sends home: its plain `result`, the
+    `stats` delta of the stores it used and the `metrics` delta of its
+    registry."""
+
+    result: object
+    stats: dict[str, dict[str, int]]
+    metrics: dict
 
 
-def _chaos_invoke(fn, item, chaos, key: str, allow_kill: bool):
-    """Run one shard, letting an armed chaos schedule perturb it
-    first.  Module-level (not a closure) so process pools can pickle
-    it; `allow_kill` is True only when this runs inside a disposable
-    pool worker."""
+# The stores of the process shard running now: one set per pool worker
+# (set by its initializer, shared by every shard it serves), or a fresh
+# set for the duration of a shard run inline in the caller.
+_WORKER_CACHES: contextvars.ContextVar = contextvars.ContextVar(
+    "worker_caches", default=None
+)
+
+
+def worker_caches() -> PipelineCaches:
+    """The stores a process-shard entry point must use, so that what it
+    counts reaches the caller's caches through its envelope."""
+    caches = _WORKER_CACHES.get()
+    if caches is None:
+        raise RuntimeError(
+            "worker_caches() is only available inside a process shard"
+        )
+    return caches
+
+
+def _init_pool_worker() -> None:
+    """Process-pool initializer.  Move every object inherited from the
+    parent (programs, caches, prior results) into the permanent
+    generation - without this, each GC collection in a worker walks the
+    parent's whole heap, which can make forked campaigns slower than
+    serial - and give the worker its own stores."""
+    gc.freeze()
+    _WORKER_CACHES.set(PipelineCaches())
+
+
+def _run_shard(fn, item, chaos, key: str, envelope: bool):
+    """Run one shard attempt, letting an armed chaos schedule perturb
+    it first.  With `envelope` (process executors) the result comes
+    back as a `WorkerEnvelope`."""
+    caches = _WORKER_CACHES.get()
     if chaos is not None:
-        chaos.perturb(key, allow_kill=allow_kill)
-    return fn(item)
+        chaos.perturb(key, allow_kill=caches is not None)
+    if not envelope:
+        return fn(item)
+    token = None
+    if caches is None:
+        caches = PipelineCaches()
+        token = _WORKER_CACHES.set(caches)
+    registry = get_registry()
+    stats_before = caches.snapshot()
+    obs_before = registry.snapshot()
+    try:
+        result = fn(item)
+    finally:
+        if token is not None:
+            _WORKER_CACHES.reset(token)
+    return WorkerEnvelope(
+        result,
+        caches.delta(stats_before),
+        metrics_delta(obs_before, registry.snapshot()),
+    )
 
 
-def _chaos_call(packed):
-    """Pickle-friendly single-argument form of `_chaos_invoke`."""
-    return _chaos_invoke(*packed)
+def _fold(envelope: WorkerEnvelope, caches, pooled: bool):
+    """The parent side of the protocol: fold one envelope in, return
+    its plain result."""
+    if caches is not None:
+        caches.absorb(envelope.stats)
+    if pooled:
+        get_registry().absorb(envelope.metrics)
+    return envelope.result
 
 
 def _shard_label(label: str, index: int) -> str:
@@ -66,132 +150,87 @@ def _shard_label(label: str, index: int) -> str:
 
 
 class Executor:
-    """Strategy interface: apply `fn` to each item, results in order."""
+    """Strategy interface: apply `fn` to each item, results in order.
+
+    Pooled subclasses define `_pool(workers)`, a fresh pool per
+    supervision round (None: every shard runs inline), and set
+    `envelope` when their shards cross a process boundary."""
 
     name = "base"
+    envelope = False
+    _pool = None
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        raise NotImplementedError
+        """Fail-fast fan-out: `fn` over `items`, results in order."""
+        return _dispatch(self, fn, items).results
 
     def map_resilient(
         self,
         fn: Callable[[T], R],
         items: Iterable[T],
-        policy: RetryPolicy,
+        policy: RetryPolicy | None = None,
         chaos=None,
         label: str = "",
+        caches: PipelineCaches | None = None,
     ) -> ResilientMapResult:
-        """Supervised `map`: per-shard retries with backoff, watchdog
-        timeouts where enforceable, quarantine after `max_attempts`.
-        Results stay aligned with `items`; a quarantined shard's slot
-        is None and its `FailedShard` lands in ``failures``."""
-        raise NotImplementedError
+        """Supervised fan-out (see the module docstring).  Results stay
+        aligned with `items`; a quarantined shard's slot is None and
+        its `FailedShard` lands in ``failures``.  Process shards' store
+        deltas fold into `caches`."""
+        return _dispatch(self, fn, items, policy, chaos, label, caches)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.__class__.__name__} {self.name!r}>"
 
 
 class SerialExecutor(Executor):
+    """In-order execution in the caller.  A serial shard cannot be
+    interrupted from its own thread, so `policy.timeout` is not
+    enforced here; retries and backoff are."""
+
     name = "serial"
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        return [fn(item) for item in items]
-
-    def map_resilient(
-        self,
-        fn: Callable[[T], R],
-        items: Iterable[T],
-        policy: RetryPolicy,
-        chaos=None,
-        label: str = "",
-    ) -> ResilientMapResult:
-        """Serial supervision: exceptions retry with backoff; there is
-        no watchdog (a serial shard cannot be interrupted from the
-        same thread), so `policy.timeout` is not enforced here."""
-        items = list(items)
-        registry = get_registry()
-        results: list = [None] * len(items)
-        failures: list[FailedShard] = []
-        retries = 0
-        for index, item in enumerate(items):
-            shard = _shard_label(label, index)
-            for attempt in range(1, policy.max_attempts + 1):
-                try:
-                    results[index] = _chaos_invoke(
-                        fn, item, chaos, f"{shard}|a{attempt}", False
-                    )
-                    break
-                except Exception as exc:
-                    registry.inc("resilience.shard_failures")
-                    if attempt >= policy.max_attempts:
-                        registry.inc("resilience.quarantined")
-                        failures.append(
-                            FailedShard(
-                                index=index,
-                                label=shard,
-                                attempts=attempt,
-                                error_kind=type(exc).__name__,
-                                detail=str(exc),
-                            )
-                        )
-                    else:
-                        retries += 1
-                        registry.inc("resilience.retries")
-                        time.sleep(policy.delay_for(attempt, shard))
-        return ResilientMapResult(results, failures, retries)
+    # Tracing patches these per class, so every executor owns them.
+    map = Executor.map
+    map_resilient = Executor.map_resilient
 
 
 class ThreadExecutor(Executor):
+    """A thread pool.  Watchdog timeouts are enforced on the
+    `future.result` wait; a timed-out shard's thread cannot be killed
+    (it finishes in the background, its result discarded), so one
+    stalled shard never wedges the run.
+
+    Campaign and fleet work holds the GIL, so threads buy no speed.
+    Measured on a 2-core machine, 5 alternating serial/thread pairs,
+    each run in a fresh interpreter: `CampaignPipeline` over all eight
+    systems took 3.6-5.1 s serial (median 4.6 s) vs 4.1-5.0 s threaded
+    (median 4.8 s), and `run_fleet` at 600 configs per system 0.57-0.84
+    s serial vs 0.76-0.87 s threaded; threads were slower in 4 of 5
+    pairs on both."""
+
     name = "thread"
+    map = Executor.map
+    map_resilient = Executor.map_resilient
 
     def __init__(self, max_workers: int | None = None) -> None:
-        self.max_workers = max_workers or _default_workers()
+        self.max_workers = max_workers or max(2, min(8, os.cpu_count() or 2))
 
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        items = list(items)
-        if len(items) <= 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            return list(pool.map(fn, items))
-
-    def map_resilient(
-        self,
-        fn: Callable[[T], R],
-        items: Iterable[T],
-        policy: RetryPolicy,
-        chaos=None,
-        label: str = "",
-    ) -> ResilientMapResult:
-        """Thread supervision: watchdog timeouts are enforced on the
-        `future.result` wait.  A timed-out shard's thread cannot be
-        killed — it keeps running to completion in the background —
-        but its result is discarded and the shard is re-enqueued, so
-        one stalled shard never wedges the run."""
-        return _supervise_pool(
-            lambda workers: ThreadPoolExecutor(max_workers=workers),
-            self.max_workers,
-            fn,
-            items,
-            policy,
-            chaos,
-            label,
-            allow_kill=False,
-        )
-
-
-def _freeze_inherited_heap() -> None:
-    """Worker initializer: move every object inherited from the parent
-    (programs, caches, prior results) into the permanent generation.
-    Without this, each GC collection in a worker walks the parent's
-    whole heap, which can make forked campaigns slower than serial."""
-    gc.freeze()
+    def _pool(self, workers: int):
+        return ThreadPoolExecutor(max_workers=workers)
 
 
 class ProcessExecutor(Executor):
     """Process-pool fan-out.  `fn` and every item/result must pickle;
-    the pipeline honours this by sending system names, not systems."""
+    the pipeline honours this by sending system names, not systems.
+    A SIGKILL'd worker surfaces as `BrokenProcessPool`: every
+    unfinished shard of that pool counts one failed attempt and the
+    pool is rebuilt for the next round.  Watchdog timeouts abandon the
+    stalled pool and re-enqueue its unfinished shards on a fresh one."""
 
     name = "process"
+    envelope = True
+    map = Executor.map
+    map_resilient = Executor.map_resilient
 
     def __init__(self, max_workers: int | None = None) -> None:
         # Campaign work is CPU-bound: more workers than cores only adds
@@ -199,66 +238,98 @@ class ProcessExecutor(Executor):
         # oversubscription is harmless).
         self.max_workers = max_workers or max(1, os.cpu_count() or 1)
 
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        items = list(items)
-        if len(items) <= 1:
-            return [fn(item) for item in items]
-        workers = min(self.max_workers, len(items))
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_freeze_inherited_heap
-        ) as pool:
-            return list(pool.map(fn, items))
-
-    def map_resilient(
-        self,
-        fn: Callable[[T], R],
-        items: Iterable[T],
-        policy: RetryPolicy,
-        chaos=None,
-        label: str = "",
-    ) -> ResilientMapResult:
-        """Process supervision: a SIGKILL'd worker surfaces as
-        `BrokenProcessPool` — every unfinished shard of that pool
-        counts one failed attempt and the pool is rebuilt for the next
-        round.  Watchdog timeouts abandon the stalled pool (shut down
-        without waiting) and re-enqueue the unfinished shards on a
-        fresh one."""
-        return _supervise_pool(
-            lambda workers: ProcessPoolExecutor(
-                max_workers=workers, initializer=_freeze_inherited_heap
-            ),
-            self.max_workers,
-            fn,
-            items,
-            policy,
-            chaos,
-            label,
-            allow_kill=True,
+    def _pool(self, workers: int):
+        return ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_pool_worker
         )
 
 
-def _supervise_pool(
-    pool_factory,
-    max_workers: int,
+def _dispatch(
+    executor: Executor,
     fn,
     items: Iterable,
-    policy: RetryPolicy,
-    chaos,
-    label: str,
-    allow_kill: bool,
+    policy: RetryPolicy | None = None,
+    chaos=None,
+    label: str = "",
+    caches: PipelineCaches | None = None,
 ) -> ResilientMapResult:
-    """Round-based supervision shared by the thread and process
-    executors.
+    """The one code path behind every executor's `map` and
+    `map_resilient`."""
+    items = list(items)
+    if executor._pool is None or (policy is None and len(items) <= 1):
+        return _run_inline(executor, fn, items, policy, chaos, label, caches)
+    return _supervise_pool(executor, fn, items, policy, chaos, label, caches)
+
+
+def _quarantine(registry, failures, index, shard, attempts, kind, detail):
+    registry.inc("resilience.quarantined")
+    failures.append(
+        FailedShard(
+            index=index,
+            label=shard,
+            attempts=attempts,
+            error_kind=kind,
+            detail=detail,
+        )
+    )
+
+
+def _run_inline(
+    executor, fn, items, policy, chaos, label, caches
+) -> ResilientMapResult:
+    """Shards in the caller, in order.  Exceptions retry with backoff
+    under a policy; without one the first propagates as raised."""
+    registry = get_registry()
+    results: list = [None] * len(items)
+    failures: list[FailedShard] = []
+    retries = 0
+    max_attempts = policy.max_attempts if policy is not None else 1
+    for index, item in enumerate(items):
+        shard = _shard_label(label, index)
+        for attempt in range(1, max_attempts + 1):
+            try:
+                outcome = _run_shard(
+                    fn, item, chaos, f"{shard}|a{attempt}", executor.envelope
+                )
+            except Exception as exc:
+                if policy is None:
+                    raise
+                registry.inc("resilience.shard_failures")
+                if attempt >= max_attempts:
+                    _quarantine(
+                        registry, failures, index, shard, attempt,
+                        type(exc).__name__, str(exc),
+                    )
+                else:
+                    retries += 1
+                    registry.inc("resilience.retries")
+                    time.sleep(policy.delay_for(attempt, shard))
+            else:
+                results[index] = (
+                    _fold(outcome, caches, pooled=False)
+                    if executor.envelope
+                    else outcome
+                )
+                break
+    return ResilientMapResult(results, failures, retries)
+
+
+def _supervise_pool(
+    executor, fn, items, policy, chaos, label, caches
+) -> ResilientMapResult:
+    """Round-based supervision for the thread and process executors.
 
     Each round submits every pending shard to a fresh pool and waits
-    for each future up to `policy.timeout` (measured per wait — an
+    for each future up to `policy.timeout` (measured per wait - an
     upper bound on the shard's run time, since all futures execute
     concurrently).  Failures are retried with capped backoff +
     deterministic jitter on the next round; shards that exhaust
     `policy.max_attempts` are quarantined as `FailedShard` records.
+    Without a policy the first failure in input order re-raises.
     """
-    items = list(items)
     registry = get_registry()
+    max_attempts = policy.max_attempts if policy is not None else 1
+    timeout = policy.timeout if policy is not None else None
     results: list = [None] * len(items)
     finished = [False] * len(items)
     attempts = [0] * len(items)
@@ -267,39 +338,50 @@ def _supervise_pool(
     retries = 0
     pending = list(range(len(items)))
     while pending:
-        pool = pool_factory(min(max_workers, len(pending)))
+        pool = executor._pool(min(executor.max_workers, len(pending)))
         abandoned = False
         futures = {}
         for index in pending:
             attempts[index] += 1
-            shard = _shard_label(label, index)
-            key = f"{shard}|a{attempts[index]}"
+            key = f"{_shard_label(label, index)}|a{attempts[index]}"
             futures[index] = pool.submit(
-                _chaos_invoke, fn, items[index], chaos, key, allow_kill
+                _run_shard, fn, items[index], chaos, key, executor.envelope
             )
         for index, future in futures.items():
             try:
-                results[index] = future.result(timeout=policy.timeout)
-                finished[index] = True
-            except TimeoutError:
-                if future.done():  # the shard itself raised TimeoutError
-                    registry.inc("resilience.shard_failures")
-                    last_error[index] = ("TimeoutError", "shard raised")
-                else:
+                outcome = future.result(timeout=timeout)
+            except Exception as exc:
+                if policy is None:
+                    pool.shutdown(wait=True, cancel_futures=True)
+                    raise
+                if isinstance(exc, TimeoutError) and not future.done():
                     abandoned = True
                     registry.inc("resilience.timeouts")
                     last_error[index] = (
                         "timeout",
-                        f"exceeded the {policy.timeout}s watchdog deadline",
+                        f"exceeded the {timeout}s watchdog deadline",
                     )
-            except BrokenProcessPool as exc:
-                # One worker died (SIGKILL, OOM, segfault); the pool is
-                # poisoned and every unfinished sibling fails with it.
-                registry.inc("resilience.worker_crashes")
-                last_error[index] = (type(exc).__name__, str(exc))
-            except Exception as exc:
-                registry.inc("resilience.shard_failures")
-                last_error[index] = (type(exc).__name__, str(exc))
+                elif isinstance(exc, TimeoutError):
+                    # The shard itself raised TimeoutError.
+                    registry.inc("resilience.shard_failures")
+                    last_error[index] = ("TimeoutError", "shard raised")
+                else:
+                    # A BrokenProcessPool means one worker died
+                    # (SIGKILL, OOM, segfault): the pool is poisoned
+                    # and every unfinished sibling fails with it.
+                    registry.inc(
+                        "resilience.worker_crashes"
+                        if isinstance(exc, BrokenProcessPool)
+                        else "resilience.shard_failures"
+                    )
+                    last_error[index] = (type(exc).__name__, str(exc))
+            else:
+                results[index] = (
+                    _fold(outcome, caches, pooled=True)
+                    if executor.envelope
+                    else outcome
+                )
+                finished[index] = True
         # A stalled shard's worker cannot be joined promptly: abandon
         # the pool (cancel what never started, don't wait for the
         # stall) and let the fresh pool take the retries.
@@ -308,27 +390,18 @@ def _supervise_pool(
         for index in pending:
             if finished[index]:
                 continue
-            shard = _shard_label(label, index)
-            if attempts[index] >= policy.max_attempts:
-                registry.inc("resilience.quarantined")
+            if attempts[index] >= max_attempts:
                 kind, detail = last_error.get(index, ("unknown", ""))
-                failures.append(
-                    FailedShard(
-                        index=index,
-                        label=shard,
-                        attempts=attempts[index],
-                        error_kind=kind,
-                        detail=detail,
-                    )
+                _quarantine(
+                    registry, failures, index, _shard_label(label, index),
+                    attempts[index], kind, detail,
                 )
             else:
                 still_pending.append(index)
         if still_pending:
             retries += len(still_pending)
             registry.inc("resilience.retries", len(still_pending))
-            time.sleep(
-                policy.delay_for(attempts[still_pending[0]], label)
-            )
+            time.sleep(policy.delay_for(attempts[still_pending[0]], label))
         pending = still_pending
     return ResilientMapResult(results, failures, retries)
 

@@ -39,19 +39,14 @@ from repro.core import SpexOptions
 from repro.inject.campaign import Campaign, CampaignReport, Vulnerability
 from repro.inject.generators import GeneratorRegistry, default_generators
 from repro.inject.reactions import ReactionCategory
-from repro.obs import get_registry, metrics_delta, span
-from repro.pipeline.cache import (
-    LaunchCache,
-    PipelineCaches,
-    SnapshotCache,
-    campaign_fingerprint,
-)
+from repro.obs import get_registry, span
+from repro.pipeline.cache import PipelineCaches, campaign_fingerprint
 from repro.pipeline.executor import (
     Executor,
     ProcessExecutor,
     ThreadExecutor,
-    _chaos_call,
     resolve_executor,
+    worker_caches,
 )
 from repro.resilience import CheckpointStore, FailedShard, RetryPolicy
 from repro.systems.registry import get_system, iter_systems, system_names
@@ -159,7 +154,7 @@ def _run_campaign_by_name(
         str | None,
         tuple[str, str, str] | None,
     ]
-):
+) -> SystemRun:
     """Process-pool entry point: rebuild the system in the worker (the
     task crosses a pickle boundary, the `SubjectSystem` does not)."""
     name, spex_options, batch_executor, max_workers, engine, ckpt_spec = task
@@ -169,28 +164,18 @@ def _run_campaign_by_name(
     # process worker (the cores are already busy with sibling systems).
     if batch_executor == "process":
         batch_executor = "serial"
-    launch_cache = LaunchCache()
-    snapshot_cache = SnapshotCache()
-    obs_before = get_registry().snapshot()
-    campaign = Campaign(
+    caches = worker_caches()
+    report = Campaign(
         get_system(name),
         spex_options=spex_options,
         executor=batch_executor,
         max_workers=max_workers,
-        launch_cache=launch_cache,
-        snapshot_cache=snapshot_cache,
+        launch_cache=caches.launches,
+        snapshot_cache=caches.snapshots,
         engine=engine,
-    )
-    report = campaign.run()
+    ).run()
     _save_campaign_checkpoint(ckpt_spec, report)
-    return (
-        name,
-        report,
-        time.perf_counter() - started,
-        launch_cache.stats.snapshot(),
-        snapshot_cache.boot_stats.snapshot(),
-        metrics_delta(obs_before, get_registry().snapshot()),
-    )
+    return SystemRun(name, report, time.perf_counter() - started)
 
 
 @dataclass
@@ -304,16 +289,15 @@ class CampaignPipeline:
                 campaigns=len(pending),
             ):
                 executed, failures = self._execute(chosen, pending, run_key)
-            for (name, spex_key, campaign_key), entry in zip(
+            for (name, spex_key, campaign_key), run in zip(
                 pending, executed
             ):
-                if entry is None:  # quarantined campaign
+                if run is None:  # quarantined campaign
                     continue
-                report, duration = entry
                 if self.reuse_campaigns:
-                    self.caches.campaigns.put(campaign_key, report)
-                self._warm_inference_cache(spex_key, report)
-                runs[name] = SystemRun(name, report, duration)
+                    self.caches.campaigns.put(campaign_key, run.report)
+                self._warm_inference_cache(spex_key, run.report)
+                runs[name] = run
             # Re-anchor quarantine records on the system's name, not
             # its position in this run's pending list.
             for failure in failures:
@@ -364,7 +348,10 @@ class CampaignPipeline:
         pending: list[tuple[str, str, str]],
         run_key: str,
     ) -> tuple[list, list[FailedShard]]:
-        names = [name for name, _, _ in pending]
+        """Fan the pending campaigns out under the configured
+        resilience mode: supervised (`retry_policy`), chaos-exposed
+        (with no policy a fault aborts the sweep - the checkpoint store
+        is what a resume recovers from), or plain."""
         ckpt_root = (
             str(self.checkpoint.root) if self.checkpoint is not None else None
         )
@@ -380,6 +367,7 @@ class CampaignPipeline:
             # *instance* is reduced to its strategy name and workers
             # rebuild it (with this pipeline's max_workers).
             batch_name = self._batch_executor_name()
+            task_fn = _run_campaign_by_name
             tasks = [
                 (
                     name,
@@ -389,89 +377,38 @@ class CampaignPipeline:
                     self.engine,
                     spec,
                 )
-                for name, spec in zip(names, ckpt_specs)
+                for (name, _, _), spec in zip(pending, ckpt_specs)
             ]
-            raw, failures = self._dispatch(
-                executor, _run_campaign_by_name, tasks, allow_kill=True
-            )
-            out = []
-            for entry in raw:
-                if entry is None:  # quarantined campaign
-                    out.append(None)
-                    continue
-                (
-                    _,
-                    report,
-                    duration,
-                    launch_stats,
-                    boot_stats,
-                    obs_delta,
-                ) = entry
-                # Worker launch/snapshot caches die with the worker;
-                # their counters still belong in the report footer.
-                # Worker telemetry folds into the parent registry the
-                # same way.
-                self.caches.launches.absorb_stats(launch_stats)
-                self.caches.snapshots.absorb_boot_stats(boot_stats)
-                get_registry().absorb(obs_delta)
-                out.append((report, duration))
-            return out, failures
-        batch_spec = self.batch_executor or "serial"
-        if isinstance(executor, ThreadExecutor) and (
-            batch_spec == "process" or isinstance(batch_spec, ProcessExecutor)
-        ):
-            # Forking a process pool from a multithreaded parent can
-            # inherit mid-held locks into the children; campaigns
-            # fanned out on threads shard their batches in-line.
-            batch_spec = "serial"
+        else:
+            batch_spec = self.batch_executor or "serial"
+            if isinstance(executor, ThreadExecutor) and (
+                batch_spec == "process"
+                or isinstance(batch_spec, ProcessExecutor)
+            ):
+                # Forking a process pool from a multithreaded parent
+                # can inherit mid-held locks into the children;
+                # campaigns fanned out on threads shard their batches
+                # in-line.
+                batch_spec = "serial"
 
-        def task_fn(indexed):
-            index, name = indexed
-            report, duration = self._run_one(name, batch_spec)
-            if ckpt_specs[index] is not None:
-                _save_campaign_checkpoint(ckpt_specs[index], report)
-            return report, duration
+            def task_fn(task):
+                name, ckpt_spec = task
+                run = self._run_one(name, batch_spec)
+                _save_campaign_checkpoint(ckpt_spec, run.report)
+                return run
 
-        return self._dispatch(
-            executor, task_fn, list(enumerate(names)), allow_kill=False
+            tasks = [
+                (name, spec) for (name, _, _), spec in zip(pending, ckpt_specs)
+            ]
+        supervised = executor.map_resilient(
+            task_fn,
+            tasks,
+            self.retry_policy,
+            chaos=self.chaos,
+            label="pipeline",
+            caches=self.caches,
         )
-
-    def _dispatch(
-        self, executor: Executor, fn, tasks: list, allow_kill: bool
-    ) -> tuple[list, list[FailedShard]]:
-        """Fan campaign tasks out under the configured resilience mode:
-        supervised (`retry_policy`), chaos-exposed (faults abort — the
-        checkpoint store is what a resume recovers from), or plain."""
-        if self.retry_policy is not None:
-            supervised = executor.map_resilient(
-                fn,
-                tasks,
-                self.retry_policy,
-                chaos=self.chaos,
-                label="pipeline",
-            )
-            return supervised.results, supervised.failures
-        if self.chaos is not None:
-            # ProcessExecutor.map degrades to in-parent execution for a
-            # single task, where a SIGKILL would take down the sweep.
-            kill_ok = allow_kill and len(tasks) > 1
-            return (
-                executor.map(
-                    _chaos_call,
-                    [
-                        (
-                            fn,
-                            task,
-                            self.chaos,
-                            f"pipeline:{position}|a1",
-                            kill_ok,
-                        )
-                        for position, task in enumerate(tasks)
-                    ],
-                ),
-                [],
-            )
-        return executor.map(fn, tasks), []
+        return supervised.results, supervised.failures
 
     def _batch_executor_name(self) -> str:
         if self.batch_executor is None:
@@ -482,7 +419,7 @@ class CampaignPipeline:
 
     def _run_one(
         self, name: str, batch_executor: str | Executor = "serial"
-    ) -> tuple[CampaignReport, float]:
+    ) -> SystemRun:
         """In-process task (serial and thread executors): campaigns
         share the pipeline's inference and launch caches directly."""
         started = time.perf_counter()
@@ -498,7 +435,7 @@ class CampaignPipeline:
             engine=self.engine,
         )
         report = campaign.run()
-        return report, time.perf_counter() - started
+        return SystemRun(name, report, time.perf_counter() - started)
 
     def _warm_inference_cache(
         self, spex_key: str, report: CampaignReport

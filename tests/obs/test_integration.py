@@ -11,7 +11,8 @@ import pytest
 from repro.checker.fleet import run_fleet
 from repro.inject.campaign import Campaign
 from repro.obs import get_registry, metrics_delta, set_enabled
-from repro.pipeline import CampaignPipeline
+from repro.obs.profile import default_profiler
+from repro.pipeline import CampaignPipeline, PipelineCaches
 from repro.systems import get_system
 
 
@@ -39,18 +40,104 @@ class TestCampaignTelemetry:
         }
         assert phases  # boot, replay and/or steps
 
-    def test_process_workers_fold_their_counters_home(self):
-        """The 5-tuple protocol: worker deltas land in the parent
-        registry, and the folded totals match the serial run's."""
-        serial_report, serial_delta = _campaign_delta("serial")
-        process_report, process_delta = _campaign_delta("process")
-        assert (
-            process_delta["counters"]["campaign.batches"]
-            == serial_delta["counters"]["campaign.batches"]
-        )
-        assert frozenset(process_report.vulnerabilities) == frozenset(
-            serial_report.vulnerabilities
-        )
+def _fan_out(case: str, executor: str):
+    """Run one process fan-out under `executor`: what it computed and
+    the stats of the stores it used."""
+    if case.startswith("pipeline"):
+        systems = ["vsftpd"] if case == "pipeline-1" else ["vsftpd", "openldap"]
+        report = CampaignPipeline(
+            systems=systems, executor=executor, max_workers=2
+        ).run()
+        return report.vulnerability_sets(), report.cache_stats
+    if case == "campaign":
+        caches = PipelineCaches()
+        report = Campaign(
+            get_system("vsftpd"),
+            executor=executor,
+            max_workers=2,
+            launch_cache=caches.launches,
+            snapshot_cache=caches.snapshots,
+        ).run()
+        return frozenset(report.vulnerabilities), caches.stats()
+    report = run_fleet(
+        systems=["mysql", "vsftpd"],
+        size=48,
+        chunk_size=16,
+        executor=executor,
+        max_workers=2,
+    )
+    outcomes = [
+        (r.name, r.flagged, r.errors, r.warnings, r.by_kind)
+        for r in report.results
+    ]
+    return outcomes, report.cache_stats
+
+
+class TestProcessFoldParity:
+    @pytest.mark.parametrize(
+        "case", ["pipeline-1", "pipeline-2", "campaign", "fleet"]
+    )
+    def test_process_workers_fold_their_counters_home(
+        self, case, monkeypatch
+    ):
+        """The worker protocol: each process shard's envelope folds its
+        metrics and store deltas home exactly once, so a process run
+        records what the serial run records.  "pipeline-1" is the lone
+        campaign the process executor runs inline in the parent, whose
+        metrics must not be absorbed a second time."""
+        # Time every launch, so launch-phase histogram counts are exact
+        # rather than a per-process 1-in-32 sample.
+        monkeypatch.setattr(default_profiler(), "sample_every", 1)
+        registry = get_registry()
+        before = registry.snapshot()
+        serial_result, serial_stats = _fan_out(case, "serial")
+        middle = registry.snapshot()
+        process_result, process_stats = _fan_out(case, "process")
+        serial = metrics_delta(before, middle)
+        process = metrics_delta(middle, registry.snapshot())
+        assert process_result == serial_result
+
+        def counters(delta):
+            # Codegen lowering is memoized per process: a forked worker
+            # inherits every program its parent already lowered.
+            return {
+                name: value
+                for name, value in delta["counters"].items()
+                if value and not name.startswith("launch.codegen_")
+            }
+
+        def histogram_counts(delta):
+            return {
+                name: hist["count"]
+                for name, hist in delta["histograms"].items()
+                if hist["count"]
+            }
+
+        assert counters(process) == counters(serial)
+        if case == "fleet":
+            assert histogram_counts(process) == histogram_counts(serial)
+            return
+        if case == "campaign":
+            # Batch workers keep private launch and snapshot stores, so
+            # which launches dedup or resume depends on which worker
+            # drew which batch.  The lookups match serial's, and every
+            # launch that ran reached the parent twice over - as store
+            # stats and as launch-phase histograms - in agreement.
+            launches = process_stats["launches"]
+            assert launches["hits"] + launches["misses"] == (
+                serial_stats["launches"]["hits"]
+                + serial_stats["launches"]["misses"]
+            )
+            snapshots = process_stats["snapshots"]
+            assert histogram_counts(process) == {
+                "launch.steps": launches["misses"],
+                "launch.boot_seconds": snapshots["boots"],
+                "launch.replay_seconds": snapshots["resumes"],
+            }
+            return
+        assert histogram_counts(process) == histogram_counts(serial)
+        assert process_stats["launches"] == serial_stats["launches"]
+        assert process_stats["snapshots"] == serial_stats["snapshots"]
 
 
 class TestPipelineTelemetry:

@@ -177,6 +177,31 @@ class TestThreadSupervision:
         assert result.failures[0].detail == "shard raised"
 
 
+class TestFailFast:
+    """`policy=None`: one attempt per shard, and the first failure in
+    input order re-raises as the very exception the shard raised."""
+
+    @pytest.mark.parametrize("name", ["serial", "thread"])
+    def test_first_failure_in_input_order_reraises(self, name):
+        def pick(item):
+            if item == 2:
+                raise KeyError("second")
+            if item == 3:
+                raise ValueError("third")
+            return item
+
+        with pytest.raises(KeyError, match="second"):
+            resolve_executor(name, 2).map_resilient(pick, [1, 2, 3])
+
+    @pytest.mark.parametrize("name", ["serial", "thread", "process"])
+    def test_chaos_without_policy_raises_chaos_error(self, name):
+        # A lone process shard runs inline in this process, so a fired
+        # kill must degrade to ChaosError instead of a SIGKILL.
+        chaos = ChaosSchedule(seed=0, kill_rate=1.0)
+        with pytest.raises(ChaosError, match="simulated worker kill"):
+            resolve_executor(name, 2).map_resilient(abs, [-1], chaos=chaos)
+
+
 class TestResilienceCounters:
     def test_retries_and_quarantines_are_counted(self):
         from repro.obs import get_registry

@@ -369,6 +369,53 @@ class TestDynamicExec:
             )
 
 
+class TestWorkerProtocol:
+    LIB_PATH = Path("src/repro/checker/fleet.py")
+    DELTA = (
+        "from repro.obs import metrics_delta\n"
+        "def shard(before, after):\n"
+        "    return metrics_delta(before, after)\n"
+    )
+
+    def _codes_at(self, path: Path, source: str) -> list[str]:
+        return [c for _, _, c, _ in check_tree(path, ast.parse(source))]
+
+    def test_delta_in_library_module_flagged(self):
+        assert self._codes_at(self.LIB_PATH, self.DELTA) == [
+            "worker-protocol"
+        ]
+
+    def test_attribute_call_flagged(self):
+        source = (
+            "import repro.obs as obs\n"
+            "def shard(before, after):\n"
+            "    return obs.metrics_delta(before, after)\n"
+        )
+        assert self._codes_at(self.LIB_PATH, source) == ["worker-protocol"]
+
+    def test_executor_and_obs_exempt(self):
+        for raw in (
+            "src/repro/pipeline/executor.py",
+            "src/repro/obs/metrics.py",
+            "src/repro/obs/__init__.py",
+        ):
+            assert self._codes_at(Path(raw), self.DELTA) == []
+
+    def test_non_library_modules_exempt(self):
+        for raw in ("tests/obs/test_metrics.py", "perfbench/rep.py"):
+            assert self._codes_at(Path(raw), self.DELTA) == []
+
+    def test_allowlist_tracks_reality(self):
+        # The executor is the one sanctioned caller and must still be
+        # one; a fan-out that needs deltas dispatches through it.
+        from lint import METRICS_DELTA_ALLOWLIST
+
+        assert METRICS_DELTA_ALLOWLIST == {"pipeline/executor.py"}
+        for rel in METRICS_DELTA_ALLOWLIST:
+            module = REPO_ROOT / "src" / "repro" / rel
+            assert "metrics_delta(" in module.read_text(encoding="utf-8")
+
+
 class TestSilentException:
     LIB_PATH = Path("src/repro/inject/campaign.py")
 

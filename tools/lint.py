@@ -43,6 +43,12 @@ have actually bitten this codebase:
   (``runtime/codegen.py``), which exists precisely to compile
   generated launch modules.  Grow the allowlist only for another
   engine of that kind.
+* ``worker-protocol`` - a ``metrics_delta(...)`` call in library code
+  under ``src/repro/`` outside ``repro/obs/`` (which defines it) and
+  ``pipeline/executor.py``.  Process fan-outs ship their metrics home
+  in one ``WorkerEnvelope`` built by the executor; an entry point that
+  takes its own delta is a second, hand-rolled worker protocol - the
+  double-counting kind.  Keep the allowlist at the executor.
 * ``bare-print`` - a ``print(...)`` call in library code under
   ``src/repro/``.  Library modules have two sanctioned output
   channels: human-facing text flows through the CLI layer
@@ -156,6 +162,9 @@ def check_tree(path: Path, tree: ast.AST) -> list[tuple[Path, int, str, str]]:
 
     for finding in _find_imperative_system_builds(path, tree):
         findings.append((path, finding[0], "imperative-system", finding[1]))
+
+    for line, message in _find_worker_protocol_escapes(path, tree):
+        findings.append((path, line, "worker-protocol", message))
 
     for line, code, message in _find_observability_escapes(path, tree):
         findings.append((path, line, code, message))
@@ -349,6 +358,14 @@ def _find_imperative_system_builds(
     return findings
 
 
+# Modules under src/repro/ (besides repro/obs/, which defines it)
+# permitted to call metrics_delta(): the executor, whose WorkerEnvelope
+# is the one way a process shard's metrics reach its parent.  Never
+# grow this for a new fan-out - dispatch it through the executor.
+METRICS_DELTA_ALLOWLIST = {
+    "pipeline/executor.py",
+}
+
 # Modules under src/repro/ (repo-relative, posix) permitted to call
 # print() directly: the CLI is the sanctioned human-output surface.
 # Everything else routes human-facing text through reporting/cli.py
@@ -389,6 +406,36 @@ def _repro_relative(path: Path) -> str | None:
         if parts[i] == "src" and parts[i + 1] == "repro":
             return "/".join(parts[i + 2:])
     return None
+
+
+def _find_worker_protocol_escapes(
+    path: Path, tree: ast.AST
+) -> list[tuple[int, str]]:
+    """``metrics_delta(...)`` calls in library modules outside
+    ``repro/obs/`` and the allowlisted executor."""
+    rel = _repro_relative(path)
+    if rel is None or rel.startswith("obs/") or rel in METRICS_DELTA_ALLOWLIST:
+        return []
+    findings: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        target = node.func
+        name = (
+            target.id
+            if isinstance(target, ast.Name)
+            else target.attr if isinstance(target, ast.Attribute) else None
+        )
+        if name == "metrics_delta":
+            findings.append(
+                (
+                    node.lineno,
+                    "metrics_delta() outside the executor; dispatch the "
+                    "fan-out through repro.pipeline.executor, whose "
+                    "WorkerEnvelope ships worker metrics home",
+                )
+            )
+    return findings
 
 
 def _find_observability_escapes(
