@@ -9,7 +9,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # this.
 export PYTHONHASHSEED := 0
 
-.PHONY: test test-fast lint bench bench-json bench-check perfbench chaos chaos-json fleet-bench obs-bench trace-demo docs-check quickstart pipeline fleet serve all
+.PHONY: test test-fast lint bench perfbench chaos fleet-bench obs-bench trace-demo docs-check quickstart pipeline fleet serve all
 
 all: test docs-check
 
@@ -33,36 +33,20 @@ lint:
 bench:
 	$(PYTHON) -m pytest benchmarks -q -s
 
-# Launch-engine perf trajectory: regenerates BENCH_launch.json
-# (per-system tree/cold/warm launch throughput, cold campaign
-# wall-clock under both engines, boot/cache counters).
-bench-json:
-	$(PYTHON) tools/bench_json.py
-
-# Warm-throughput drift check against the committed BENCH_launch.json.
-# Advisory by default (absolute numbers are machine-dependent); set
-# BENCH_GUARD=1 to fail on any >20% per-system/engine regression.
-bench-check:
-	$(PYTHON) tools/bench_json.py --check
-
 # The repository benchmark (perfbench/README.md): one workload of
 # audit, audit-process, fleet or serve, end-to-end metrics only; the
 # last stdout line is the JSON result.
 WORKLOAD ?= audit
 perfbench:
-	python3 perfbench/run.py --workload $(WORKLOAD) --seed 1 --seconds 30 --trace 0
+	$(PYTHON) perfbench/run.py --workload $(WORKLOAD) --seed 1 --seconds 30 --trace 0
 
 # Chaos tier: every recovery path proven end-to-end (kill/resume
 # checkpoint parity, retry/quarantine, serve load-shedding and circuit
-# breakers), then the recovery-overhead check against the committed
-# BENCH_chaos.json (fault catalog in docs/ROBUSTNESS.md).
+# breakers), plus the recovery-overhead gate (a recovered fleet run
+# costs <=15% over its fault-free twin; fault catalog and gate method
+# in docs/ROBUSTNESS.md).
 chaos:
 	$(PYTHON) -m pytest tests/chaos -x -q
-	$(PYTHON) tools/bench_json.py --chaos --check
-
-# Regenerate BENCH_chaos.json (recovery overhead vs fault-free twin).
-chaos-json:
-	$(PYTHON) tools/bench_json.py --chaos
 
 # Fleet-scale config-checking benchmark only: configs/sec, executor
 # speedup over serial, compiled-checker cache hit rate.

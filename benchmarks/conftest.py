@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark suite.
 
-The full evaluation (SPEX + injection campaign + lint for all seven
-systems) is computed once per session; the per-table benchmarks then
+The full evaluation (SPEX + injection campaign + lint for the paper's
+seven systems) is computed once per session; the per-table benchmarks then
 time their rendering/aggregation step and print the regenerated
 table so the run's output can be compared against the paper.
 """

@@ -26,7 +26,7 @@ from conftest import emit
 from repro.checker import run_fleet
 from repro.pipeline import PipelineCaches
 
-SIZE_PER_SYSTEM = 1500  # x7 systems = 10,500 configs
+SIZE_PER_SYSTEM = 1500  # x8 systems = 12,000 configs
 AGREEMENT_SAMPLE = 25
 
 

@@ -1,7 +1,7 @@
 """Intra-campaign sharding and launch-cache benchmarks.
 
 PR 1 parallelized *across* systems; these benches demonstrate the
-next layer down over all seven registered systems:
+next layer down over all eight registered systems:
 
 * intra-campaign thread and process execution (batches of one
   campaign fanned over an executor) produce `Vulnerability` sets

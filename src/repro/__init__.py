@@ -11,7 +11,7 @@ Package map:
 * :mod:`repro.inject`    - SPEX-INJ misconfiguration injection testing
 * :mod:`repro.lint`      - error-prone configuration design detection
 * :mod:`repro.runtime`   - MiniC interpreter over an emulated OS
-* :mod:`repro.systems`   - the seven miniature subject systems
+* :mod:`repro.systems`   - the eight miniature subject systems
 * :mod:`repro.study`     - historical misconfiguration case replay
 * :mod:`repro.reporting` - regenerates every table/figure of the paper's §4
 

@@ -1,11 +1,11 @@
 """Parallel batched campaign pipeline with inference caching.
 
 The paper's evaluation (Table 5) sweeps injection campaigns over
-seven subject systems; this package turns that sweep into a
-first-class workload: campaigns fan out across a pluggable executor,
-SPEX inference results are cached by content hash so re-runs and
-ablation sweeps skip re-inference, and whole campaign reports are
-reused when nothing they depend on changed.
+seven subject systems (eight here, with nginx); this package turns
+that sweep into a first-class workload: campaigns fan out across a
+pluggable executor, SPEX inference results are cached by content hash
+so re-runs and ablation sweeps skip re-inference, and whole campaign
+reports are reused when nothing they depend on changed.
 
 Layering: `repro.pipeline` sits above `repro.inject` (the single-
 system primitive) and `repro.systems` (the registry), and below

@@ -1,4 +1,5 @@
-"""Subject systems: the seven evaluated programs, in MiniC.
+"""Subject systems: the paper's seven evaluated programs
+plus nginx, in MiniC.
 
 Each package mirrors its real counterpart's configuration
 architecture - mapping convention (Table 1), config-file dialect,

@@ -1,7 +1,7 @@
 """Shared fixtures for the serve test tier.
 
 One `PipelineCaches` is warmed once per session (checker compilation
-for all seven systems), so every service instance the tests stand up
+for all eight systems), so every service instance the tests stand up
 starts in milliseconds; parity tests build their *reference* results
 from fresh caches instead (`serveutil.cold_reference`), so the
 comparison side really is the cold `check` path.
@@ -40,7 +40,7 @@ def make_service(warm_caches):
 
 @pytest.fixture(scope="session")
 def server(warm_caches):
-    """One background server for the whole session, serving all seven
+    """One background server for the whole session, serving all eight
     systems.  Tests isolate through unique config_ids."""
     with BackgroundServer(caches=warm_caches) as handle:
         yield handle
