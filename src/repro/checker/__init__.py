@@ -24,7 +24,6 @@ from repro.checker.corpus import (
     generate_config,
     iter_corpus,
     mistake_mix,
-    register_mistake_mix,
 )
 from repro.checker.fleet import (
     AgreementReport,
@@ -55,7 +54,6 @@ __all__ = [
     "generate_config",
     "iter_corpus",
     "mistake_mix",
-    "register_mistake_mix",
     "run_fleet",
     "validate_config",
 ]

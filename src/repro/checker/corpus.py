@@ -51,40 +51,22 @@ from repro.systems.base import SubjectSystem
 
 DEFAULT_MISTAKE_RATE = 0.5
 
-# Mistake-mix hooks: systems (or tests) may register a custom kind
-# distribution; `mistake_mix` falls back to the study marginals.
-_MIX_OVERRIDES: dict[str, dict[str, float]] = {}
-
-
-def register_mistake_mix(system: str, mix: dict[str, float]) -> None:
-    """Override the mistake-kind distribution for one system.
-
-    `mix` maps constraint-kind slugs (basic / semantic / range /
-    ctrl_dep / value_rel / access_control) to relative weights;
-    weights are normalised
-    at sampling time.  This is the corpus's extension hook for systems
-    whose user population errs differently from the studied four."""
-    cleaned = {k: float(v) for k, v in mix.items() if float(v) > 0}
-    if not cleaned:
-        raise ValueError("mistake mix needs at least one positive weight")
-    _MIX_OVERRIDES[system] = cleaned
-
-
-def clear_mistake_mixes() -> None:
-    _MIX_OVERRIDES.clear()
-
-
-def mistake_mix(system: str) -> dict[str, float]:
+def mistake_mix(system: SubjectSystem) -> dict[str, float]:
     """The mistake-kind marginal for one system.
 
-    Systems with a studied case set (Tables 9-10) use their own
-    in-scope kind counts; the rest use the pooled marginal across
-    every studied system - the paper's point that user mistakes
-    concentrate in the same constraint categories everywhere."""
-    if system in _MIX_OVERRIDES:
-        return dict(_MIX_OVERRIDES[system])
+    A system that declares its own `mistake_mix` (relative weights
+    over the constraint-kind slugs basic / semantic / range /
+    ctrl_dep / value_rel / access_control, normalised at sampling
+    time) gets it - the extension point for systems whose user
+    population errs differently from the studied four.  Systems with
+    a studied case set (Tables 9-10) use their own in-scope kind
+    counts; the rest use the pooled marginal across every studied
+    system - the paper's point that user mistakes concentrate in the
+    same constraint categories everywhere."""
+    if system.mistake_mix is not None:
+        return dict(system.mistake_mix)
     corpus = case_corpus()
-    cases = corpus.get(system)
+    cases = corpus.get(system.name)
     if cases is None:
         cases = [case for case_set in corpus.values() for case in case_set]
     counts: dict[str, float] = {}
@@ -239,7 +221,7 @@ def iter_corpus(
     parsed `template` once instead of re-parsing it per slice."""
     if template is None:
         template = system.template_ar()
-    mix = mix if mix is not None else mistake_mix(system.name)
+    mix = mix if mix is not None else mistake_mix(system)
     for index in range(start, start + size):
         yield generate_config(
             system.name, pool, template, mix, seed, index, mistake_rate

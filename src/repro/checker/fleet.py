@@ -277,7 +277,7 @@ def run_fleet(
                 checker=checker,
                 pool=pool,
                 digest=pool_digest(pool),
-                mix=mistake_mix(system.name),
+                mix=mistake_mix(system),
                 template=system.template_ar(),
                 from_cache=from_cache,
             )

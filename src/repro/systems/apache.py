@@ -24,9 +24,8 @@ from repro.core.accuracy import (
     truth_semantic,
 )
 from repro.inject.ar import DirectiveDialect
-from repro.systems.base import FunctionalTest, SubjectSystem
+from repro.systems.base import FunctionalTest, OsDir, ParamSpec, SubjectSystem
 from repro.systems.registry import register
-from repro.systems.spec import OsDir, ParamSpec, SystemSpec
 
 HTTPD_MAIN = r"""
 // httpd-mini
@@ -384,179 +383,176 @@ def _tests() -> list[FunctionalTest]:
     ]
 
 
-SPEC = SystemSpec(
-    name="apache",
-    display_name="Apache httpd",
-    description="Miniature httpd with the paper's Apache traits",
-    sources={"httpd.c": HTTPD_MAIN},
-    annotations=ANNOTATIONS,
-    dialect=DirectiveDialect(),
-    config_path="/etc/httpd.conf",
-    default_config=DEFAULT_CONFIG,
-    params=[
-        ParamSpec(
-            "Listen",
-            decode="int",
-            var="listen_port",
-            manual=MANUAL["Listen"],
-            truth=(
-                truth_basic("Listen", "int"),
-                truth_semantic("Listen", "PORT"),
-            ),
-        ),
-        # Undocumented in the mini manual (the real ThreadLimit footgun
-        # of Figure 7b).
-        ParamSpec(
-            "ThreadLimit",
-            decode="int",
-            var="thread_limit",
-            truth=(truth_basic("ThreadLimit", "int"),),
-        ),
-        ParamSpec(
-            "ThreadsPerChild",
-            decode="int",
-            var="threads_per_child",
-            manual=MANUAL["ThreadsPerChild"],
-            truth=(truth_basic("ThreadsPerChild", "int"),),
-        ),
-        ParamSpec(
-            "ServerLimit",
-            decode="int",
-            var="server_limit",
-            manual=MANUAL["ServerLimit"],
-            truth=(truth_basic("ServerLimit", "int"),),
-        ),
-        ParamSpec(
-            "MaxKeepAliveRequests",
-            decode="int",
-            var="max_keepalive_requests",
-            manual=MANUAL["MaxKeepAliveRequests"],
-            truth=(truth_basic("MaxKeepAliveRequests", "int"),),
-        ),
-        ParamSpec(
-            "KeepAlive",
-            decode="bool",
-            var="keep_alive",
-            manual=MANUAL["KeepAlive"],
-            truth=(
-                truth_basic("KeepAlive", "string"),
-                truth_range("KeepAlive"),
-            ),
-        ),
-        ParamSpec(
-            "KeepAliveTimeout",
-            decode="int",
-            var="keep_alive_timeout",
-            manual=MANUAL["KeepAliveTimeout"],
-            truth=(
-                truth_basic("KeepAliveTimeout", "int"),
-                truth_semantic("KeepAliveTimeout", "TIME"),
-            ),
-        ),
-        ParamSpec(
-            "TimeOut",
-            decode="int",
-            var="request_timeout",
-            manual=MANUAL["TimeOut"],
-            truth=(truth_basic("TimeOut", "int"),),
-        ),
-        ParamSpec(
-            "SendBufferSize",
-            decode="size",
-            var="send_buffer_size",
-            manual=MANUAL["SendBufferSize"],
-            truth=(
-                truth_basic("SendBufferSize", "int"),
-                truth_semantic("SendBufferSize", "SIZE"),
-            ),
-        ),
-        # Figure 6(b): expressed in KB, stored in bytes - a transformed
-        # store, so no effective-value tracking (intent is the KB text).
-        ParamSpec(
-            "MaxMemFree",
-            decode="int",
-            var=None,
-            manual=MANUAL["MaxMemFree"],
-            truth=(
-                truth_basic("MaxMemFree", "int"),
-                truth_semantic("MaxMemFree", "SIZE"),
-            ),
-        ),
-        ParamSpec(
-            "HostnameLookups",
-            decode="string",
-            var="hostname_lookups",
-            manual=MANUAL["HostnameLookups"],
-            truth=(
-                truth_basic("HostnameLookups", "string"),
-                truth_range("HostnameLookups"),
-            ),
-        ),
-        # The enum store is a syslog level code, not the config text.
-        ParamSpec(
-            "LogLevel",
-            decode="string",
-            var=None,
-            manual=MANUAL["LogLevel"],
-            truth=(
-                truth_basic("LogLevel", "string"),
-                truth_range("LogLevel"),
-            ),
-        ),
-        ParamSpec(
-            "DocumentRoot",
-            decode="string",
-            var="document_root",
-            manual=MANUAL["DocumentRoot"],
-            truth=(
-                truth_basic("DocumentRoot", "string"),
-                truth_semantic("DocumentRoot", "DIRECTORY"),
-            ),
-        ),
-        ParamSpec(
-            "ServerName",
-            decode="string",
-            var="server_name",
-            manual=MANUAL["ServerName"],
-            truth=(
-                truth_basic("ServerName", "string"),
-                truth_semantic("ServerName", "HOSTNAME"),
-            ),
-        ),
-        ParamSpec(
-            "User",
-            decode="string",
-            var="run_user",
-            manual=MANUAL["User"],
-            truth=(
-                truth_basic("User", "string"),
-                truth_semantic("User", "USER"),
-            ),
-        ),
-        ParamSpec(
-            "PidFile",
-            decode="string",
-            var="pid_file_path",
-            manual=MANUAL["PidFile"],
-            truth=(truth_basic("PidFile", "string"),),
-        ),
-        # Undocumented, like ThreadLimit.
-        ParamSpec(
-            "AcceptFilter",
-            decode="string",
-            var="accept_filter_mode",
-            truth=(
-                truth_basic("AcceptFilter", "string"),
-                truth_range("AcceptFilter"),
-            ),
-        ),
-    ],
-    tests=_tests(),
-    extra_truth=[truth_ctrl_dep("KeepAliveTimeout", "KeepAlive")],
-    os_dirs=[OsDir("/data/www")],
-)
-
-
 @register("apache")
 def build() -> SubjectSystem:
-    return SPEC.build()
+    return SubjectSystem(
+        name="apache",
+        display_name="Apache httpd",
+        description="Miniature httpd with the paper's Apache traits",
+        sources={"httpd.c": HTTPD_MAIN},
+        annotations=ANNOTATIONS,
+        dialect=DirectiveDialect(),
+        config_path="/etc/httpd.conf",
+        default_config=DEFAULT_CONFIG,
+        params=[
+            ParamSpec(
+                "Listen",
+                decode="int",
+                var="listen_port",
+                manual=MANUAL["Listen"],
+                truth=(
+                    truth_basic("Listen", "int"),
+                    truth_semantic("Listen", "PORT"),
+                ),
+            ),
+            # Undocumented in the mini manual (the real ThreadLimit footgun
+            # of Figure 7b).
+            ParamSpec(
+                "ThreadLimit",
+                decode="int",
+                var="thread_limit",
+                truth=(truth_basic("ThreadLimit", "int"),),
+            ),
+            ParamSpec(
+                "ThreadsPerChild",
+                decode="int",
+                var="threads_per_child",
+                manual=MANUAL["ThreadsPerChild"],
+                truth=(truth_basic("ThreadsPerChild", "int"),),
+            ),
+            ParamSpec(
+                "ServerLimit",
+                decode="int",
+                var="server_limit",
+                manual=MANUAL["ServerLimit"],
+                truth=(truth_basic("ServerLimit", "int"),),
+            ),
+            ParamSpec(
+                "MaxKeepAliveRequests",
+                decode="int",
+                var="max_keepalive_requests",
+                manual=MANUAL["MaxKeepAliveRequests"],
+                truth=(truth_basic("MaxKeepAliveRequests", "int"),),
+            ),
+            ParamSpec(
+                "KeepAlive",
+                decode="bool",
+                var="keep_alive",
+                manual=MANUAL["KeepAlive"],
+                truth=(
+                    truth_basic("KeepAlive", "string"),
+                    truth_range("KeepAlive"),
+                ),
+            ),
+            ParamSpec(
+                "KeepAliveTimeout",
+                decode="int",
+                var="keep_alive_timeout",
+                manual=MANUAL["KeepAliveTimeout"],
+                truth=(
+                    truth_basic("KeepAliveTimeout", "int"),
+                    truth_semantic("KeepAliveTimeout", "TIME"),
+                ),
+            ),
+            ParamSpec(
+                "TimeOut",
+                decode="int",
+                var="request_timeout",
+                manual=MANUAL["TimeOut"],
+                truth=(truth_basic("TimeOut", "int"),),
+            ),
+            ParamSpec(
+                "SendBufferSize",
+                decode="size",
+                var="send_buffer_size",
+                manual=MANUAL["SendBufferSize"],
+                truth=(
+                    truth_basic("SendBufferSize", "int"),
+                    truth_semantic("SendBufferSize", "SIZE"),
+                ),
+            ),
+            # Figure 6(b): expressed in KB, stored in bytes - a transformed
+            # store, so no effective-value tracking (intent is the KB text).
+            ParamSpec(
+                "MaxMemFree",
+                decode="int",
+                var=None,
+                manual=MANUAL["MaxMemFree"],
+                truth=(
+                    truth_basic("MaxMemFree", "int"),
+                    truth_semantic("MaxMemFree", "SIZE"),
+                ),
+            ),
+            ParamSpec(
+                "HostnameLookups",
+                decode="string",
+                var="hostname_lookups",
+                manual=MANUAL["HostnameLookups"],
+                truth=(
+                    truth_basic("HostnameLookups", "string"),
+                    truth_range("HostnameLookups"),
+                ),
+            ),
+            # The enum store is a syslog level code, not the config text.
+            ParamSpec(
+                "LogLevel",
+                decode="string",
+                var=None,
+                manual=MANUAL["LogLevel"],
+                truth=(
+                    truth_basic("LogLevel", "string"),
+                    truth_range("LogLevel"),
+                ),
+            ),
+            ParamSpec(
+                "DocumentRoot",
+                decode="string",
+                var="document_root",
+                manual=MANUAL["DocumentRoot"],
+                truth=(
+                    truth_basic("DocumentRoot", "string"),
+                    truth_semantic("DocumentRoot", "DIRECTORY"),
+                ),
+            ),
+            ParamSpec(
+                "ServerName",
+                decode="string",
+                var="server_name",
+                manual=MANUAL["ServerName"],
+                truth=(
+                    truth_basic("ServerName", "string"),
+                    truth_semantic("ServerName", "HOSTNAME"),
+                ),
+            ),
+            ParamSpec(
+                "User",
+                decode="string",
+                var="run_user",
+                manual=MANUAL["User"],
+                truth=(
+                    truth_basic("User", "string"),
+                    truth_semantic("User", "USER"),
+                ),
+            ),
+            ParamSpec(
+                "PidFile",
+                decode="string",
+                var="pid_file_path",
+                manual=MANUAL["PidFile"],
+                truth=(truth_basic("PidFile", "string"),),
+            ),
+            # Undocumented, like ThreadLimit.
+            ParamSpec(
+                "AcceptFilter",
+                decode="string",
+                var="accept_filter_mode",
+                truth=(
+                    truth_basic("AcceptFilter", "string"),
+                    truth_range("AcceptFilter"),
+                ),
+            ),
+        ],
+        tests=_tests(),
+        extra_truth=[truth_ctrl_dep("KeepAliveTimeout", "KeepAlive")],
+        os_dirs=[OsDir("/data/www")],
+    )

@@ -20,6 +20,12 @@ Usage - fetch a registered system and drive the tools directly::
     assert InjectionHarness(system).baseline_ok()
     report = Campaign(system).run()     # the system's Table 5 row
 
+Every system is declared the same way: each configuration parameter
+is stated *once* as a `ParamSpec` row (decoder slug, mapped variable,
+manual excerpt, truth entries) beside system-wide data (sources,
+dialect, tests, OS fixtures).  The per-parameter tables the tools
+read - `decoders`, `effective_locations`, `manual`, `ground_truth` -
+are derived from the rows on construction and cannot be passed in.
 Systems register a builder with `repro.systems.registry.register`
 and are discovered lazily; see `docs/ADDING_A_SYSTEM.md` for the
 full walkthrough of every field below.
@@ -106,9 +112,70 @@ def decode_time_seconds(text: str) -> object:
     return decode_int(text)
 
 
+# Decoder slugs: declarative data instead of function references, so a
+# parameter row is serialisable and comparable.
+DECODERS: dict[str, Callable[[str], object]] = {
+    "bool": decode_bool,
+    "int": decode_int,
+    "size": decode_size,
+    "string": decode_string,
+    "time": decode_time_seconds,
+}
+
+# `ParamSpec.var` sentinel: "same name as the parameter".  Distinct
+# from None, which declares *no* effective location (the harness then
+# skips silent-violation comparison for that parameter - some systems
+# deliberately leave a parameter unmapped).
+SAME_AS_NAME = ""
+
+
+@dataclass(frozen=True)
+class ParamSpec:
+    """One configuration parameter, declared once.
+
+    * ``decode`` - slug into `DECODERS`: how a *user* reads the value.
+    * ``var`` / ``field_path`` - where the effective value lives after
+      parsing (`SAME_AS_NAME` maps the parameter to the variable of
+      the same name; None opts out of effective-value tracking).
+    * ``manual`` - the documentation excerpt, or None for parameters
+      that are undocumented by design (they feed the undocumented-
+      constraint analysis).
+    * ``truth`` - this parameter's ground-truth entries for Table 12
+      accuracy scoring.  Truth is independent of the decoder: a
+      boolean parameter may decode via ``bool`` while its truth entry
+      says the stored representation is an int.
+    """
+
+    name: str
+    decode: str = "string"
+    var: str | None = SAME_AS_NAME
+    field_path: tuple[str, ...] = ()
+    manual: str | None = None
+    truth: tuple[TruthEntry, ...] = ()
+
+
+@dataclass(frozen=True)
+class OsDir:
+    """A directory the system expects in its emulated world."""
+
+    path: str
+    mode: int = 0o755
+    owner: str = "root"
+
+
+@dataclass(frozen=True)
+class OsFile:
+    """A file the system expects in its emulated world."""
+
+    path: str
+    content: str = ""
+    mode: int = 0o644
+    owner: str = "root"
+
+
 @dataclass
 class SubjectSystem:
-    """A complete evaluated system."""
+    """A complete evaluated system, declared as `ParamSpec` rows."""
 
     name: str
     display_name: str
@@ -118,22 +185,73 @@ class SubjectSystem:
     dialect: ConfigDialect
     config_path: str
     default_config: str
+    params: list[ParamSpec] = field(default_factory=list)
     tests: list[FunctionalTest] = field(default_factory=list)
-    # param -> (global var, field path) for post-run effective values
-    effective_locations: dict[str, tuple[str, tuple[str, ...]]] = field(
-        default_factory=dict
-    )
-    # param -> decoder from injected string to intended value
-    decoders: dict[str, Callable[[str], object]] = field(default_factory=dict)
-    manual: dict[str, str] = field(default_factory=dict)
-    ground_truth: list[TruthEntry] = field(default_factory=list)
+    # Cross-parameter truth (control deps, value relationships) that
+    # belongs to no single `ParamSpec` row.
+    extra_truth: list[TruthEntry] = field(default_factory=list)
+    os_dirs: list[OsDir] = field(default_factory=list)
+    os_files: list[OsFile] = field(default_factory=list)
+    # Per-system mistake-kind weights for the fleet corpus
+    # (`repro.checker.corpus.mistake_mix`); None keeps the
+    # study-derived marginals.
+    mistake_mix: dict[str, float] | None = None
     custom_knowledge: list[ApiSpec] = field(default_factory=list)
-    setup_os: Callable[[EmulatedOS], None] | None = None
     proprietary: bool = False
     # Parameters whose count the vendor keeps confidential (Storage-A).
     confidential_counts: bool = False
 
-    _program: Program | None = None
+    # Derived from `params` (+ `extra_truth`) in __post_init__.
+    # param -> decoder from injected string to intended value
+    decoders: dict[str, Callable[[str], object]] = field(init=False)
+    # param -> (global var, field path) for post-run effective values
+    effective_locations: dict[str, tuple[str, tuple[str, ...]]] = field(
+        init=False
+    )
+    manual: dict[str, str] = field(init=False)
+    ground_truth: list[TruthEntry] = field(init=False)
+
+    _program: Program | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.decoders = {}
+        self.effective_locations = {}
+        self.manual = {}
+        self.ground_truth = []
+        for param in self.params:
+            if param.name in self.decoders:
+                raise ValueError(
+                    f"{self.name}: duplicate ParamSpec {param.name!r}"
+                )
+            if param.decode not in DECODERS:
+                raise ValueError(
+                    f"{self.name}: {param.name!r} names unknown decoder "
+                    f"{param.decode!r}; known: {', '.join(sorted(DECODERS))}"
+                )
+            self.decoders[param.name] = DECODERS[param.decode]
+            if param.var is not None:
+                var = param.var if param.var else param.name
+                self.effective_locations[param.name] = (
+                    var,
+                    tuple(param.field_path),
+                )
+            if param.manual is not None:
+                self.manual[param.name] = param.manual
+            self.ground_truth.extend(param.truth)
+        self.ground_truth.extend(self.extra_truth)
+        if self.mistake_mix is not None:
+            # Weights are relative (normalised at sampling time).
+            cleaned = {
+                kind: float(weight)
+                for kind, weight in self.mistake_mix.items()
+                if float(weight) > 0
+            }
+            if not cleaned:
+                raise ValueError(
+                    f"{self.name}: mistake mix needs at least one "
+                    "positive weight"
+                )
+            self.mistake_mix = cleaned
 
     def program(self) -> Program:
         """Parse-and-link, memoized."""
@@ -167,8 +285,14 @@ class SubjectSystem:
         restricted = os_model.add_dir("/data/restricted_dir")
         restricted.mode = 0o700
         os_model.occupy_port(3130)
-        if self.setup_os is not None:
-            self.setup_os(os_model)
+        for entry in self.os_dirs:
+            node = os_model.add_dir(entry.path)
+            node.mode = entry.mode
+            node.owner = entry.owner
+        for entry in self.os_files:
+            os_model.add_file(
+                entry.path, entry.content, mode=entry.mode, owner=entry.owner
+            )
         return os_model
 
     def install_config(self, os_model: EmulatedOS, text: str) -> None:

@@ -27,9 +27,14 @@ from repro.core.accuracy import (
     truth_value_rel,
 )
 from repro.inject.ar import KeyValueDialect
-from repro.systems.base import FunctionalTest, SubjectSystem
+from repro.systems.base import (
+    SAME_AS_NAME,
+    FunctionalTest,
+    OsDir,
+    ParamSpec,
+    SubjectSystem,
+)
 from repro.systems.registry import register
-from repro.systems.spec import SAME_AS_NAME, OsDir, ParamSpec, SystemSpec
 
 MYSQLD_MAIN = r"""
 // mysqld-mini
@@ -468,56 +473,53 @@ _ENUMS = [
     "innodb_flush_method",
 ]
 
-SPEC = SystemSpec(
-    name="mysql",
-    display_name="MySQL",
-    description="Miniature mysqld with the paper's MySQL traits",
-    sources={"mysqld.c": MYSQLD_MAIN},
-    annotations=ANNOTATIONS,
-    dialect=KeyValueDialect("="),
-    config_path="/etc/my.cnf",
-    default_config=DEFAULT_CONFIG,
-    params=[
-        ParamSpec(
-            name,
-            decode=decode,
-            var=var,
-            manual=MANUAL.get(name),
-            truth=(truth_basic(name, "int"), truth_range(name)) + extra,
-        )
-        for name, decode, var, extra in _INTS
-    ]
-    + [
-        ParamSpec(
-            name,
-            decode="string",
-            var=var,
-            manual=MANUAL.get(name),
-            truth=(truth_basic(name, "string"),) + extra,
-        )
-        for name, var, extra in _STRS
-    ]
-    + [
-        ParamSpec(
-            name,
-            decode="string",
-            var=SAME_AS_NAME,
-            manual=MANUAL.get(name),
-            truth=(truth_basic(name, "string"), truth_range(name)),
-        )
-        for name in _ENUMS
-    ],
-    tests=_tests(),
-    extra_truth=[
-        truth_value_rel("ft_min_word_len", "ft_max_word_len"),
-        truth_ctrl_dep(
-            "innodb_thread_sleep_delay", "innodb_thread_concurrency"
-        ),
-    ],
-    os_dirs=[OsDir("/data/mysql")],
-)
-
-
 @register("mysql")
 def build() -> SubjectSystem:
-    return SPEC.build()
+    return SubjectSystem(
+        name="mysql",
+        display_name="MySQL",
+        description="Miniature mysqld with the paper's MySQL traits",
+        sources={"mysqld.c": MYSQLD_MAIN},
+        annotations=ANNOTATIONS,
+        dialect=KeyValueDialect("="),
+        config_path="/etc/my.cnf",
+        default_config=DEFAULT_CONFIG,
+        params=[
+            ParamSpec(
+                name,
+                decode=decode,
+                var=var,
+                manual=MANUAL.get(name),
+                truth=(truth_basic(name, "int"), truth_range(name)) + extra,
+            )
+            for name, decode, var, extra in _INTS
+        ]
+        + [
+            ParamSpec(
+                name,
+                decode="string",
+                var=var,
+                manual=MANUAL.get(name),
+                truth=(truth_basic(name, "string"),) + extra,
+            )
+            for name, var, extra in _STRS
+        ]
+        + [
+            ParamSpec(
+                name,
+                decode="string",
+                var=SAME_AS_NAME,
+                manual=MANUAL.get(name),
+                truth=(truth_basic(name, "string"), truth_range(name)),
+            )
+            for name in _ENUMS
+        ],
+        tests=_tests(),
+        extra_truth=[
+            truth_value_rel("ft_min_word_len", "ft_max_word_len"),
+            truth_ctrl_dep(
+                "innodb_thread_sleep_delay", "innodb_thread_concurrency"
+            ),
+        ],
+        os_dirs=[OsDir("/data/mysql")],
+    )

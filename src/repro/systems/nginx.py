@@ -1,11 +1,6 @@
 """nginx-mini: miniature web server, system #8.
 
-The first subject defined *entirely* through the declarative
-`repro.systems.spec` layer - no hand-maintained decoder/effective/
-manual/truth dicts; every parameter is one `ParamSpec` row.
-
-Beyond exercising the builder, this system carries the repo's
-access-control traits end to end:
+This system carries the repo's access-control traits end to end:
 
 * ``root`` must be readable by the ``user`` identity - checked at
   startup with a blameless message naming directive, path and user;
@@ -27,9 +22,14 @@ from repro.core.accuracy import (
     truth_semantic,
 )
 from repro.inject.ar import DirectiveDialect
-from repro.systems.base import FunctionalTest, SubjectSystem
+from repro.systems.base import (
+    FunctionalTest,
+    OsDir,
+    OsFile,
+    ParamSpec,
+    SubjectSystem,
+)
 from repro.systems.registry import register
-from repro.systems.spec import OsDir, OsFile, ParamSpec, SystemSpec
 
 NGINX_MAIN = r"""
 // nginx-mini
@@ -328,167 +328,164 @@ def _tests() -> list[FunctionalTest]:
     ]
 
 
-SPEC = SystemSpec(
-    name="nginx",
-    display_name="nginx",
-    description="Miniature web server with access-control traits",
-    sources={"nginx.c": NGINX_MAIN},
-    annotations=ANNOTATIONS,
-    dialect=DirectiveDialect(),
-    config_path="/etc/nginx.conf",
-    default_config=DEFAULT_CONFIG,
-    params=[
-        ParamSpec(
-            "listen",
-            decode="int",
-            var="listen_port",
-            manual="listen <port>.",
-            truth=(
-                truth_basic("listen", "int"),
-                truth_semantic("listen", "PORT"),
-            ),
-        ),
-        ParamSpec(
-            "worker_processes",
-            decode="int",
-            var="worker_count",
-            manual="worker_processes <n>: worker process count (>= 1).",
-            truth=(
-                truth_basic("worker_processes", "int"),
-                truth_range("worker_processes"),
-            ),
-        ),
-        ParamSpec(
-            "user",
-            decode="string",
-            var="run_user",
-            manual="user <name>: identity the workers run as.",
-            truth=(
-                truth_basic("user", "string"),
-                truth_semantic("user", "USER"),
-            ),
-        ),
-        ParamSpec(
-            "root",
-            decode="string",
-            var="static_root",
-            manual="root <directory>: document root, readable by user.",
-            truth=(
-                truth_basic("root", "string"),
-                truth_semantic("root", "DIRECTORY"),
-                truth_semantic("root", "PATH"),
-                truth_access("root", "read"),
-            ),
-        ),
-        ParamSpec(
-            "upload_store",
-            decode="string",
-            var="upload_root",
-            manual="upload_store <directory>: upload spool, writable "
-            "by user.",
-            truth=(
-                truth_basic("upload_store", "string"),
-                truth_semantic("upload_store", "PATH"),
-                truth_access("upload_store", "write"),
-            ),
-        ),
-        ParamSpec(
-            "upload_store_mode",
-            decode="string",
-            # The handler parses octal text into mode bits; like
-            # Apache's MaxMemFree (KB -> bytes) the stored value is a
-            # transformation of the config text, so no effective-value
-            # tracking.
-            var=None,
-            manual="upload_store_mode <octal>: permission mode chmod'ed "
-            "onto upload_store.",
-            truth=(
-                # strtol returns long; the mini manual documents the
-                # octal-text surface, the store is 64-bit.
-                truth_basic("upload_store_mode", "long"),
-                truth_semantic("upload_store_mode", "PERMISSION"),
-                truth_range("upload_store_mode"),
-                truth_access("upload_store_mode", "mode"),
-            ),
-        ),
-        ParamSpec(
-            "keepalive_timeout",
-            decode="int",
-            manual="keepalive_timeout <seconds>.",
-            truth=(
-                truth_basic("keepalive_timeout", "int"),
-                truth_semantic("keepalive_timeout", "TIME"),
-            ),
-        ),
-        ParamSpec(
-            "client_max_body_size",
-            decode="size",
-            var="client_max_body",
-            manual="client_max_body_size <bytes>.",
-            truth=(
-                truth_basic("client_max_body_size", "int"),
-                truth_semantic("client_max_body_size", "SIZE"),
-            ),
-        ),
-        ParamSpec(
-            "sendfile",
-            decode="bool",
-            var="sendfile_on",
-            manual="sendfile on|off.",
-            truth=(
-                truth_basic("sendfile", "string"),
-                truth_range("sendfile"),
-            ),
-        ),
-        ParamSpec(
-            "index",
-            decode="string",
-            var="index_name",
-            manual="index <filename>.",
-            truth=(truth_basic("index", "string"),),
-        ),
-        ParamSpec(
-            "access_log",
-            decode="string",
-            var="access_log_path",
-            manual="access_log <path>.",
-            truth=(
-                truth_basic("access_log", "string"),
-                truth_semantic("access_log", "FILE"),
-            ),
-        ),
-        ParamSpec(
-            "error_log",
-            decode="string",
-            var="error_log_path",
-            # Undocumented by design: feeds the undocumented-constraint
-            # analysis like Apache's ThreadLimit.
-            truth=(
-                truth_basic("error_log", "string"),
-                truth_semantic("error_log", "FILE"),
-            ),
-        ),
-    ],
-    tests=_tests(),
-    os_dirs=[
-        OsDir("/data/nginx/static", mode=0o755, owner="root"),
-        OsDir("/data/nginx/uploads", mode=0o755, owner="www-data"),
-    ],
-    os_files=[
-        OsFile("/var/log/nginx/access.log"),
-        OsFile("/var/log/nginx/error.log"),
-    ],
-    # nginx has no Tables 9-10 case set; weight the mix toward the
-    # access-control mistakes this system exists to demonstrate.
-    mistake_mix={
-        "basic": 3.0,
-        "semantic": 2.0,
-        "range": 2.0,
-        "access_control": 3.0,
-    },
-)
-
-
 @register("nginx")
 def build() -> SubjectSystem:
-    return SPEC.build()
+    return SubjectSystem(
+        name="nginx",
+        display_name="nginx",
+        description="Miniature web server with access-control traits",
+        sources={"nginx.c": NGINX_MAIN},
+        annotations=ANNOTATIONS,
+        dialect=DirectiveDialect(),
+        config_path="/etc/nginx.conf",
+        default_config=DEFAULT_CONFIG,
+        params=[
+            ParamSpec(
+                "listen",
+                decode="int",
+                var="listen_port",
+                manual="listen <port>.",
+                truth=(
+                    truth_basic("listen", "int"),
+                    truth_semantic("listen", "PORT"),
+                ),
+            ),
+            ParamSpec(
+                "worker_processes",
+                decode="int",
+                var="worker_count",
+                manual="worker_processes <n>: worker process count (>= 1).",
+                truth=(
+                    truth_basic("worker_processes", "int"),
+                    truth_range("worker_processes"),
+                ),
+            ),
+            ParamSpec(
+                "user",
+                decode="string",
+                var="run_user",
+                manual="user <name>: identity the workers run as.",
+                truth=(
+                    truth_basic("user", "string"),
+                    truth_semantic("user", "USER"),
+                ),
+            ),
+            ParamSpec(
+                "root",
+                decode="string",
+                var="static_root",
+                manual="root <directory>: document root, readable by user.",
+                truth=(
+                    truth_basic("root", "string"),
+                    truth_semantic("root", "DIRECTORY"),
+                    truth_semantic("root", "PATH"),
+                    truth_access("root", "read"),
+                ),
+            ),
+            ParamSpec(
+                "upload_store",
+                decode="string",
+                var="upload_root",
+                manual="upload_store <directory>: upload spool, writable "
+                "by user.",
+                truth=(
+                    truth_basic("upload_store", "string"),
+                    truth_semantic("upload_store", "PATH"),
+                    truth_access("upload_store", "write"),
+                ),
+            ),
+            ParamSpec(
+                "upload_store_mode",
+                decode="string",
+                # The handler parses octal text into mode bits; like
+                # Apache's MaxMemFree (KB -> bytes) the stored value is a
+                # transformation of the config text, so no effective-value
+                # tracking.
+                var=None,
+                manual="upload_store_mode <octal>: permission mode chmod'ed "
+                "onto upload_store.",
+                truth=(
+                    # strtol returns long; the mini manual documents the
+                    # octal-text surface, the store is 64-bit.
+                    truth_basic("upload_store_mode", "long"),
+                    truth_semantic("upload_store_mode", "PERMISSION"),
+                    truth_range("upload_store_mode"),
+                    truth_access("upload_store_mode", "mode"),
+                ),
+            ),
+            ParamSpec(
+                "keepalive_timeout",
+                decode="int",
+                manual="keepalive_timeout <seconds>.",
+                truth=(
+                    truth_basic("keepalive_timeout", "int"),
+                    truth_semantic("keepalive_timeout", "TIME"),
+                ),
+            ),
+            ParamSpec(
+                "client_max_body_size",
+                decode="size",
+                var="client_max_body",
+                manual="client_max_body_size <bytes>.",
+                truth=(
+                    truth_basic("client_max_body_size", "int"),
+                    truth_semantic("client_max_body_size", "SIZE"),
+                ),
+            ),
+            ParamSpec(
+                "sendfile",
+                decode="bool",
+                var="sendfile_on",
+                manual="sendfile on|off.",
+                truth=(
+                    truth_basic("sendfile", "string"),
+                    truth_range("sendfile"),
+                ),
+            ),
+            ParamSpec(
+                "index",
+                decode="string",
+                var="index_name",
+                manual="index <filename>.",
+                truth=(truth_basic("index", "string"),),
+            ),
+            ParamSpec(
+                "access_log",
+                decode="string",
+                var="access_log_path",
+                manual="access_log <path>.",
+                truth=(
+                    truth_basic("access_log", "string"),
+                    truth_semantic("access_log", "FILE"),
+                ),
+            ),
+            ParamSpec(
+                "error_log",
+                decode="string",
+                var="error_log_path",
+                # Undocumented by design: feeds the undocumented-constraint
+                # analysis like Apache's ThreadLimit.
+                truth=(
+                    truth_basic("error_log", "string"),
+                    truth_semantic("error_log", "FILE"),
+                ),
+            ),
+        ],
+        tests=_tests(),
+        os_dirs=[
+            OsDir("/data/nginx/static", mode=0o755, owner="root"),
+            OsDir("/data/nginx/uploads", mode=0o755, owner="www-data"),
+        ],
+        os_files=[
+            OsFile("/var/log/nginx/access.log"),
+            OsFile("/var/log/nginx/error.log"),
+        ],
+        # nginx has no Tables 9-10 case set; weight the mix toward the
+        # access-control mistakes this system exists to demonstrate.
+        mistake_mix={
+            "basic": 3.0,
+            "semantic": 2.0,
+            "range": 2.0,
+            "access_control": 3.0,
+        },
+    )

@@ -25,9 +25,8 @@ from repro.core.accuracy import (
     truth_value_rel,
 )
 from repro.inject.ar import DirectiveDialect
-from repro.systems.base import FunctionalTest, SubjectSystem
+from repro.systems.base import FunctionalTest, OsDir, ParamSpec, SubjectSystem
 from repro.systems.registry import register
-from repro.systems.spec import OsDir, ParamSpec, SystemSpec
 
 SLAPD_MAIN = r"""
 // slapd-mini: main.c
@@ -410,175 +409,172 @@ def _tests() -> list[FunctionalTest]:
     ]
 
 
-SPEC = SystemSpec(
-    name="openldap",
-    display_name="OpenLDAP",
-    description="Miniature slapd with the paper's OpenLDAP traits",
-    sources={"slapd.c": SLAPD_MAIN},
-    annotations=ANNOTATIONS,
-    dialect=DirectiveDialect(),
-    config_path="/etc/openldap/slapd.conf",
-    default_config=DEFAULT_CONFIG,
-    params=[
-        ParamSpec(
-            "listener-threads",
-            decode="int",
-            var="listener_threads",
-            manual=MANUAL["listener-threads"],
-            truth=(truth_basic("listener-threads", "int"),),
-        ),
-        ParamSpec(
-            "threads",
-            decode="int",
-            var="worker_threads",
-            manual=MANUAL["threads"],
-            truth=(
-                truth_basic("threads", "int"),
-                truth_range("threads"),
-            ),
-        ),
-        ParamSpec(
-            "index_intlen",
-            decode="int",
-            manual=MANUAL["index_intlen"],
-            truth=(
-                truth_basic("index_intlen", "int"),
-                truth_range("index_intlen"),
-            ),
-        ),
-        ParamSpec(
-            "sockbuf_max_incoming",
-            decode="size",
-            manual=MANUAL["sockbuf_max_incoming"],
-            truth=(
-                truth_basic("sockbuf_max_incoming", "int"),
-                truth_semantic("sockbuf_max_incoming", "SIZE"),
-                truth_range("sockbuf_max_incoming"),
-            ),
-        ),
-        ParamSpec(
-            "entry_cache_bytes",
-            decode="size",
-            manual=MANUAL["entry_cache_bytes"],
-            truth=(
-                truth_basic("entry_cache_bytes", "int"),
-                truth_semantic("entry_cache_bytes", "SIZE"),
-            ),
-        ),
-        ParamSpec(
-            "cachesize",
-            decode="int",
-            manual=MANUAL["cachesize"],
-            truth=(truth_basic("cachesize", "int"),),
-        ),
-        ParamSpec(
-            "cachefree",
-            decode="int",
-            manual=MANUAL["cachefree"],
-            truth=(truth_basic("cachefree", "int"),),
-        ),
-        ParamSpec(
-            "sizelimit",
-            decode="int",
-            manual=MANUAL["sizelimit"],
-            truth=(
-                truth_basic("sizelimit", "int"),
-                truth_range("sizelimit"),
-            ),
-        ),
-        ParamSpec(
-            "idletimeout",
-            decode="int",
-            manual=MANUAL["idletimeout"],
-            truth=(
-                truth_basic("idletimeout", "int"),
-                truth_semantic("idletimeout", "TIME"),
-            ),
-        ),
-        ParamSpec(
-            "writetimeout",
-            decode="int",
-            manual=MANUAL["writetimeout"],
-            truth=(
-                truth_basic("writetimeout", "int"),
-                truth_semantic("writetimeout", "TIME"),
-            ),
-        ),
-        ParamSpec(
-            "checkpoint",
-            decode="int",
-            var="checkpoint_interval",
-            manual=MANUAL["checkpoint"],
-            truth=(
-                truth_basic("checkpoint", "int"),
-                truth_semantic("checkpoint", "TIME"),
-            ),
-        ),
-        # readonly / require_tls are deliberately untracked: their
-        # stores flip int flags the harness observes behaviourally.
-        ParamSpec(
-            "readonly",
-            decode="string",
-            var=None,
-            manual=MANUAL["readonly"],
-            truth=(
-                truth_basic("readonly", "string"),
-                truth_range("readonly"),
-            ),
-        ),
-        ParamSpec(
-            "require_tls",
-            decode="string",
-            var=None,
-            manual=MANUAL["require_tls"],
-            truth=(
-                truth_basic("require_tls", "string"),
-                truth_range("require_tls"),
-            ),
-        ),
-        ParamSpec(
-            "pidfile",
-            decode="string",
-            var="pidfile_path",
-            manual=MANUAL["pidfile"],
-            truth=(
-                truth_basic("pidfile", "string"),
-                truth_semantic("pidfile", "FILE"),
-            ),
-        ),
-        ParamSpec(
-            "argsfile",
-            decode="string",
-            var="argsfile_path",
-            manual=MANUAL["argsfile"],
-            truth=(
-                truth_basic("argsfile", "string"),
-                truth_semantic("argsfile", "FILE"),
-            ),
-        ),
-        ParamSpec(
-            "directory",
-            decode="string",
-            var="db_directory",
-            manual=MANUAL["directory"],
-            truth=(
-                truth_basic("directory", "string"),
-                truth_semantic("directory", "DIRECTORY"),
-            ),
-        ),
-    ],
-    tests=_tests(),
-    extra_truth=[
-        # True relation: cachefree < cachesize.  The aliased pointer
-        # also yields cachefree < sizelimit, which is NOT ground truth
-        # (mis-attribution), reproducing the paper's 50% value-rel
-        # accuracy for OpenLDAP.
-        truth_value_rel("cachefree", "cachesize"),
-    ],
-    os_dirs=[OsDir("/data/ldap")],
-)
-
-
 @register("openldap")
 def build() -> SubjectSystem:
-    return SPEC.build()
+    return SubjectSystem(
+        name="openldap",
+        display_name="OpenLDAP",
+        description="Miniature slapd with the paper's OpenLDAP traits",
+        sources={"slapd.c": SLAPD_MAIN},
+        annotations=ANNOTATIONS,
+        dialect=DirectiveDialect(),
+        config_path="/etc/openldap/slapd.conf",
+        default_config=DEFAULT_CONFIG,
+        params=[
+            ParamSpec(
+                "listener-threads",
+                decode="int",
+                var="listener_threads",
+                manual=MANUAL["listener-threads"],
+                truth=(truth_basic("listener-threads", "int"),),
+            ),
+            ParamSpec(
+                "threads",
+                decode="int",
+                var="worker_threads",
+                manual=MANUAL["threads"],
+                truth=(
+                    truth_basic("threads", "int"),
+                    truth_range("threads"),
+                ),
+            ),
+            ParamSpec(
+                "index_intlen",
+                decode="int",
+                manual=MANUAL["index_intlen"],
+                truth=(
+                    truth_basic("index_intlen", "int"),
+                    truth_range("index_intlen"),
+                ),
+            ),
+            ParamSpec(
+                "sockbuf_max_incoming",
+                decode="size",
+                manual=MANUAL["sockbuf_max_incoming"],
+                truth=(
+                    truth_basic("sockbuf_max_incoming", "int"),
+                    truth_semantic("sockbuf_max_incoming", "SIZE"),
+                    truth_range("sockbuf_max_incoming"),
+                ),
+            ),
+            ParamSpec(
+                "entry_cache_bytes",
+                decode="size",
+                manual=MANUAL["entry_cache_bytes"],
+                truth=(
+                    truth_basic("entry_cache_bytes", "int"),
+                    truth_semantic("entry_cache_bytes", "SIZE"),
+                ),
+            ),
+            ParamSpec(
+                "cachesize",
+                decode="int",
+                manual=MANUAL["cachesize"],
+                truth=(truth_basic("cachesize", "int"),),
+            ),
+            ParamSpec(
+                "cachefree",
+                decode="int",
+                manual=MANUAL["cachefree"],
+                truth=(truth_basic("cachefree", "int"),),
+            ),
+            ParamSpec(
+                "sizelimit",
+                decode="int",
+                manual=MANUAL["sizelimit"],
+                truth=(
+                    truth_basic("sizelimit", "int"),
+                    truth_range("sizelimit"),
+                ),
+            ),
+            ParamSpec(
+                "idletimeout",
+                decode="int",
+                manual=MANUAL["idletimeout"],
+                truth=(
+                    truth_basic("idletimeout", "int"),
+                    truth_semantic("idletimeout", "TIME"),
+                ),
+            ),
+            ParamSpec(
+                "writetimeout",
+                decode="int",
+                manual=MANUAL["writetimeout"],
+                truth=(
+                    truth_basic("writetimeout", "int"),
+                    truth_semantic("writetimeout", "TIME"),
+                ),
+            ),
+            ParamSpec(
+                "checkpoint",
+                decode="int",
+                var="checkpoint_interval",
+                manual=MANUAL["checkpoint"],
+                truth=(
+                    truth_basic("checkpoint", "int"),
+                    truth_semantic("checkpoint", "TIME"),
+                ),
+            ),
+            # readonly / require_tls are deliberately untracked: their
+            # stores flip int flags the harness observes behaviourally.
+            ParamSpec(
+                "readonly",
+                decode="string",
+                var=None,
+                manual=MANUAL["readonly"],
+                truth=(
+                    truth_basic("readonly", "string"),
+                    truth_range("readonly"),
+                ),
+            ),
+            ParamSpec(
+                "require_tls",
+                decode="string",
+                var=None,
+                manual=MANUAL["require_tls"],
+                truth=(
+                    truth_basic("require_tls", "string"),
+                    truth_range("require_tls"),
+                ),
+            ),
+            ParamSpec(
+                "pidfile",
+                decode="string",
+                var="pidfile_path",
+                manual=MANUAL["pidfile"],
+                truth=(
+                    truth_basic("pidfile", "string"),
+                    truth_semantic("pidfile", "FILE"),
+                ),
+            ),
+            ParamSpec(
+                "argsfile",
+                decode="string",
+                var="argsfile_path",
+                manual=MANUAL["argsfile"],
+                truth=(
+                    truth_basic("argsfile", "string"),
+                    truth_semantic("argsfile", "FILE"),
+                ),
+            ),
+            ParamSpec(
+                "directory",
+                decode="string",
+                var="db_directory",
+                manual=MANUAL["directory"],
+                truth=(
+                    truth_basic("directory", "string"),
+                    truth_semantic("directory", "DIRECTORY"),
+                ),
+            ),
+        ],
+        tests=_tests(),
+        extra_truth=[
+            # True relation: cachefree < cachesize.  The aliased pointer
+            # also yields cachefree < sizelimit, which is NOT ground truth
+            # (mis-attribution), reproducing the paper's 50% value-rel
+            # accuracy for OpenLDAP.
+            truth_value_rel("cachefree", "cachesize"),
+        ],
+        os_dirs=[OsDir("/data/ldap")],
+    )

@@ -27,11 +27,11 @@ from repro.core.accuracy import (
 )
 from repro.inject.ar import KeyValueDialect
 from repro.systems.base import (
+    SAME_AS_NAME,
     FunctionalTest,
+    OsDir,
+    ParamSpec,
     SubjectSystem,
-    decode_bool,
-    decode_int,
-    decode_string,
 )
 from repro.systems.registry import register
 
@@ -371,105 +371,46 @@ def _tests() -> list[FunctionalTest]:
     ]
 
 
-def _setup_os(os_model) -> None:
-    os_model.add_dir("/data/pg")
-    os_model.add_dir("/var/log/pg")
+# (config name, effective variable, extra truth).  Every
+# ConfigureNamesInt row carries the table's min/max columns, so every
+# int parameter gets a range truth; the renames follow the real server
+# (`port` lands in `pg_port`, `fsync` in `enableFsync`).
+_INTS = [
+    ("port", "pg_port", (truth_semantic("port", "PORT"),)),
+    ("max_connections", SAME_AS_NAME, ()),
+    ("shared_buffers", SAME_AS_NAME,
+     (truth_semantic("shared_buffers", "SIZE"),)),
+    ("work_mem", SAME_AS_NAME, ()),
+    ("maintenance_work_mem", SAME_AS_NAME, ()),
+    ("deadlock_timeout", "DeadlockTimeout", ()),
+    ("fsync", "enableFsync", ()),
+    ("commit_siblings", "CommitSiblings", ()),
+    ("commit_delay", SAME_AS_NAME,
+     (truth_semantic("commit_delay", "TIME"),)),
+    ("checkpoint_timeout", SAME_AS_NAME,
+     (truth_semantic("checkpoint_timeout", "TIME"),)),
+    ("checkpoint_warning", SAME_AS_NAME, ()),
+    ("wal_keep_segments", SAME_AS_NAME, ()),
+    ("min_wal_size", SAME_AS_NAME, ()),
+    ("max_wal_size", SAME_AS_NAME, ()),
+    ("archive_mode", SAME_AS_NAME, ()),
+    ("logging_collector", SAME_AS_NAME, ()),
+    ("autovacuum", SAME_AS_NAME, ()),
+    ("autovacuum_naptime", SAME_AS_NAME, ()),
+]
 
-
-def _ground_truth():
-    ints = [
-        "port",
-        "max_connections",
-        "shared_buffers",
-        "work_mem",
-        "maintenance_work_mem",
-        "deadlock_timeout",
-        "fsync",
-        "commit_siblings",
-        "commit_delay",
-        "checkpoint_timeout",
-        "checkpoint_warning",
-        "wal_keep_segments",
-        "min_wal_size",
-        "max_wal_size",
-        "archive_mode",
-        "logging_collector",
-        "autovacuum",
-        "autovacuum_naptime",
-    ]
-    strs = [
-        "data_directory",
-        "unix_socket_directories",
-        "archive_command",
-        "log_directory",
-    ]
-    truth = [truth_basic(p, "int") for p in ints]
-    truth += [truth_basic(p, "string") for p in strs]
-    truth += [truth_range(p) for p in ints]
-    truth += [
-        truth_semantic("port", "PORT"),
-        truth_semantic("shared_buffers", "SIZE"),
-        truth_semantic("commit_delay", "TIME"),
-        truth_semantic("checkpoint_timeout", "TIME"),
-        truth_semantic("data_directory", "DIRECTORY"),
-        truth_semantic("unix_socket_directories", "DIRECTORY"),
-        truth_semantic("log_directory", "DIRECTORY"),
-        truth_ctrl_dep("commit_siblings", "fsync"),
-        truth_ctrl_dep("commit_delay", "fsync"),
-        truth_ctrl_dep("log_directory", "logging_collector"),
-        truth_ctrl_dep("archive_command", "archive_mode"),
-        truth_value_rel("min_wal_size", "max_wal_size"),
-    ]
-    return truth
+# ConfigureNamesString rows: (config name, extra truth).
+_STRS = [
+    ("data_directory", (truth_semantic("data_directory", "DIRECTORY"),)),
+    ("unix_socket_directories",
+     (truth_semantic("unix_socket_directories", "DIRECTORY"),)),
+    ("archive_command", ()),
+    ("log_directory", (truth_semantic("log_directory", "DIRECTORY"),)),
+]
 
 
 @register("postgresql")
 def build() -> SubjectSystem:
-    ints = [
-        "port",
-        "max_connections",
-        "shared_buffers",
-        "work_mem",
-        "maintenance_work_mem",
-        "deadlock_timeout",
-        "fsync",
-        "commit_siblings",
-        "commit_delay",
-        "checkpoint_timeout",
-        "checkpoint_warning",
-        "wal_keep_segments",
-        "min_wal_size",
-        "max_wal_size",
-        "archive_mode",
-        "logging_collector",
-        "autovacuum",
-        "autovacuum_naptime",
-    ]
-    decoders = {p: decode_int for p in ints}
-    var_of = {
-        "port": "pg_port",
-        "max_connections": "max_connections",
-        "shared_buffers": "shared_buffers",
-        "work_mem": "work_mem",
-        "maintenance_work_mem": "maintenance_work_mem",
-        "deadlock_timeout": "DeadlockTimeout",
-        "fsync": "enableFsync",
-        "commit_siblings": "CommitSiblings",
-        "commit_delay": "commit_delay",
-        "checkpoint_timeout": "checkpoint_timeout",
-        "checkpoint_warning": "checkpoint_warning",
-        "wal_keep_segments": "wal_keep_segments",
-        "min_wal_size": "min_wal_size",
-        "max_wal_size": "max_wal_size",
-        "archive_mode": "archive_mode",
-        "logging_collector": "logging_collector",
-        "autovacuum": "autovacuum",
-        "autovacuum_naptime": "autovacuum_naptime",
-        "data_directory": "data_directory",
-        "unix_socket_directories": "unix_socket_directories",
-        "archive_command": "archive_command",
-        "log_directory": "log_directory",
-    }
     return SubjectSystem(
         name="postgresql",
         display_name="PostgreSQL",
@@ -479,10 +420,32 @@ def build() -> SubjectSystem:
         dialect=KeyValueDialect("="),
         config_path="/etc/postgresql.conf",
         default_config=DEFAULT_CONFIG,
+        params=[
+            ParamSpec(
+                name,
+                decode="int",
+                var=var,
+                manual=MANUAL.get(name),
+                truth=(truth_basic(name, "int"), truth_range(name)) + extra,
+            )
+            for name, var, extra in _INTS
+        ]
+        + [
+            ParamSpec(
+                name,
+                decode="string",
+                manual=MANUAL.get(name),
+                truth=(truth_basic(name, "string"),) + extra,
+            )
+            for name, extra in _STRS
+        ],
         tests=_tests(),
-        effective_locations={p: (v, ()) for p, v in var_of.items()},
-        decoders=decoders,
-        manual=MANUAL,
-        ground_truth=_ground_truth(),
-        setup_os=_setup_os,
+        extra_truth=[
+            truth_ctrl_dep("commit_siblings", "fsync"),
+            truth_ctrl_dep("commit_delay", "fsync"),
+            truth_ctrl_dep("log_directory", "logging_collector"),
+            truth_ctrl_dep("archive_command", "archive_mode"),
+            truth_value_rel("min_wal_size", "max_wal_size"),
+        ],
+        os_dirs=[OsDir("/data/pg"), OsDir("/var/log/pg")],
     )

@@ -1,5 +1,5 @@
 """Registry of the subject systems (the paper's seven plus later
-additions such as the declarative-built nginx miniature).
+additions such as the nginx miniature).
 
 Builders register themselves on import; instances are memoized.  The
 bulk API (`iter_systems`, `load_all`) is what the campaign pipeline

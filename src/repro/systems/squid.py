@@ -24,9 +24,14 @@ from repro.core.accuracy import (
     truth_semantic,
 )
 from repro.inject.ar import DirectiveDialect
-from repro.systems.base import FunctionalTest, SubjectSystem
+from repro.systems.base import (
+    SAME_AS_NAME,
+    FunctionalTest,
+    OsDir,
+    ParamSpec,
+    SubjectSystem,
+)
 from repro.systems.registry import register
-from repro.systems.spec import SAME_AS_NAME, OsDir, ParamSpec, SystemSpec
 
 SQUID_MAIN = r"""
 // squid-mini
@@ -500,61 +505,58 @@ _STRS = [
      (truth_semantic("dns_nameservers", "IP_ADDRESS"),)),
 ]
 
-SPEC = SystemSpec(
-    name="squid",
-    display_name="Squid",
-    description="Miniature Squid with the paper's Squid traits",
-    sources={"squid.c": SQUID_MAIN},
-    annotations=ANNOTATIONS,
-    dialect=DirectiveDialect(),
-    config_path="/etc/squid/squid.conf",
-    default_config=DEFAULT_CONFIG,
-    params=[
-        ParamSpec(
-            name,
-            decode=decode,
-            var=var,
-            manual=MANUAL.get(name),
-            truth=(truth_basic(name, "int"),) + extra,
-        )
-        for name, decode, var, extra in _INTS
-    ]
-    + [
-        ParamSpec(
-            name,
-            decode="bool",
-            var=var,
-            manual=MANUAL.get(name),
-            truth=(truth_basic(name, "int"), truth_range(name)),
-        )
-        for name, var in _BOOLS
-    ]
-    + [
-        ParamSpec(
-            name,
-            decode="string",
-            var=None,
-            manual=MANUAL.get(name),
-            truth=(truth_basic(name, "string"), truth_range(name)),
-        )
-        for name in _ENUMS
-    ]
-    + [
-        ParamSpec(
-            name,
-            decode="string",
-            var=var,
-            manual=MANUAL.get(name),
-            truth=(truth_basic(name, "string"),) + extra,
-        )
-        for name, var, extra in _STRS
-    ],
-    tests=_tests(),
-    extra_truth=[truth_ctrl_dep("memory_pools_limit", "memory_pools")],
-    os_dirs=[OsDir("/var/cache/squid")],
-)
-
-
 @register("squid")
 def build() -> SubjectSystem:
-    return SPEC.build()
+    return SubjectSystem(
+        name="squid",
+        display_name="Squid",
+        description="Miniature Squid with the paper's Squid traits",
+        sources={"squid.c": SQUID_MAIN},
+        annotations=ANNOTATIONS,
+        dialect=DirectiveDialect(),
+        config_path="/etc/squid/squid.conf",
+        default_config=DEFAULT_CONFIG,
+        params=[
+            ParamSpec(
+                name,
+                decode=decode,
+                var=var,
+                manual=MANUAL.get(name),
+                truth=(truth_basic(name, "int"),) + extra,
+            )
+            for name, decode, var, extra in _INTS
+        ]
+        + [
+            ParamSpec(
+                name,
+                decode="bool",
+                var=var,
+                manual=MANUAL.get(name),
+                truth=(truth_basic(name, "int"), truth_range(name)),
+            )
+            for name, var in _BOOLS
+        ]
+        + [
+            ParamSpec(
+                name,
+                decode="string",
+                var=None,
+                manual=MANUAL.get(name),
+                truth=(truth_basic(name, "string"), truth_range(name)),
+            )
+            for name in _ENUMS
+        ]
+        + [
+            ParamSpec(
+                name,
+                decode="string",
+                var=var,
+                manual=MANUAL.get(name),
+                truth=(truth_basic(name, "string"),) + extra,
+            )
+            for name, var, extra in _STRS
+        ],
+        tests=_tests(),
+        extra_truth=[truth_ctrl_dep("memory_pools_limit", "memory_pools")],
+        os_dirs=[OsDir("/var/cache/squid")],
+    )

@@ -29,14 +29,7 @@ from repro.core.accuracy import (
 )
 from repro.inject.ar import DirectiveDialect
 from repro.knowledge import ApiSpec, ArgFact, SemanticType, Unit
-from repro.systems.base import (
-    FunctionalTest,
-    SubjectSystem,
-    decode_bool,
-    decode_int,
-    decode_size,
-    decode_string,
-)
+from repro.systems.base import FunctionalTest, ParamSpec, SubjectSystem
 from repro.systems.registry import register
 
 # -- proprietary API runtime emulation ------------------------------------
@@ -480,132 +473,64 @@ def _custom_knowledge() -> list[ApiSpec]:
     ]
 
 
-def _ground_truth():
-    ints = [
-        "log.filesize",
-        "log.rotate.count",
-        "nvram.buffer",
-        "raid.stripe.kb",
-        "wafl.cache.mb",
-        "snapshot.reserve.gb",
-        "iscsi.max.connections",
-        "nfs.tcp.xfersize",
-        "autosupport.poll.usec",
-        "cleanup.msec",
-        "takeover.sec",
-        "heartbeat.sec",
-        "dedupe.schedule.min",
-        "scrub.interval.hour",
-    ]
-    bools = [
-        "iscsi.enable",
-        "nfs.enable",
-        "cifs.enable",
-        "autosupport.enable",
-        "cluster.enable",
-        "cifs.share.hidden",
-    ]
-    strs = [
-        "iscsi.initiator.name",
-        "autosupport.mailhost",
-        "log.dir",
-        "audit.logfile",
-        "security.admin.mode",
-    ]
-    truth = [truth_basic(p, "int") for p in ints + bools]
-    truth += [truth_basic(p, "string") for p in strs]
-    truth += [truth_range(p) for p in ints]
-    truth += [truth_range(p) for p in bools]
-    truth += [
-        truth_range("security.admin.mode"),
-        truth_range("iscsi.initiator.name"),
-        truth_semantic("log.filesize", "SIZE"),
-        truth_semantic("nvram.buffer", "SIZE"),
-        truth_semantic("raid.stripe.kb", "SIZE"),
-        truth_semantic("wafl.cache.mb", "SIZE"),
-        truth_semantic("snapshot.reserve.gb", "SIZE"),
-        truth_semantic("nfs.tcp.xfersize", "SIZE"),
-        truth_semantic("autosupport.poll.usec", "TIME"),
-        truth_semantic("cleanup.msec", "TIME"),
-        truth_semantic("takeover.sec", "TIME"),
-        truth_semantic("heartbeat.sec", "TIME"),
-        truth_semantic("scrub.interval.hour", "TIME"),
-        truth_semantic("autosupport.mailhost", "HOSTNAME"),
-        truth_semantic("log.dir", "DIRECTORY"),
-        truth_semantic("audit.logfile", "FILE"),
-        truth_ctrl_dep("iscsi.max.connections", "iscsi.enable"),
-        truth_ctrl_dep("iscsi.initiator.name", "iscsi.enable"),
-        truth_ctrl_dep("nfs.tcp.xfersize", "nfs.enable"),
-        truth_ctrl_dep("cifs.share.hidden", "cifs.enable"),
-        truth_ctrl_dep("autosupport.mailhost", "autosupport.enable"),
-        truth_ctrl_dep("autosupport.poll.usec", "autosupport.enable"),
-        truth_ctrl_dep("heartbeat.sec", "cluster.enable"),
-        truth_ctrl_dep("takeover.sec", "cluster.enable"),
-    ]
-    return truth
+# int_options rows: (config name, decoder slug, effective variable,
+# extra truth).  The table's min/max columns give every row a range
+# truth; the unit-suffixed names carry the Table 7 unit zoo.
+_INTS = [
+    ("log.filesize", "size", "log_filesize",
+     (truth_semantic("log.filesize", "SIZE"),)),
+    ("log.rotate.count", "int", "log_rotate_count", ()),
+    ("nvram.buffer", "size", "nvram_buffer",
+     (truth_semantic("nvram.buffer", "SIZE"),)),
+    ("raid.stripe.kb", "int", "raid_stripe_kb",
+     (truth_semantic("raid.stripe.kb", "SIZE"),)),
+    ("wafl.cache.mb", "int", "wafl_cache_mb",
+     (truth_semantic("wafl.cache.mb", "SIZE"),)),
+    ("snapshot.reserve.gb", "int", "snapshot_reserve_gb",
+     (truth_semantic("snapshot.reserve.gb", "SIZE"),)),
+    ("iscsi.max.connections", "int", "iscsi_max_connections", ()),
+    ("nfs.tcp.xfersize", "size", "nfs_xfer_size",
+     (truth_semantic("nfs.tcp.xfersize", "SIZE"),)),
+    ("autosupport.poll.usec", "int", "autosupport_poll_usec",
+     (truth_semantic("autosupport.poll.usec", "TIME"),)),
+    ("cleanup.msec", "int", "cleanup_msec",
+     (truth_semantic("cleanup.msec", "TIME"),)),
+    ("takeover.sec", "int", "takeover_sec",
+     (truth_semantic("takeover.sec", "TIME"),)),
+    ("heartbeat.sec", "int", "heartbeat_sec",
+     (truth_semantic("heartbeat.sec", "TIME"),)),
+    ("dedupe.schedule.min", "int", "dedupe_schedule_min", ()),
+    ("scrub.interval.hour", "int", "scrub_interval_hour",
+     (truth_semantic("scrub.interval.hour", "TIME"),)),
+]
+
+# bool_options rows: (config name, effective variable).  on/off is a
+# two-value range; the stored representation is an int.
+_BOOLS = [
+    ("iscsi.enable", "iscsi_enable"),
+    ("nfs.enable", "nfs_enable"),
+    ("cifs.enable", "cifs_enable"),
+    ("autosupport.enable", "autosupport_enable"),
+    ("cluster.enable", "cluster_enable"),
+    ("cifs.share.hidden", "cifs_share_hidden"),
+]
+
+# str_options rows: (config name, effective variable, extra truth).
+_STRS = [
+    ("iscsi.initiator.name", "iscsi_initiator_name",
+     (truth_range("iscsi.initiator.name"),)),
+    ("autosupport.mailhost", "autosupport_mailhost",
+     (truth_semantic("autosupport.mailhost", "HOSTNAME"),)),
+    ("log.dir", "log_dir", (truth_semantic("log.dir", "DIRECTORY"),)),
+    ("audit.logfile", "audit_logfile",
+     (truth_semantic("audit.logfile", "FILE"),)),
+    ("security.admin.mode", "admin_mode",
+     (truth_range("security.admin.mode"),)),
+]
 
 
 @register("storage_a")
 def build() -> SubjectSystem:
-    size_params = {
-        "log.filesize",
-        "nvram.buffer",
-        "nfs.tcp.xfersize",
-    }
-    decoders = {}
-    for p in (
-        "log.filesize",
-        "log.rotate.count",
-        "nvram.buffer",
-        "raid.stripe.kb",
-        "wafl.cache.mb",
-        "snapshot.reserve.gb",
-        "iscsi.max.connections",
-        "nfs.tcp.xfersize",
-        "autosupport.poll.usec",
-        "cleanup.msec",
-        "takeover.sec",
-        "heartbeat.sec",
-        "dedupe.schedule.min",
-        "scrub.interval.hour",
-    ):
-        decoders[p] = decode_size if p in size_params else decode_int
-    for p in (
-        "iscsi.enable",
-        "nfs.enable",
-        "cifs.enable",
-        "autosupport.enable",
-        "cluster.enable",
-        "cifs.share.hidden",
-    ):
-        decoders[p] = decode_bool
-    var_of = {
-        "log.filesize": "log_filesize",
-        "log.rotate.count": "log_rotate_count",
-        "nvram.buffer": "nvram_buffer",
-        "raid.stripe.kb": "raid_stripe_kb",
-        "wafl.cache.mb": "wafl_cache_mb",
-        "snapshot.reserve.gb": "snapshot_reserve_gb",
-        "iscsi.max.connections": "iscsi_max_connections",
-        "nfs.tcp.xfersize": "nfs_xfer_size",
-        "autosupport.poll.usec": "autosupport_poll_usec",
-        "cleanup.msec": "cleanup_msec",
-        "takeover.sec": "takeover_sec",
-        "heartbeat.sec": "heartbeat_sec",
-        "dedupe.schedule.min": "dedupe_schedule_min",
-        "scrub.interval.hour": "scrub_interval_hour",
-        "iscsi.enable": "iscsi_enable",
-        "nfs.enable": "nfs_enable",
-        "cifs.enable": "cifs_enable",
-        "autosupport.enable": "autosupport_enable",
-        "cluster.enable": "cluster_enable",
-        "cifs.share.hidden": "cifs_share_hidden",
-        "iscsi.initiator.name": "iscsi_initiator_name",
-        "autosupport.mailhost": "autosupport_mailhost",
-        "log.dir": "log_dir",
-        "audit.logfile": "audit_logfile",
-        "security.admin.mode": "admin_mode",
-    }
     return SubjectSystem(
         name="storage_a",
         display_name="Storage-A",
@@ -615,11 +540,47 @@ def build() -> SubjectSystem:
         dialect=DirectiveDialect(),
         config_path="/etc/storage/options.conf",
         default_config=DEFAULT_CONFIG,
+        params=[
+            ParamSpec(
+                name,
+                decode=decode,
+                var=var,
+                manual=MANUAL.get(name),
+                truth=(truth_basic(name, "int"), truth_range(name)) + extra,
+            )
+            for name, decode, var, extra in _INTS
+        ]
+        + [
+            ParamSpec(
+                name,
+                decode="bool",
+                var=var,
+                manual=MANUAL.get(name),
+                truth=(truth_basic(name, "int"), truth_range(name)),
+            )
+            for name, var in _BOOLS
+        ]
+        + [
+            ParamSpec(
+                name,
+                decode="string",
+                var=var,
+                manual=MANUAL.get(name),
+                truth=(truth_basic(name, "string"),) + extra,
+            )
+            for name, var, extra in _STRS
+        ],
         tests=_tests(),
-        effective_locations={p: (v, ()) for p, v in var_of.items()},
-        decoders=decoders,
-        manual=MANUAL,
-        ground_truth=_ground_truth(),
+        extra_truth=[
+            truth_ctrl_dep("iscsi.max.connections", "iscsi.enable"),
+            truth_ctrl_dep("iscsi.initiator.name", "iscsi.enable"),
+            truth_ctrl_dep("nfs.tcp.xfersize", "nfs.enable"),
+            truth_ctrl_dep("cifs.share.hidden", "cifs.enable"),
+            truth_ctrl_dep("autosupport.mailhost", "autosupport.enable"),
+            truth_ctrl_dep("autosupport.poll.usec", "autosupport.enable"),
+            truth_ctrl_dep("heartbeat.sec", "cluster.enable"),
+            truth_ctrl_dep("takeover.sec", "cluster.enable"),
+        ],
         custom_knowledge=_custom_knowledge(),
         proprietary=True,
         confidential_counts=True,

@@ -22,9 +22,13 @@ from repro.core.accuracy import (
     truth_semantic,
 )
 from repro.inject.ar import KeyValueDialect
-from repro.systems.base import FunctionalTest, SubjectSystem
+from repro.systems.base import (
+    SAME_AS_NAME,
+    FunctionalTest,
+    ParamSpec,
+    SubjectSystem,
+)
 from repro.systems.registry import register
-from repro.systems.spec import SAME_AS_NAME, ParamSpec, SystemSpec
 
 VSFTPD_MAIN = r"""
 // vsftpd-mini
@@ -528,49 +532,46 @@ _STRS: list[tuple[str, str]] = [
     ("local_root", "DIRECTORY"),
 ]
 
-SPEC = SystemSpec(
-    name="vsftpd",
-    display_name="VSFTP",
-    description="Miniature vsftpd with the paper's VSFTP traits",
-    sources={"vsftpd.c": VSFTPD_MAIN},
-    annotations=ANNOTATIONS,
-    dialect=KeyValueDialect("="),
-    config_path="/etc/vsftpd.conf",
-    default_config=DEFAULT_CONFIG,
-    params=[_bool_param(name) for name in _BOOLS]
-    + [
-        ParamSpec(
-            name,
-            decode="int",
-            manual=MANUAL.get(name),
-            truth=(truth_basic(name, "int"),) + extra,
-        )
-        for name, extra in _INTS
-    ]
-    + [
-        ParamSpec(
-            name,
-            decode="string",
-            manual=MANUAL.get(name),
-            truth=(truth_basic(name, "string"), truth_semantic(name, sem)),
-        )
-        for name, sem in _STRS
-    ],
-    tests=_tests(),
-    extra_truth=[
-        truth_ctrl_dep("ssl_tlsv1", "ssl_enable"),
-        truth_ctrl_dep("require_ssl_reuse", "ssl_tlsv1"),
-        truth_ctrl_dep("chroot_local_user", "local_enable"),
-        truth_ctrl_dep("require_ssl_reuse", "ssl_enable"),
-        truth_ctrl_dep("virtual_use_local_privs", "one_process_mode"),
-        truth_ctrl_dep("virtual_use_local_privs", "local_enable"),
-        truth_ctrl_dep("local_root", "chroot_local_user"),
-        truth_ctrl_dep("anon_upload_enable", "write_enable"),
-        truth_ctrl_dep("trans_chunk_size", "anon_max_rate"),
-    ],
-)
-
-
 @register("vsftpd")
 def build() -> SubjectSystem:
-    return SPEC.build()
+    return SubjectSystem(
+        name="vsftpd",
+        display_name="VSFTP",
+        description="Miniature vsftpd with the paper's VSFTP traits",
+        sources={"vsftpd.c": VSFTPD_MAIN},
+        annotations=ANNOTATIONS,
+        dialect=KeyValueDialect("="),
+        config_path="/etc/vsftpd.conf",
+        default_config=DEFAULT_CONFIG,
+        params=[_bool_param(name) for name in _BOOLS]
+        + [
+            ParamSpec(
+                name,
+                decode="int",
+                manual=MANUAL.get(name),
+                truth=(truth_basic(name, "int"),) + extra,
+            )
+            for name, extra in _INTS
+        ]
+        + [
+            ParamSpec(
+                name,
+                decode="string",
+                manual=MANUAL.get(name),
+                truth=(truth_basic(name, "string"), truth_semantic(name, sem)),
+            )
+            for name, sem in _STRS
+        ],
+        tests=_tests(),
+        extra_truth=[
+            truth_ctrl_dep("ssl_tlsv1", "ssl_enable"),
+            truth_ctrl_dep("require_ssl_reuse", "ssl_tlsv1"),
+            truth_ctrl_dep("chroot_local_user", "local_enable"),
+            truth_ctrl_dep("require_ssl_reuse", "ssl_enable"),
+            truth_ctrl_dep("virtual_use_local_privs", "one_process_mode"),
+            truth_ctrl_dep("virtual_use_local_privs", "local_enable"),
+            truth_ctrl_dep("local_root", "chroot_local_user"),
+            truth_ctrl_dep("anon_upload_enable", "write_enable"),
+            truth_ctrl_dep("trans_chunk_size", "anon_max_rate"),
+        ],
+    )

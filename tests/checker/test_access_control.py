@@ -131,7 +131,7 @@ class TestGeneratorPlugin:
 
 class TestCorpusLoop:
     def test_nginx_mix_includes_access_control(self):
-        assert mistake_mix("nginx")["access_control"] > 0
+        assert mistake_mix(get_system("nginx"))["access_control"] > 0
 
     def test_planted_acl_mistakes_are_caught(self, checker, system):
         from repro.inject.campaign import Campaign

@@ -1,16 +1,16 @@
 """Tests for the synthetic user-config fleet generator."""
 
+import dataclasses
+
 import pytest
 
 from repro.checker.corpus import (
-    clear_mistake_mixes,
     corpus_pool,
     generate_config,
     iter_corpus,
     kind_of,
     mistake_mix,
     pool_digest,
-    register_mistake_mix,
 )
 from repro.inject.campaign import Campaign
 from repro.pipeline import PipelineCaches
@@ -32,7 +32,7 @@ def mysql_pool(caches):
 
 class TestMistakeMix:
     def test_studied_system_uses_its_own_marginals(self):
-        mix = mistake_mix("storage_a")
+        mix = mistake_mix(get_system("storage_a"))
         expected: dict[str, float] = {}
         for case in case_corpus()["storage_a"]:
             if case.in_spex_scope:
@@ -40,7 +40,7 @@ class TestMistakeMix:
         assert mix == expected
 
     def test_unstudied_system_pools_all_marginals(self):
-        mix = mistake_mix("vsftpd")
+        mix = mistake_mix(get_system("vsftpd"))
         expected: dict[str, float] = {}
         for cases in case_corpus().values():
             for case in cases:
@@ -49,15 +49,19 @@ class TestMistakeMix:
         assert mix == expected
 
     def test_override_hook(self):
-        try:
-            register_mistake_mix("vsftpd", {"range": 3, "basic": 1})
-            assert mistake_mix("vsftpd") == {"range": 3.0, "basic": 1.0}
-        finally:
-            clear_mistake_mixes()
+        system = dataclasses.replace(
+            get_system("vsftpd"), mistake_mix={"range": 3, "basic": 1}
+        )
+        assert mistake_mix(system) == {"range": 3.0, "basic": 1.0}
+        # The override lives on that system value alone.
+        assert "access_control" in mistake_mix(get_system("nginx"))
+        assert mistake_mix(get_system("vsftpd")) != mistake_mix(system)
 
     def test_override_rejects_empty(self):
-        with pytest.raises(ValueError):
-            register_mistake_mix("vsftpd", {"range": 0})
+        with pytest.raises(ValueError, match="positive weight"):
+            dataclasses.replace(
+                get_system("vsftpd"), mistake_mix={"range": 0}
+            )
 
 
 class TestPool:
@@ -98,7 +102,7 @@ class TestGeneration:
     def test_config_is_pure_function_of_inputs(self, mysql_pool):
         system = get_system("mysql")
         template = system.template_ar()
-        mix = mistake_mix("mysql")
+        mix = mistake_mix(system)
         a = generate_config("mysql", mysql_pool, template, mix, 7, 42)
         b = generate_config("mysql", mysql_pool, template, mix, 7, 42)
         assert a == b

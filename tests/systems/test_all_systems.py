@@ -1,15 +1,17 @@
 """Cross-system integration: every miniature runs, gets analysed,
 injected and linted, with the paper's headline shapes holding."""
 
+import dataclasses
+
 import pytest
 
 from repro.inject.reactions import ReactionCategory as RC
-from repro.systems import all_systems, system_names
+from repro.systems import SubjectSystem, all_systems, system_names
 
 
 class TestRegistry:
     def test_seven_systems_registered(self):
-        # The paper's seven plus the declarative-built nginx (#8).
+        # The paper's seven plus nginx (#8).
         assert system_names() == [
             "apache",
             "mysql",
@@ -35,6 +37,37 @@ class TestRegistry:
             names = set(template.names())
             for param in system.effective_locations:
                 assert param in names, (system.name, param)
+
+    def test_hand_built_tables_rejected(self):
+        # The tables derive from the ParamSpec rows; a system cannot
+        # be handed a table beside them.
+        for system in all_systems():
+            declared = _declared_fields(system)
+            for table in ("decoders", "effective_locations", "manual",
+                          "ground_truth"):
+                with pytest.raises(TypeError):
+                    SubjectSystem(**declared, **{table: {}})
+
+    def test_malformed_param_rows_rejected(self):
+        # Row-level mistakes surface at construction, naming the row.
+        system = all_systems()[0]
+        declared = _declared_fields(system)
+        first = system.params[0]
+        with pytest.raises(ValueError, match="duplicate ParamSpec"):
+            SubjectSystem(**{**declared,
+                             "params": [*system.params, first]})
+        bad = dataclasses.replace(first, decode="no-such-decoder")
+        with pytest.raises(ValueError, match="unknown decoder"):
+            SubjectSystem(**{**declared,
+                             "params": [bad, *system.params[1:]]})
+
+
+def _declared_fields(system) -> dict:
+    return {
+        f.name: getattr(system, f.name)
+        for f in dataclasses.fields(system)
+        if f.init
+    }
 
 
 class TestBaselines:

@@ -119,8 +119,7 @@ class TestDecodeBoolAndFriends:
 class TestDecoderFallback:
     def test_unlisted_param_decodes_as_string(self):
         # decoder_for() must hand back the string decoder for params
-        # with no explicit entry - the SystemSpec migration relies on
-        # explicit decode_string entries being behaviourally identical
-        # to the legacy omission.
+        # with no ParamSpec row, so a row declaring decode="string" is
+        # behaviourally identical to no row at all.
         system = get_system("vsftpd")
         assert system.decoder_for("no_such_param") is decode_string

@@ -181,77 +181,6 @@ class TestRegexRecompile:
         assert _codes(source) == ["regex-recompile"]
 
 
-class TestImperativeSystem:
-    SYSTEM_PATH = Path("src/repro/systems/newsys.py")
-    IMPERATIVE = (
-        "from repro.systems.base import SubjectSystem\n"
-        "def build():\n"
-        "    return SubjectSystem(name='newsys', program='', "
-        "annotations='', config=None, tests=(), ground_truth=())\n"
-    )
-
-    def _codes_at(self, path: Path, source: str) -> list[str]:
-        return [c for _, _, c, _ in check_tree(path, ast.parse(source))]
-
-    def test_direct_construction_flagged(self):
-        assert self._codes_at(self.SYSTEM_PATH, self.IMPERATIVE) == [
-            "imperative-system"
-        ]
-
-    def test_attribute_construction_flagged(self):
-        source = (
-            "from repro.systems import base\n"
-            "def build():\n"
-            "    return base.SubjectSystem(name='newsys')\n"
-        )
-        assert self._codes_at(self.SYSTEM_PATH, source) == [
-            "imperative-system"
-        ]
-
-    def test_declarative_module_passes(self):
-        source = (
-            "from repro.systems.spec import ParamSpec, SystemSpec\n"
-            "SPEC = SystemSpec(name='newsys', program='', "
-            "annotations='', params=())\n"
-            "def build():\n"
-            "    return SPEC.build()\n"
-        )
-        assert self._codes_at(self.SYSTEM_PATH, source) == []
-
-    def test_allowlisted_modules_exempt(self):
-        from lint import IMPERATIVE_SYSTEM_ALLOWLIST
-
-        for name in sorted(IMPERATIVE_SYSTEM_ALLOWLIST):
-            path = Path("src/repro/systems") / name
-            assert self._codes_at(path, self.IMPERATIVE) == []
-
-    def test_non_system_modules_exempt(self):
-        # The detector is scoped to src/repro/systems/; the same call
-        # elsewhere (tests, checker fixtures) is legitimate.
-        for raw in (
-            "x.py",
-            "tests/systems/test_spec_migration.py",
-            "src/repro/checker/helper.py",
-        ):
-            assert self._codes_at(Path(raw), self.IMPERATIVE) == []
-
-    def test_allowlist_tracks_reality(self):
-        # Every allowlisted module must still exist and - except for
-        # the class-definition and compiler sites - still be
-        # imperative.  A migrated system left on the allowlist would
-        # silently disable the gate for it.
-        from lint import IMPERATIVE_SYSTEM_ALLOWLIST
-
-        systems_dir = REPO_ROOT / "src" / "repro" / "systems"
-        for name in IMPERATIVE_SYSTEM_ALLOWLIST:
-            assert (systems_dir / name).exists(), name
-        for name in IMPERATIVE_SYSTEM_ALLOWLIST - {"base.py", "spec.py"}:
-            source = (systems_dir / name).read_text(encoding="utf-8")
-            assert "SubjectSystem(" in source, (
-                f"{name} looks migrated; drop it from the allowlist"
-            )
-
-
 class TestObservabilityEscapes:
     LIB_PATH = Path("src/repro/inject/campaign.py")
 

@@ -26,16 +26,6 @@ have actually bitten this codebase:
   motivating instance.  Compiles at module scope are the idiom;
   functions decorated with ``functools.lru_cache``/``functools.cache``
   are exempt (compile-once-per-input is the point of the cache).
-* ``imperative-system`` - a subject-system module under
-  ``src/repro/systems/`` constructing ``SubjectSystem(...)`` directly
-  instead of declaring a ``SystemSpec`` and compiling it via
-  ``SPEC.build()``.  Imperative builders drift: ground-truth entries,
-  decoders, and manual excerpts get appended ad hoc and the spec
-  invariants (every truth names a template param, every decoder is
-  recognised) go unchecked.  ``base.py`` (defines the class),
-  ``spec.py`` (the compiler - the one sanctioned call site) and the
-  systems not yet migrated are allowlisted; shrink the allowlist as
-  migrations land.
 * ``dynamic-exec`` - an ``exec(...)`` or ``eval(...)`` call in library
   code under ``src/repro/``.  Dynamic code execution hides control
   flow from every static check in this file and is an injection
@@ -159,9 +149,6 @@ def check_tree(path: Path, tree: ast.AST) -> list[tuple[Path, int, str, str]]:
 
     for finding in _find_regex_recompiles(tree):
         findings.append((path, finding[0], "regex-recompile", finding[1]))
-
-    for finding in _find_imperative_system_builds(path, tree):
-        findings.append((path, finding[0], "imperative-system", finding[1]))
 
     for line, message in _find_worker_protocol_escapes(path, tree):
         findings.append((path, line, "worker-protocol", message))
@@ -307,57 +294,6 @@ def _find_regex_recompiles(tree: ast.AST) -> list[tuple[int, str]]:
     return findings
 
 
-# Modules under src/repro/systems/ permitted to call SubjectSystem(...)
-# directly: the class definition site, the SystemSpec compiler (the one
-# sanctioned construction site), and systems not yet migrated to the
-# declarative layer.  Shrink this set as migrations land; never grow it
-# for a new system - new systems declare a SystemSpec.
-IMPERATIVE_SYSTEM_ALLOWLIST = {
-    "base.py",
-    "spec.py",
-    "postgresql.py",
-    "storage_a.py",
-}
-
-
-def _is_system_module(path: Path) -> bool:
-    parts = path.parts
-    return len(parts) >= 3 and parts[-2] == "systems" and parts[-3] == "repro"
-
-
-def _find_imperative_system_builds(
-    path: Path, tree: ast.AST
-) -> list[tuple[int, str]]:
-    """``SubjectSystem(...)`` calls in non-allowlisted system modules.
-
-    Declarative modules build a ``SystemSpec`` and compile it; a direct
-    ``SubjectSystem`` call in a system module bypasses the spec layer's
-    validation and is flagged.
-    """
-    if not _is_system_module(path) or path.name in IMPERATIVE_SYSTEM_ALLOWLIST:
-        return []
-    findings: list[tuple[int, str]] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        target = node.func
-        name = (
-            target.id
-            if isinstance(target, ast.Name)
-            else target.attr if isinstance(target, ast.Attribute) else None
-        )
-        if name == "SubjectSystem":
-            findings.append(
-                (
-                    node.lineno,
-                    "system module constructs SubjectSystem imperatively; "
-                    "declare a SystemSpec and register SPEC.build() "
-                    "instead (see docs/ADDING_A_SYSTEM.md)",
-                )
-            )
-    return findings
-
-
 # Modules under src/repro/ (besides repro/obs/, which defines it)
 # permitted to call metrics_delta(): the executor, whose WorkerEnvelope
 # is the one way a process shard's metrics reach its parent.  Never
@@ -397,9 +333,8 @@ SILENT_EXCEPT_ALLOWLIST: set[str] = set()
 def _repro_relative(path: Path) -> str | None:
     """Path below ``src/repro/`` (posix), or None outside the library.
 
-    Scoping mirrors `_is_system_module`: tests, tools and benchmarks
-    print and read clocks legitimately; only library modules are held
-    to the repro.obs discipline.
+    Tests, tools and benchmarks print and read clocks legitimately;
+    only library modules are held to the repro.obs discipline.
     """
     parts = path.parts
     for i in range(len(parts) - 1):
