@@ -10,13 +10,16 @@ all registered systems:
 * thread and process executors produce bit-identical fleet results,
   and the process executor beats serial wall-clock when the hardware
   has cores to offer (asserted only on multi-core hosts - on one core
-  a process pool is fork overhead plus the same work);
+  a process pool is fork overhead plus the same work).  The speedup
+  gate reads the median of per-pair ratios over alternating
+  serial/process pairs, so one slow sample cannot fail it;
 * checker precision against planted ground truth is 1.0, recall is
   high, and a seeded sample of flagged configs is confirmed
   misbehaving under the injection harness.
 """
 
 import os
+import statistics
 import time
 
 import pytest
@@ -28,6 +31,7 @@ from repro.pipeline import PipelineCaches
 
 SIZE_PER_SYSTEM = 1500  # x8 systems = 12,000 configs
 AGREEMENT_SAMPLE = 25
+SPEEDUP_PAIRS = 5
 
 
 def _summary(report):
@@ -139,26 +143,48 @@ def test_warm_rerun_hits_checker_cache(cold_serial, warm_serial, caches):
     )
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_executor_parity_and_speedup(
-    cold_serial, warm_serial, caches, executor
-):
-    cold_report, _ = cold_serial
-    _, serial_duration = warm_serial
+def _timed_warm_run(caches, executor):
     started = time.perf_counter()
     report = run_fleet(
         size=SIZE_PER_SYSTEM, seed=0, executor=executor, caches=caches
     )
-    duration = time.perf_counter() - started
-    assert _summary(report) == _summary(cold_report)
-    speedup = serial_duration / max(duration, 1e-9)
+    return report, time.perf_counter() - started
+
+
+@pytest.mark.parametrize("executor", ["thread", "process"])
+def test_executor_parity_and_speedup(
+    cold_serial, warm_serial, caches, executor
+):
+    expected = _summary(cold_serial[0])
+    if executor == "thread" or (os.cpu_count() or 1) < 2:
+        # Parity only: threads hold the GIL, and on one core a process
+        # pool is the same work plus fork overhead.
+        _, serial_duration = warm_serial
+        report, duration = _timed_warm_run(caches, executor)
+        assert _summary(report) == expected
+        emit(
+            f"{executor} executor: {duration:.2f}s vs warm serial "
+            f"{serial_duration:.2f}s, identical fleet results"
+        )
+        return
+    # Real parallelism must pay for its forks.  Serial and process runs
+    # alternate which goes first, and the gate reads the median of the
+    # per-pair ratios: machine-speed drift lands on both sides of a
+    # pair, and one pair slowed by a neighbour cannot decide the gate.
+    ratios = []
+    for index in range(SPEEDUP_PAIRS):
+        order = ("serial", "process") if index % 2 == 0 else (
+            "process", "serial"
+        )
+        seconds = {}
+        for name in order:
+            report, seconds[name] = _timed_warm_run(caches, name)
+            assert _summary(report) == expected
+        ratios.append(seconds["serial"] / seconds["process"])
+    speedup = statistics.median(ratios)
     emit(
-        f"{executor} executor: {duration:.2f}s vs warm serial "
-        f"{serial_duration:.2f}s ({speedup:.2f}x), identical fleet "
-        "results"
+        f"process executor: median {speedup:.2f}x over warm serial in "
+        f"{SPEEDUP_PAIRS} pairs (range {min(ratios):.2f}x to "
+        f"{max(ratios):.2f}x), identical fleet results"
     )
-    if executor == "process" and (os.cpu_count() or 1) >= 2:
-        # Real parallelism must pay for its forks; on one core a
-        # process pool is the same work plus fork overhead, so the
-        # speedup claim is only meaningful with cores to spare.
-        assert speedup >= 1.0
+    assert speedup >= 1.0

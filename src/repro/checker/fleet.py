@@ -709,12 +709,13 @@ def ground_truth_agreement(
 
 # -- process-executor fleet workers ------------------------------------------
 #
-# Mirrors `repro.inject.campaign`'s worker design: the parent plants
-# pure seed data (the inference result) in module state right before
-# the pool forks; each worker privately memoizes its rebuilt context
-# (system, mistake pool, template) so serving many chunks pays the
-# rebuild once, and verifies the pool digest so a divergent
-# re-inference fails loudly instead of planting different mistakes.
+# Chunk tasks are dispatched by name and rebuilt in the worker.  The
+# parent plants pure seed data (the inference result) in module state
+# right before the pool forks; each worker privately memoizes its
+# rebuilt context (system, mistake pool, template) so serving many
+# chunks pays the rebuild once, and verifies the pool digest so a
+# divergent re-inference fails loudly instead of planting different
+# mistakes.
 # Checkers come from the worker's checker cache (`worker_caches()`),
 # whose hits and misses ride home in each chunk's envelope.
 

@@ -41,7 +41,6 @@ from repro.core.engine import SpexOptions, SpexReport
 from repro.obs.metrics import get_registry
 from repro.runtime.snapshot import (
     BootRecord,
-    BootSnapshot,
     BootStats,
     BoundaryHint,
 )
@@ -175,12 +174,6 @@ class ContentCache(Generic[T]):
         value = factory()
         with self._lock:
             return self._entries.setdefault(key, value)
-
-    def preload(self, other: "ContentCache[T]") -> None:
-        """Copy `other`'s entries in without counting them: a forked
-        worker's store starts from what its parent had cached."""
-        with self._lock:
-            self._entries.update(other._entries)
 
     def absorb_stats(self, delta: dict[str, int]) -> None:
         """Fold a worker process's counter delta in, under the lock
@@ -373,36 +366,6 @@ class SnapshotCache(ContentCache[BootRecord]):
         """Fold a worker process's snapshot-engine counters in."""
         with self._lock:
             self.boot_stats.absorb(delta)
-
-    def export_snapshots(self) -> dict[str, tuple[int, bytes]]:
-        """Every resumable record as (boundary, transport blob), keyed
-        like the records - the shared-memory `SnapshotPool`'s feed.
-        Records whose bundle does not pickle are skipped (workers boot
-        those configs cold, exactly as they would have without a pool).
-        """
-        with self._lock:
-            entries = list(self._entries.items())
-        out: dict[str, tuple[int, bytes]] = {}
-        for key, record in entries:
-            snapshot = record.snapshot
-            if snapshot is None:
-                continue
-            blob = snapshot.to_blob()
-            if blob is not None:
-                out[key] = (snapshot.boundary, blob)
-        return out
-
-    def preload_snapshot(self, key: str, boundary: int, blob: bytes) -> None:
-        """Plant a ready-to-resume record fetched from a snapshot pool
-        (worker side; an existing record wins - it is at least as
-        warm)."""
-        with self._lock:
-            if key not in self._entries:
-                self._entries[key] = BootRecord(
-                    probed=True,
-                    boundary=boundary,
-                    snapshot=BootSnapshot(boundary=boundary, blob=blob),
-                )
 
 
 def checker_fingerprint(

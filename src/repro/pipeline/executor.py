@@ -44,8 +44,8 @@ in `_fold`: `stats` into the caller's `caches` through
 `PipelineCaches.absorb`, `metrics` into the parent registry only when
 the shard really ran in a pool worker (an inline shard already
 recorded into the parent's own registry).  Worker entry points - the
-pipeline's campaigns, a campaign's batches, the fleet's chunks - take
-their stores from `worker_caches()` and return plain results.
+pipeline's campaigns and the fleet's chunks - take their stores from
+`worker_caches()` and return plain results.
 """
 
 from __future__ import annotations

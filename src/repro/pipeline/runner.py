@@ -8,9 +8,8 @@
    fingerprint (sources + annotations + options + generation rules)
    is unchanged;
 3. fans the remaining campaigns out over a pluggable executor
-   (serial / thread / process), and optionally shards each campaign's
-   own injection batches over a second, inner executor
-   (`batch_executor`);
+   (serial / thread / process) - the sweep's only fan-out: each
+   campaign tests its own batches in order;
 4. shares one `InferenceCache` so ablation sweeps over harness or
    generator settings never re-run SPEX inference for an unchanged
    program, and one `LaunchCache` so identical interpreter launches
@@ -44,7 +43,6 @@ from repro.pipeline.cache import PipelineCaches, campaign_fingerprint
 from repro.pipeline.executor import (
     Executor,
     ProcessExecutor,
-    ThreadExecutor,
     resolve_executor,
     worker_caches,
 )
@@ -146,30 +144,16 @@ def _save_campaign_checkpoint(
 
 
 def _run_campaign_by_name(
-    task: tuple[
-        str,
-        SpexOptions,
-        str,
-        int | None,
-        str | None,
-        tuple[str, str, str] | None,
-    ]
+    task: tuple[str, SpexOptions, str | None, tuple[str, str, str] | None]
 ) -> SystemRun:
     """Process-pool entry point: rebuild the system in the worker (the
     task crosses a pickle boundary, the `SubjectSystem` does not)."""
-    name, spex_options, batch_executor, max_workers, engine, ckpt_spec = task
+    name, spex_options, engine, ckpt_spec = task
     started = time.perf_counter()
-    # Worker processes never nest another process pool: batch-level
-    # "process" sharding degrades to serial inside a system-level
-    # process worker (the cores are already busy with sibling systems).
-    if batch_executor == "process":
-        batch_executor = "serial"
     caches = worker_caches()
     report = Campaign(
         get_system(name),
         spex_options=spex_options,
-        executor=batch_executor,
-        max_workers=max_workers,
         launch_cache=caches.launches,
         snapshot_cache=caches.snapshots,
         engine=engine,
@@ -198,12 +182,6 @@ class CampaignPipeline:
     max_workers: int | None = None
     caches: PipelineCaches = field(default_factory=PipelineCaches)
     reuse_campaigns: bool = True
-    # How each campaign shards its own injection batches (None keeps
-    # the in-campaign loop serial).  A "process" batch executor
-    # degrades to serial inside system-level process workers (pools
-    # never nest) and under a thread system executor (forking from a
-    # multithreaded parent is unsafe).
-    batch_executor: str | Executor | None = None
     # Launch-engine override for every campaign of the sweep ("tree" |
     # "codegen"); a plain string, so it survives the process-executor
     # pickle boundary.  None keeps the default.
@@ -229,15 +207,6 @@ class CampaignPipeline:
         chosen = resolve_executor(
             self.executor if executor is None else executor, self.max_workers
         )
-        if self._batch_executor_name() == "process" and not isinstance(
-            chosen, ThreadExecutor
-        ):
-            # Fail before any campaign runs, not when the first
-            # multi-batch campaign reaches its own process guard.
-            # (Under a thread system executor batch-process sharding
-            # degrades to serial, so nothing crosses a pickle boundary
-            # and custom generators remain fine.)
-            self._check_process_compatible()
         targets = names if names is not None else self.systems
         systems = list(iter_systems(targets))
         get_registry().inc("pipeline.runs")
@@ -363,37 +332,16 @@ class CampaignPipeline:
         ]
         if isinstance(executor, ProcessExecutor):
             self._check_process_compatible()
-            # Only names cross the pickle boundary: an Executor
-            # *instance* is reduced to its strategy name and workers
-            # rebuild it (with this pipeline's max_workers).
-            batch_name = self._batch_executor_name()
+            # Only names cross the pickle boundary.
             task_fn = _run_campaign_by_name
             tasks = [
-                (
-                    name,
-                    self.spex_options,
-                    batch_name,
-                    self.max_workers,
-                    self.engine,
-                    spec,
-                )
+                (name, self.spex_options, self.engine, spec)
                 for (name, _, _), spec in zip(pending, ckpt_specs)
             ]
         else:
-            batch_spec = self.batch_executor or "serial"
-            if isinstance(executor, ThreadExecutor) and (
-                batch_spec == "process"
-                or isinstance(batch_spec, ProcessExecutor)
-            ):
-                # Forking a process pool from a multithreaded parent
-                # can inherit mid-held locks into the children;
-                # campaigns fanned out on threads shard their batches
-                # in-line.
-                batch_spec = "serial"
-
             def task_fn(task):
                 name, ckpt_spec = task
-                run = self._run_one(name, batch_spec)
+                run = self._run_one(name)
                 _save_campaign_checkpoint(ckpt_spec, run.report)
                 return run
 
@@ -410,16 +358,7 @@ class CampaignPipeline:
         )
         return supervised.results, supervised.failures
 
-    def _batch_executor_name(self) -> str:
-        if self.batch_executor is None:
-            return "serial"
-        if isinstance(self.batch_executor, Executor):
-            return self.batch_executor.name
-        return self.batch_executor
-
-    def _run_one(
-        self, name: str, batch_executor: str | Executor = "serial"
-    ) -> SystemRun:
+    def _run_one(self, name: str) -> SystemRun:
         """In-process task (serial and thread executors): campaigns
         share the pipeline's inference and launch caches directly."""
         started = time.perf_counter()
@@ -428,8 +367,6 @@ class CampaignPipeline:
             generators=self.generators,
             spex_options=self.spex_options,
             inference_cache=self.caches.inference,
-            executor=batch_executor,
-            max_workers=self.max_workers,
             launch_cache=self.caches.launches,
             snapshot_cache=self.caches.snapshots,
             engine=self.engine,

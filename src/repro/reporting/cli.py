@@ -44,9 +44,8 @@ def _usage() -> str:
         "  pipeline           run the batched multi-system campaign "
         "pipeline\n"
         "                     (--executor serial|thread|process, "
-        "--batch-executor serial|thread|process,\n"
-        "                     --systems a,b, --workers N, --repeat N, "
-        "--json)\n"
+        "--systems a,b,\n"
+        "                     --workers N, --repeat N, --json)\n"
         "  check SYSTEM FILE  validate one config file against the "
         "system's\n"
         "                     inferred constraints (exit 1 on errors; "
@@ -72,6 +71,26 @@ def _usage() -> str:
     )
 
 
+def _bounded(convert, check, wanted: str):
+    """An argparse `type` that rejects values failing `check`, so a bad
+    flag exits 2 with a usage message like any other parse error."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not check(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {wanted}")
+        return value
+
+    # argparse names the type in its "invalid int value" message.
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_positive_int = _bounded(int, lambda n: n >= 1, "an integer >= 1")
+_non_negative_int = _bounded(int, lambda n: n >= 0, "an integer >= 0")
+_fraction = _bounded(float, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
+
+
 def _pipeline_command(args: list[str]) -> int:
     from repro.pipeline import CampaignPipeline, executor_names
     from repro.reporting.aggregate import render_pipeline_report
@@ -84,20 +103,11 @@ def _pipeline_command(args: list[str]) -> int:
         "--executor", choices=list(executor_names()), default="serial"
     )
     parser.add_argument(
-        "--batch-executor",
-        choices=list(executor_names()),
-        default=None,
-        help=(
-            "shard each campaign's injection batches over this executor "
-            "(default: serial inside each campaign)"
-        ),
-    )
-    parser.add_argument(
         "--systems",
         default=None,
         help="comma-separated subset (default: all registered systems)",
     )
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--workers", type=_positive_int, default=None)
     parser.add_argument(
         "--repeat",
         type=int,
@@ -131,7 +141,6 @@ def _pipeline_command(args: list[str]) -> int:
         systems=names,
         executor=options.executor,
         max_workers=options.workers,
-        batch_executor=options.batch_executor,
         checkpoint=checkpoint,
     )
     report = None
@@ -212,16 +221,16 @@ def _fleet_command(args: list[str]) -> int:
         default=None,
         help="comma-separated subset (default: all registered systems)",
     )
-    parser.add_argument("--size", type=int, default=200,
+    parser.add_argument("--size", type=_non_negative_int, default=200,
                         help="configs per system")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--mistake-rate", type=float, default=DEFAULT_MISTAKE_RATE
+        "--mistake-rate", type=_fraction, default=DEFAULT_MISTAKE_RATE
     )
     parser.add_argument(
         "--executor", choices=list(executor_names()), default="serial"
     )
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--workers", type=_positive_int, default=None)
     parser.add_argument("--chunk", type=int, default=DEFAULT_CHUNK_SIZE)
     parser.add_argument(
         "--sample",
@@ -295,7 +304,7 @@ def _serve_command(args: list[str]) -> int:
         default=None,
         help="comma-separated subset (default: all registered systems)",
     )
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--workers", type=_positive_int, default=None)
     parser.add_argument(
         "--max-pending",
         type=int,

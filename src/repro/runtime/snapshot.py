@@ -37,13 +37,8 @@ already deduplicates them.
 from __future__ import annotations
 
 import copy
-import itertools
-import os
-import pickle
 import time
-import weakref
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.lang.ast_nodes import FunctionDef
 from repro.lang.program import Program
@@ -105,20 +100,15 @@ class BootSnapshot:
     it: `slim_state` is the fork's private copy and `copier` carries
     the live scan's recipe translated to it, so no resume rescans.
 
-    `blob` holds the same slim bundle pickled - the cross-process
-    transport form used by the shared-memory `SnapshotPool` (process
-    workers map the bytes, unpickle and scan once, then resume via
-    copy-on-write like everyone else).  `state` is the legacy
-    deep-copy fallback for bundles the structure copier refuses.
+    `state` is the legacy deep-copy fallback for bundles the
+    structure copier refuses.
     """
 
     boundary: int
-    blob: bytes | None = None
     state: dict | None = None
     slim_state: dict | None = None
-    # Purity recipe over `slim_state`: set at capture, or built on the
-    # first resume of a transported snapshot (it holds `id()`s into
-    # this process's bundle, so it never travels).
+    # Purity recipe over `slim_state`, set at capture (it holds
+    # `id()`s into this process's bundle).
     copier: "StateBundleCopier | None" = field(
         default=None, repr=False, compare=False
     )
@@ -131,31 +121,11 @@ class BootSnapshot:
         type), immutable after init, and copying its type objects per
         resume would be pure waste.
         """
-        if self.slim_state is not None:
-            copier = self.copier
-            if copier is None or copier.state is not self.slim_state:
-                copier = self.copier = StateBundleCopier(self.slim_state)
-            state = copier.copy()
+        if self.copier is not None:
+            state = self.copier.copy()
             state["global_types"] = _global_types_of(program)
             return state
-        if self.blob is not None:
-            # Transport form (shared-memory pool import): unpickle
-            # once, then serve every later resume copy-on-write.
-            self.slim_state = pickle.loads(self.blob)
-            return self.materialize(program)
         return copy.deepcopy(self.state)
-
-    def to_blob(self) -> bytes | None:
-        """The snapshot's cross-process transport form (None when the
-        bundle does not pickle or only a deep-copy fallback exists)."""
-        if self.blob is not None:
-            return self.blob
-        if self.slim_state is None:
-            return None
-        try:
-            return pickle.dumps(self.slim_state, pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            return None
 
 
 def _global_types_of(program: Program) -> dict:
@@ -901,142 +871,3 @@ def _resume(
             return exit_.code
 
     return capture_outcome(interp, run_tail)
-
-
-# -- shared-memory snapshot pool ---------------------------------------------
-
-
-#: Monotonic per-process suffix for pool segment names.
-_SEGMENT_IDS = itertools.count()
-
-#: Every pool segment is named ``repro-snap-<owner pid>-<n>``, so a
-#: sweep can tell whose segments they are and whether the owner died.
-_SEGMENT_PREFIX = "repro-snap-"
-
-
-def _release_segments(segments: list) -> None:
-    """Close and unlink a batch of owned segments (idempotent, and
-    tolerant of segments that already vanished).  Module-level so a
-    `weakref.finalize` can call it without resurrecting the pool."""
-    drained = list(segments)
-    segments.clear()
-    for segment in drained:
-        try:
-            segment.close()
-            segment.unlink()
-        except FileNotFoundError:
-            pass
-
-
-class SnapshotPool:
-    """Boot-snapshot transport for process-executor fleets.
-
-    The parent publishes each captured snapshot's transport blob
-    (`BootSnapshot.to_blob`) into one `multiprocessing.shared_memory`
-    segment; workers *map* the segment by name and unpickle the bundle
-    once instead of receiving a fresh pickle per task through the task
-    pipe.  The manifest (`{key: (segment name, size, boundary)}`) is
-    tiny and travels through the normal worker-seed side channel.
-
-    The parent owns every segment, and ownership is enforced three
-    ways so a crash can never leak shared memory indefinitely:
-    `close()` (or use as a context manager) unlinks everything now; a
-    `weakref.finalize` unlinks at garbage collection if the owner
-    forgot; and segment names embed the owner's pid, so
-    `sweep_orphans()` in any later process can reclaim segments whose
-    owner died uncleanly (SIGKILL skips finalizers).  Workers use the
-    static `fetch` and never unlink.
-    """
-
-    def __init__(self) -> None:
-        self._segments: list = []
-        self.manifest: dict[str, tuple[str, int, int]] = {}
-        self._finalizer = weakref.finalize(
-            self, _release_segments, self._segments
-        )
-
-    def publish(self, key: str, blob: bytes, boundary: int) -> None:
-        """Copy one snapshot blob into a fresh shared segment."""
-        from multiprocessing import shared_memory
-
-        while True:
-            name = f"{_SEGMENT_PREFIX}{os.getpid()}-{next(_SEGMENT_IDS)}"
-            try:
-                segment = shared_memory.SharedMemory(
-                    name=name, create=True, size=max(1, len(blob))
-                )
-                break
-            except FileExistsError:
-                continue  # pid reuse left a stale name; take the next
-        segment.buf[: len(blob)] = blob
-        self._segments.append(segment)
-        self.manifest[key] = (segment.name, len(blob), boundary)
-
-    @staticmethod
-    def fetch(entry: tuple[str, int, int]) -> bytes | None:
-        """Worker side: map a published segment and copy its bytes out
-        (None when the segment is already gone - the resume path then
-        simply boots cold, correctness never depends on the pool)."""
-        from multiprocessing import shared_memory
-
-        name, size, _boundary = entry
-        try:
-            segment = shared_memory.SharedMemory(name=name)
-        except FileNotFoundError:
-            return None
-        try:
-            return bytes(segment.buf[:size])
-        finally:
-            segment.close()
-
-    def close(self) -> None:
-        """Close and unlink every published segment (idempotent).
-        Mutates the segment list in place so the finalizer - which
-        captured this very list - sees it drained."""
-        self.manifest = {}
-        _release_segments(self._segments)
-
-    @staticmethod
-    def sweep_orphans() -> int:
-        """Reclaim pool segments whose owning process died uncleanly.
-
-        A SIGKILL'd parent runs no finalizers, so its segments outlive
-        it in /dev/shm.  Their names embed the owner's pid; any later
-        process can check whether that pid is still alive and unlink
-        the segments of the dead.  Returns how many were reclaimed.
-        No-op (0) on platforms without a /dev/shm listing.
-        """
-        from multiprocessing import shared_memory
-
-        shm_dir = Path("/dev/shm")
-        if not shm_dir.is_dir():
-            return 0
-        reclaimed = 0
-        for path in shm_dir.iterdir():
-            name = path.name
-            if not name.startswith(_SEGMENT_PREFIX):
-                continue
-            pid_part = name[len(_SEGMENT_PREFIX):].split("-", 1)[0]
-            if not pid_part.isdigit():
-                continue
-            try:
-                os.kill(int(pid_part), 0)
-                continue  # owner is alive; its segments are its own
-            except ProcessLookupError:
-                pass  # owner is dead: reclaim below
-            except PermissionError:
-                continue  # alive, owned by someone else
-            try:
-                segment = shared_memory.SharedMemory(name=name)
-                segment.close()
-                segment.unlink()
-                reclaimed += 1
-            except FileNotFoundError:
-                continue  # a concurrent sweep beat us to it
-        return reclaimed
-
-    def __enter__(self) -> "SnapshotPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

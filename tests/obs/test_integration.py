@@ -12,22 +12,20 @@ from repro.checker.fleet import run_fleet
 from repro.inject.campaign import Campaign
 from repro.obs import get_registry, metrics_delta, set_enabled
 from repro.obs.profile import default_profiler
-from repro.pipeline import CampaignPipeline, PipelineCaches
+from repro.pipeline import CampaignPipeline
 from repro.systems import get_system
 
 
-def _campaign_delta(executor):
+def _campaign_delta():
     registry = get_registry()
     before = registry.snapshot()
-    report = Campaign(
-        get_system("vsftpd"), executor=executor, max_workers=2
-    ).run()
+    report = Campaign(get_system("vsftpd")).run()
     return report, metrics_delta(before, registry.snapshot())
 
 
 class TestCampaignTelemetry:
     def test_serial_campaign_records_batches_and_launches(self):
-        report, delta = _campaign_delta("serial")
+        report, delta = _campaign_delta()
         assert delta["counters"]["campaign.runs"] == 1
         assert delta["counters"]["campaign.batches"] > 0
         assert delta["counters"]["launch.requests"] > 0
@@ -49,16 +47,6 @@ def _fan_out(case: str, executor: str):
             systems=systems, executor=executor, max_workers=2
         ).run()
         return report.vulnerability_sets(), report.cache_stats
-    if case == "campaign":
-        caches = PipelineCaches()
-        report = Campaign(
-            get_system("vsftpd"),
-            executor=executor,
-            max_workers=2,
-            launch_cache=caches.launches,
-            snapshot_cache=caches.snapshots,
-        ).run()
-        return frozenset(report.vulnerabilities), caches.stats()
     report = run_fleet(
         systems=["mysql", "vsftpd"],
         size=48,
@@ -74,9 +62,7 @@ def _fan_out(case: str, executor: str):
 
 
 class TestProcessFoldParity:
-    @pytest.mark.parametrize(
-        "case", ["pipeline-1", "pipeline-2", "campaign", "fleet"]
-    )
+    @pytest.mark.parametrize("case", ["pipeline-1", "pipeline-2", "fleet"])
     def test_process_workers_fold_their_counters_home(
         self, case, monkeypatch
     ):
@@ -116,24 +102,6 @@ class TestProcessFoldParity:
         assert counters(process) == counters(serial)
         if case == "fleet":
             assert histogram_counts(process) == histogram_counts(serial)
-            return
-        if case == "campaign":
-            # Batch workers keep private launch and snapshot stores, so
-            # which launches dedup or resume depends on which worker
-            # drew which batch.  The lookups match serial's, and every
-            # launch that ran reached the parent twice over - as store
-            # stats and as launch-phase histograms - in agreement.
-            launches = process_stats["launches"]
-            assert launches["hits"] + launches["misses"] == (
-                serial_stats["launches"]["hits"]
-                + serial_stats["launches"]["misses"]
-            )
-            snapshots = process_stats["snapshots"]
-            assert histogram_counts(process) == {
-                "launch.steps": launches["misses"],
-                "launch.boot_seconds": snapshots["boots"],
-                "launch.replay_seconds": snapshots["resumes"],
-            }
             return
         assert histogram_counts(process) == histogram_counts(serial)
         assert process_stats["launches"] == serial_stats["launches"]

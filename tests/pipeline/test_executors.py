@@ -193,29 +193,6 @@ class TestProcessExecutorGuards:
         report = pipeline.run(executor="serial")
         assert report.total_vulnerabilities() > 0
 
-    def test_custom_generators_rejected_for_batch_process_upfront(self):
-        class NullPlugin(GeneratorPlugin):
-            rule_name = "null"
-
-            def applies_to(self, constraint):
-                return False
-
-            def generate(self, constraint, template):
-                return []
-
-        generators = default_generators()
-        generators.add(NullPlugin())
-        pipeline = CampaignPipeline(
-            systems=["apache"],
-            generators=generators,
-            executor="serial",
-            batch_executor="process",
-        )
-        # Rejected before any campaign runs, not by the first
-        # multi-batch campaign mid-sweep.
-        with pytest.raises(ValueError, match="process executor"):
-            pipeline.run()
-
 
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-q"]))

@@ -1,6 +1,5 @@
 """Launch-cache semantics: key sensitivity, hit/miss accounting,
-snapshot slimming, and campaign parity with and without the cache
-under all three executors."""
+snapshot slimming, and campaign parity with and without the cache."""
 
 import pytest
 
@@ -110,8 +109,8 @@ class TestCampaignLaunchCacheParity:
 
     @pytest.fixture(scope="class")
     def reference(self, system, spex_report):
-        # The no-cache serial loop: the semantics every cached or
-        # parallel variant must reproduce bit-identically.
+        # The no-cache loop: the semantics every cached variant must
+        # reproduce bit-identically.
         return Campaign(system).run(spex_report)
 
     def _assert_equal_reports(self, report, reference):
@@ -125,26 +124,13 @@ class TestCampaignLaunchCacheParity:
             == reference.misconfigurations_tested
         )
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_cached_campaign_matches_uncached_serial(
-        self, system, spex_report, reference, executor
-    ):
-        cache = LaunchCache()
-        report = Campaign(
-            system, executor=executor, max_workers=2, launch_cache=cache
-        ).run(spex_report)
-        self._assert_equal_reports(report, reference)
-        assert cache.stats.misses > 0
-
-    def test_process_sharding_honours_disabled_cache(
         self, system, spex_report, reference
     ):
-        # launch_cache=None disables caching even inside process
-        # workers; results are still bit-identical.
-        report = Campaign(system, executor="process", max_workers=2).run(
-            spex_report
-        )
+        cache = LaunchCache()
+        report = Campaign(system, launch_cache=cache).run(spex_report)
         self._assert_equal_reports(report, reference)
+        assert cache.stats.misses > 0
 
     def test_warm_rerun_is_all_hits(self, system, spex_report, reference):
         cache = LaunchCache()

@@ -1,10 +1,13 @@
 """Tests for the CLI entry point.
 
 Exit-code contract: 0 success/clean, 1 `check` found errors, 2 usage
-mistakes (unknown command, unknown system, unreadable file).
+mistakes (unknown command, unknown system, unreadable file, an
+out-of-range flag value).
 """
 
 import json
+
+import pytest
 
 from repro.reporting.cli import main
 
@@ -65,6 +68,35 @@ class TestCli:
         assert main(["help"]) == 0
         out = capsys.readouterr().out
         assert "check" in out and "fleet" in out
+
+
+class TestFlagBounds:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pipeline", "--systems", "vsftpd,apache", "--executor",
+             "thread", "--workers", "-1"],
+            ["fleet", "--workers", "0"],
+            ["serve", "--warmup-only", "--workers", "0"],
+            ["fleet", "--size", "-5"],
+            ["fleet", "--mistake-rate", "1.5"],
+            ["fleet", "--mistake-rate", "-0.1"],
+        ],
+        ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+    )
+    def test_out_of_range_value_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert argv[-2] in err
+
+    def test_boundary_values_are_accepted(self, capsys):
+        argv = [
+            "fleet", "--systems", "vsftpd", "--size", "0",
+            "--mistake-rate", "1", "--workers", "1", "--json",
+        ]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["total_configs"] == 0
 
 
 class TestCheckCommand:

@@ -5,13 +5,9 @@ The differential contract (codegen == tree on every observable
 channel) lives in `test_engine_parity` and `test_engine_fuzz`; this
 file pins the codegen engine's own guarantees: engine selection,
 deterministic generated source,
-correct fault/budget semantics on crafted programs, snapshot
-capture/resume under the codegen engine, and the shared-memory
-snapshot pool's lifecycle - including that a crashed worker can never
-leak a segment.
+correct fault/budget semantics on crafted programs, and snapshot
+capture/resume under the codegen engine.
 """
-
-import pickle
 
 import pytest
 
@@ -28,9 +24,7 @@ from repro.runtime.os_model import EmulatedOS
 from repro.runtime.process import ProcessStatus, run_program
 from repro.runtime.snapshot import (
     BootRecord,
-    BootSnapshot,
     BootStats,
-    SnapshotPool,
     StateBundleCopier,
     _scan_fixups,
     boot_launch,
@@ -428,95 +422,3 @@ class TestCopyOnWriteResumes:
             assert resumed.responses == cold.responses == expected[request]
             assert resumed.steps == cold.steps
         assert stats.resumes == 6
-
-
-class TestSnapshotPool:
-    def _blob(self, tag: str) -> bytes:
-        return pickle.dumps({"tag": tag, "payload": list(range(32))})
-
-    def test_publish_fetch_roundtrip(self):
-        blob = self._blob("roundtrip")
-        with SnapshotPool() as pool:
-            pool.publish("key-a", blob, boundary=5)
-            entry = pool.manifest["key-a"]
-            assert entry[1] == len(blob)
-            assert entry[2] == 5
-            assert SnapshotPool.fetch(entry) == blob
-
-    def test_manifest_travels_as_plain_data(self):
-        with SnapshotPool() as pool:
-            pool.publish("key-b", self._blob("pickled"), boundary=9)
-            # Worker tasks carry the manifest across a pickle
-            # boundary; segments themselves must stay behind.
-            manifest = pickle.loads(pickle.dumps(pool.manifest))
-            assert SnapshotPool.fetch(manifest["key-b"]) == self._blob(
-                "pickled"
-            )
-
-    def test_close_unlinks_every_segment(self):
-        pool = SnapshotPool()
-        pool.publish("key-c", self._blob("gone"), boundary=1)
-        entry = pool.manifest["key-c"]
-        pool.close()
-        assert pool.manifest == {}
-        assert SnapshotPool.fetch(entry) is None
-
-    def test_close_is_idempotent(self):
-        pool = SnapshotPool()
-        pool.publish("key-d", self._blob("twice"), boundary=2)
-        pool.close()
-        pool.close()
-
-    def test_worker_crash_cannot_leak_segments(self):
-        """The parent owns segment lifetime: even when a worker
-        attaches and dies without detaching (simulated by fetching and
-        simply dropping the bytes), the parent's close() unlinks the
-        segment and a later fetch misses cleanly."""
-        pool = SnapshotPool()
-        pool.publish("key-e", self._blob("crash"), boundary=3)
-        entry = pool.manifest["key-e"]
-        assert SnapshotPool.fetch(entry) is not None  # worker attached
-        pool.close()  # worker never reported back; parent still cleans up
-        assert SnapshotPool.fetch(entry) is None
-
-    def test_fetch_missing_segment_returns_none(self):
-        assert SnapshotPool.fetch(("repro-no-such-segment", 4, 0)) is None
-
-
-class TestSnapshotTransport:
-    def test_to_blob_roundtrips_through_materialize(self):
-        system = get_system("vsftpd")
-        record = BootRecord()
-        stats = BootStats()
-        options = InterpreterOptions(
-            max_steps=400_000, max_virtual_seconds=120.0, engine="codegen"
-        )
-
-        def make_os():
-            os_model = system.make_os()
-            system.install_config(os_model, system.default_config)
-            return os_model
-
-        argv = [system.name, system.config_path]
-        program = system.program()
-        probe = boot_launch(
-            program, make_os, argv, options, record, stats=stats
-        )
-        boot_launch(program, make_os, argv, options, record, stats=stats)
-        assert record.can_resume
-        blob = record.snapshot.to_blob()
-        assert isinstance(blob, bytes)
-        shipped = BootSnapshot(
-            boundary=record.snapshot.boundary, blob=blob
-        )
-        shipped_record = BootRecord(
-            probed=True, boundary=shipped.boundary, snapshot=shipped
-        )
-        resumed = boot_launch(
-            program, make_os, argv, options, shipped_record, stats=stats
-        )
-        assert resumed.status is probe.status
-        assert resumed.steps == probe.steps
-        assert [str(r) for r in resumed.logs] == [
-            str(r) for r in probe.logs
-        ]
