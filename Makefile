@@ -9,7 +9,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # this.
 export PYTHONHASHSEED := 0
 
-.PHONY: test test-fast lint bench perfbench chaos fleet-bench obs-bench trace-demo docs-check quickstart pipeline fleet serve all
+.PHONY: test test-fast lint engine-gate bench perfbench chaos fleet-bench obs-bench trace-demo docs-check quickstart pipeline fleet serve all
 
 all: test docs-check
 
@@ -28,6 +28,12 @@ test-fast: lint
 LINT_EXTERNAL ?=
 lint:
 	$(PYTHON) tools/lint.py $(if $(LINT_EXTERNAL),--external)
+
+# The engine parity contract: codegen == tree on every observable
+# channel (hand-picked programs, the eight systems, seeded generated
+# programs and warm-boot resumes), plus the codegen unit tier.
+engine-gate:
+	$(PYTHON) -m pytest -q tests/runtime/test_engine_parity.py tests/runtime/test_engine_fuzz.py tests/runtime/test_codegen_engine.py tests/runtime/test_boot_snapshots.py
 
 # Benchmark suite only, with the regenerated tables printed.
 bench:

@@ -74,6 +74,29 @@ class IntType(CType):
     bits: int
     signed: bool = True
 
+    # The bounds are derived once per instance and kept out of the
+    # dataclass fields, so repr, equality, hashing and the pickled
+    # state (`bits` and `signed` only) stay those of the two fields.
+
+    def __post_init__(self) -> None:
+        self._set_bounds()
+
+    def _set_bounds(self) -> None:
+        if self.signed:
+            low, high = -(1 << (self.bits - 1)), (1 << (self.bits - 1)) - 1
+        else:
+            low, high = 0, (1 << self.bits) - 1
+        object.__setattr__(self, "_min", low)
+        object.__setattr__(self, "_max", high)
+
+    def __getstate__(self) -> dict:
+        return {"bits": self.bits, "signed": self.signed}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        self._set_bounds()
+
     def __str__(self) -> str:
         prefix = "" if self.signed else "u"
         names = {8: "char", 16: "short", 32: "int", 64: "long"}
@@ -82,21 +105,19 @@ class IntType(CType):
 
     @property
     def min_value(self) -> int:
-        if not self.signed:
-            return 0
-        return -(1 << (self.bits - 1))
+        return self._min
 
     @property
     def max_value(self) -> int:
-        if not self.signed:
-            return (1 << self.bits) - 1
-        return (1 << (self.bits - 1)) - 1
+        return self._max
 
     def wrap(self, value: int) -> int:
-        """Wrap a Python int into this type's range (two's complement)."""
-        mask = (1 << self.bits) - 1
-        value &= mask
-        if self.signed and value > self.max_value:
+        """Wrap a Python int into this type's range (two's complement);
+        an in-range value comes back unchanged."""
+        if self._min <= value <= self._max:
+            return value
+        value &= (1 << self.bits) - 1
+        if self.signed and value > self._max:
             value -= 1 << self.bits
         return value
 

@@ -12,9 +12,31 @@ the step-budget tick, the int fast paths and the local-variable fast
 paths are open-coded, so only calls, builtins and the genuinely
 polymorphic slow paths leave the frame.
 
+Lowering also emits what it already knows instead of re-deriving it
+per step:
+
+- *Builtins are bound.*  A call to a registered builtin is a direct
+  call of the implementation, interned as a `_K<n>` constant; a callee
+  that is neither defined nor registered goes to
+  `Interpreter._call_builtin_or_user`, which raises the tree-walker's
+  error when (and only when) the call runs.
+- *Name scope is static.*  A name that is never a parameter or a
+  `VarDecl` of the function (for main's step runners: of main), and is
+  not `errno` or `__varargs`, can never be in the frame's locals, so
+  its loads go straight to the globals.
+- *Typed fast paths fall back to the shared helpers.*  Array
+  indexing, struct member reads and `==`/`!=` against an int literal
+  test the exact runtime types they handle inline; stores through a
+  statically known declared type (parameters, initializers, returns, a
+  local declared exactly once and not static) skip `coerce` where it
+  cannot change the value.  Anything else takes the generic helper.
+
 A `Program` is treated as immutable once lowered - ``add_source``
 after ``codegen_plan_for`` is outside the contract (call bindings
-would go stale).
+would go stale).  The builtin `REGISTRY` is under the same contract:
+generated code holds the implementations it read while lowering, so
+registering or replacing a builtin afterwards does not reach plans
+already built.
 
 Parity contract: identical to the tree-walking reference - same
 results, logs, responses, `steps` counts and step-sensitive faults,
@@ -106,6 +128,7 @@ from repro.runtime.values import (
     FieldSlot,
     FunctionRef,
     Pointer,
+    StructValue,
     coerce,
     truthy,
     zero_value,
@@ -116,6 +139,11 @@ _SOURCE_NAME = "<minic-codegen>"
 # Unique "absent" sentinel for single-probe dict lookups (a MiniC
 # variable can legitimately hold any Python value, including None).
 _MISSING = object()
+
+# Names a frame's locals can hold without any declaration of them:
+# `__varargs` (bound by a variadic prologue) and `errno` (whose
+# fallback is not a global).
+_UNDECLARED_LOCALS = ("errno", "__varargs")
 
 
 @dataclass
@@ -344,15 +372,6 @@ def _indirect_target(target, loc):
     return target.name
 
 
-def _call_builtin(rt, callee, args, loc):
-    """Late-bound builtin dispatch with the tree-walker's full
-    resolution as the miss path (exact error behaviour)."""
-    builtin = REGISTRY.get(callee)
-    if builtin is not None:
-        return builtin(rt, args, loc)
-    return rt._call_builtin_or_user(callee, args, loc)
-
-
 def _bind_args(local_env, local_types, params, args):
     """Generic parameter fill (arity mismatch path of the invoke
     protocol): missing arguments become the parameter type's zero."""
@@ -385,6 +404,7 @@ _NAMESPACE = {
     "FunctionRef": FunctionRef,
     "Pointer": Pointer,
     "ArrayValue": ArrayValue,
+    "StructValue": StructValue,
     "IntType": ct.IntType,
     "FieldSlot": FieldSlot,
     "coerce": coerce,
@@ -412,7 +432,6 @@ _NAMESPACE = {
     "_not_assignable": _not_assignable,
     "_neg": _neg,
     "_indirect_target": _indirect_target,
-    "_call_builtin": _call_builtin,
     "_bind_args": _bind_args,
     "_unhandled_stmt": _unhandled_stmt,
     "_unhandled_expr": _unhandled_expr,
@@ -449,6 +468,10 @@ def _emit_module(program: Program) -> tuple[str, dict, list[str]]:
     return "\n".join(out) + "\n", emitter.consts, step_names
 
 
+def _is_int_literal(node) -> bool:
+    return isinstance(node, (IntLiteral, CharLiteral)) and type(node.value) is int
+
+
 class _ModuleEmitter:
     """Shared per-program emission state: the interned constant pool
     (Locations, CTypes, AST nodes, static keys/markers, zero values)
@@ -458,6 +481,38 @@ class _ModuleEmitter:
         self.program = program
         self.consts: dict[str, object] = {}
         self._const_ids: dict[int, str] = {}
+        self._scopes: dict[str, dict] = {}
+
+    def scope(self, fn) -> dict:
+        """name -> declarations (`Param`/`VarDecl`) of one function,
+        memoized so main's step runners share one scan."""
+        decls = self._scopes.get(fn.name)
+        if decls is None:
+            decls = {}
+            for param in fn.params:
+                decls.setdefault(param.name, []).append(param)
+            stack = [fn.body] if fn.body is not None else []
+            while stack:
+                node = stack.pop()
+                if isinstance(node, VarDecl):
+                    decls.setdefault(node.name, []).append(node)
+                elif isinstance(node, Block):
+                    stack.extend(node.statements)
+                elif isinstance(node, If):
+                    stack.append(node.then)
+                    if node.other is not None:
+                        stack.append(node.other)
+                elif isinstance(node, (While, DoWhile)):
+                    stack.append(node.body)
+                elif isinstance(node, For):
+                    stack.append(node.body)
+                    if node.init is not None:
+                        stack.append(node.init)
+                elif isinstance(node, Switch):
+                    for case in node.cases:
+                        stack.extend(case.body)
+            self._scopes[fn.name] = decls
+        return decls
 
     def const(self, obj) -> str:
         name = self._const_ids.get(id(obj))
@@ -495,6 +550,7 @@ class _FunctionEmitter:
         self.out: list[str] = []
         self.ctx: list[str] = []  # "while" | "postloop" | "switch"
         self._temps = 0
+        self.decls = module.scope(fn)
 
     # -- infrastructure ------------------------------------------------------
 
@@ -516,6 +572,44 @@ class _FunctionEmitter:
     def tick(self, ind: int) -> None:
         self.w(ind, "rt.steps = _s = rt.steps + 1")
         self.w(ind, "if _s > rt._max_steps: _budget(rt)")
+
+    # -- what lowering knows -------------------------------------------------
+
+    def maybe_local(self, name: str) -> bool:
+        """Whether `name` can ever be in this frame's locals."""
+        return name in self.decls or name in _UNDECLARED_LOCALS
+
+    def local_type(self, name: str):
+        """The declared type of a local declared exactly once and not
+        static - then a present local is never a static marker and its
+        `T` entry is always this type; None for any other name."""
+        decls = self.decls.get(name)
+        if (
+            decls is None
+            or len(decls) != 1
+            or getattr(decls[0], "is_static", False)
+            or name in _UNDECLARED_LOCALS
+        ):
+            return None
+        return decls[0].type
+
+    def coerced(self, typ, expr: str, node=None) -> str:
+        """`coerce(typ, expr)` at a type known while lowering: an
+        in-range int (`node`, when given, may prove it one) is stored
+        unchanged, and a type `coerce` passes through (pointer, struct,
+        array, ...) needs no call."""
+        if isinstance(typ, ct.IntType):
+            if _is_int_literal(node) and typ.min_value <= node.value <= typ.max_value:
+                return expr
+            value = self.temp()
+            return (
+                f"({value} if type({value} := {expr}) is int"
+                f" and {typ.min_value} <= {value} <= {typ.max_value}"
+                f" else coerce({self.const(typ)}, {value}))"
+            )
+        if isinstance(typ, (ct.BoolType, ct.FloatType)):
+            return f"coerce({self.const(typ)}, {expr})"
+        return expr
 
     def _buffered(self, fn) -> tuple[list[str], object]:
         """Run `fn` with emission redirected to a buffer."""
@@ -549,7 +643,7 @@ class _FunctionEmitter:
             self.w(1, f"if len(args) == {len(params)}:")
             for i, (pname, ptype) in enumerate(params):
                 kt = self.const(ptype)
-                self.w(2, f"L[{pname!r}] = coerce({kt}, args[{i}])")
+                self.w(2, f"L[{pname!r}] = {self.coerced(ptype, f'args[{i}]')}")
                 self.w(2, f"T[{pname!r}] = {kt}")
             self.w(1, "else:")
             self.w(2, f"_bind_args(L, T, {self.const(params)}, args)")
@@ -619,13 +713,16 @@ class _FunctionEmitter:
 
     def _decl_value(self, typ, kt: str, init, ind: int) -> str:
         if init is None:
-            return f"rt._zero_for({kt})"
+            if isinstance(typ, (ct.StructType, ct.ArrayType)):
+                return f"rt._zero_for({kt})"
+            # Any other zero is an immutable scalar (0, 0.0 or None).
+            return repr(zero_value(typ))
         if isinstance(init, InitList):
             # Brace initializers reuse the interpreter's materializer,
             # exactly like the tree-walker.
             return f"rt._materialize({kt}, {self.const(init)})"
         expr, _pure = self.value(init, ind)
-        return f"coerce({kt}, {expr})"
+        return self.coerced(typ, expr, init)
 
     def _s_block(self, node: Block, ind: int) -> None:
         self.tick(ind)
@@ -777,7 +874,11 @@ class _FunctionEmitter:
             # The invoke protocol coerces through the return type; a
             # bare `return;` yields coerce(rtype, None) - deliberately
             # not the zero constant (coerce(int, None) is None).
-            self.w(ind, f"return coerce({self.const(self.fn.return_type)}, {expr})")
+            rtype = self.fn.return_type
+            if node.value is None:
+                self.w(ind, f"return coerce({self.const(rtype)}, None)")
+            else:
+                self.w(ind, f"return {self.coerced(rtype, expr, node.value)}")
         else:
             self.w(ind, f"raise _ReturnSignal({expr})")
 
@@ -830,6 +931,19 @@ class _FunctionEmitter:
         )
         probe = self.temp()
         kloc = self.const(node.location)
+        if not self.maybe_local(name):
+            return (
+                f"({probe} if ({probe} := rt.globals.get({name!r}, _M))"
+                f" is not _M else _name_fb(rt, _M, {name!r}, {kloc},"
+                f" {is_function}))",
+                False,
+            )
+        if self.local_type(name) is not None:
+            return (
+                f"({probe} if ({probe} := L.get({name!r}, _M)) is not _M"
+                f" else _name_fb(rt, _M, {name!r}, {kloc}, {is_function}))",
+                False,
+            )
         return (
             f"({probe} if type({probe} := L.get({name!r}, _M)) is not _SM"
             f" and {probe} is not _M"
@@ -867,25 +981,53 @@ class _FunctionEmitter:
         result = self.temp()
         if isinstance(node.operand, Identifier):
             name = node.operand.name
+            koploc = self.const(node.operand.location)
+
+            def slow(current: str) -> str:
+                return (
+                    f"_incdec_slow(rt, {current}, {name!r}, {koploc},"
+                    f" {kloc}, {delta}, {prefix})"
+                )
+
+            if not self.maybe_local(name):
+                self.w(ind, f"{result} = {slow('_M')}")
+                return result, True
+            typ = self.local_type(name)
             cur = self.temp()
-            self.w(ind, f"{cur} = L.get({name!r}, _M)")
-            self.w(ind, f"if {cur} is not _M and type({cur}) is not _SM:")
-            self.w(ind + 1, f"if type({cur}) is int:")
-            ty = self.temp()
             new = self.temp()
-            self.w(ind + 2, f"{ty} = T.get({name!r})")
-            self.w(ind + 2, f"if {ty} is None:")
-            self.w(ind + 3, f"{new} = {cur} {step}")
-            self.w(ind + 2, f"elif type({ty}) is IntType:")
-            self.w(ind + 3, f"{new} = {ty}.wrap({cur} {step})")
-            self.w(ind + 2, "else:")
-            self.w(ind + 3, f"{new} = coerce({ty}, {cur} {step})")
+            self.w(ind, f"{cur} = L.get({name!r}, _M)")
+            if typ is None:
+                self.w(ind, f"if {cur} is not _M and type({cur}) is not _SM:")
+            else:
+                self.w(ind, f"if {cur} is not _M:")
+            self.w(ind + 1, f"if type({cur}) is int:")
+            if typ is None:
+                ty = self.temp()
+                self.w(ind + 2, f"{ty} = T.get({name!r})")
+                self.w(ind + 2, f"if {ty} is None:")
+                self.w(ind + 3, f"{new} = {cur} {step}")
+                self.w(ind + 2, f"elif type({ty}) is IntType:")
+                self.w(ind + 3, f"{new} = {ty}.wrap({cur} {step})")
+                self.w(ind + 2, "else:")
+                self.w(ind + 3, f"{new} = coerce({ty}, {cur} {step})")
+            elif isinstance(typ, ct.IntType):
+                self.w(ind + 2, f"{new} = {cur} {step}")
+                self.w(
+                    ind + 2,
+                    f"if not {typ.min_value} <= {new} <= {typ.max_value}:",
+                )
+                self.w(ind + 3, f"{new} = {self.const(typ)}.wrap({new})")
+            else:
+                self.w(ind + 2, f"{new} = {self.coerced(typ, f'{cur} {step}')}")
             self.w(ind + 2, f"L[{name!r}] = {new}")
             self.w(ind + 2, f"{result} = {new if prefix else cur}")
             self.w(ind + 1, f"elif isinstance({cur}, (int, float)):")
+            declared = (
+                f"T.get({name!r})" if typ is None else self.const(typ)
+            )
             self.w(
                 ind + 2,
-                f"L[{name!r}] = {new} = coerce(T.get({name!r}), {cur} {step})",
+                f"L[{name!r}] = {new} = coerce({declared}, {cur} {step})",
             )
             self.w(ind + 2, f"{result} = {new if prefix else cur}")
             self.w(ind + 1, "else:")
@@ -895,12 +1037,7 @@ class _FunctionEmitter:
                 f"{{{cur}!r}}', {kloc})",
             )
             self.w(ind, "else:")
-            self.w(
-                ind + 1,
-                f"{result} = _incdec_slow(rt, {cur}, {name!r},"
-                f" {self.const(node.operand.location)}, {kloc},"
-                f" {delta}, {prefix})",
-            )
+            self.w(ind + 1, f"{result} = {slow(cur)}")
             return result, True
         slot = self.hoist(ind, self.slot(node.operand, ind))
         old = self.temp()
@@ -924,8 +1061,17 @@ class _FunctionEmitter:
         if op in ("&&", "||"):
             return self._e_logical(node, op, ind)
         if op in ("==", "!="):
-            left, right = self.seq((node.left, node.right), ind)
             yes, no = ("1", "0") if op == "==" else ("0", "1")
+            if _is_int_literal(node.left) or _is_int_literal(node.right):
+                left = self.atom(node.left, ind)
+                right = self.atom(node.right, ind)
+                return (
+                    f"((1 if {left} {op} {right} else 0)"
+                    f" if {self._ints(node, left, right)}"
+                    f" else ({yes} if _values_equal({left}, {right}) else {no}))",
+                    False,
+                )
+            left, right = self.seq((node.left, node.right), ind)
             return (
                 f"({yes} if _values_equal({left}, {right}) else {no})",
                 False,
@@ -934,8 +1080,7 @@ class _FunctionEmitter:
             left = self.atom(node.left, ind)
             right = self.atom(node.right, ind)
             return (
-                f"(({left} {op} {right}) if type({left}) is int"
-                f" and type({right}) is int"
+                f"(({left} {op} {right}) if {self._ints(node, left, right)}"
                 f" else binop({op!r}, {left}, {right}, {kloc}))",
                 False,
             )
@@ -943,13 +1088,24 @@ class _FunctionEmitter:
             left = self.atom(node.left, ind)
             right = self.atom(node.right, ind)
             return (
-                f"((1 if {left} {op} {right} else 0) if type({left}) is int"
-                f" and type({right}) is int"
+                f"((1 if {left} {op} {right} else 0)"
+                f" if {self._ints(node, left, right)}"
                 f" else binop({op!r}, {left}, {right}, {kloc}))",
                 False,
             )
         left, right = self.seq((node.left, node.right), ind)
         return f"binop({op!r}, {left}, {right}, {kloc})", False
+
+    @staticmethod
+    def _ints(node: Binary, left: str, right: str) -> str:
+        """The int guard of a binary fast path; an int literal operand
+        needs no runtime test."""
+        tests = [
+            f"type({text}) is int"
+            for operand, text in ((node.left, left), (node.right, right))
+            if not _is_int_literal(operand)
+        ]
+        return " and ".join(tests) or "True"
 
     def _e_logical(self, node: Binary, op: str, ind: int) -> tuple[str, bool]:
         left, _pure = self.value(node.left, ind)
@@ -1030,30 +1186,39 @@ class _FunctionEmitter:
         kloc = self.const(node.location)
         ktloc = self.const(node.target.location)
         compound = None if node.op == "=" else node.op[:-1]
-        cur = self.temp()
+        cur = "_M"
         result = self.temp()
-        self.w(ind, f"{cur} = L.get({name!r}, _M)")
-        self.w(ind, f"if {cur} is not _M and type({cur}) is not _SM:")
-        rhs, pure = self.value(node.value, ind + 1)
-        if compound is not None:
-            # Re-read the local *after* the right-hand side ran, so the
-            # side effects of the right-hand side are visible to the
-            # combine (tree-walker order).
-            if not pure:
-                rhs = self.hoist(ind + 1, rhs)
-            rhs = f"binop({compound!r}, L[{name!r}], {rhs}, {kloc})"
-        self.w(
-            ind + 1,
-            f"{result} = L[{name!r}] = coerce(T.get({name!r}), {rhs})",
-        )
-        self.w(ind, "else:")
+        outer = ind
+        if self.maybe_local(name):
+            typ = self.local_type(name)
+            if typ is None:
+                cur = self.temp()
+                self.w(ind, f"{cur} = L.get({name!r}, _M)")
+                self.w(ind, f"if {cur} is not _M and type({cur}) is not _SM:")
+            else:
+                self.w(ind, f"if {name!r} in L:")
+            rhs, pure = self.value(node.value, ind + 1)
+            if compound is not None:
+                # Re-read the local *after* the right-hand side ran, so
+                # the side effects of the right-hand side are visible
+                # to the combine (tree-walker order).
+                if not pure:
+                    rhs = self.hoist(ind + 1, rhs)
+                rhs = f"binop({compound!r}, L[{name!r}], {rhs}, {kloc})"
+            if typ is None:
+                rhs = f"coerce(T.get({name!r}), {rhs})"
+            else:
+                rhs = self.coerced(typ, rhs, None if compound else node.value)
+            self.w(ind + 1, f"{result} = L[{name!r}] = {rhs}")
+            self.w(ind, "else:")
+            outer = ind + 1
         env = self.temp()
         # Resolution (and the undefined-variable error) happens before
         # the right-hand side is evaluated, like `resolve_slot`.
-        self.w(ind + 1, f"{env} = _name_env_slot(rt, {cur}, {name!r}, {ktloc})")
-        rhs2, _pure2 = self.value(node.value, ind + 1)
+        self.w(outer, f"{env} = _name_env_slot(rt, {cur}, {name!r}, {ktloc})")
+        rhs2, _pure2 = self.value(node.value, outer)
         self.w(
-            ind + 1,
+            outer,
             f"{result} = _finish_assign(rt, {env}, {rhs2},"
             f" {compound!r}, {kloc})",
         )
@@ -1072,10 +1237,14 @@ class _FunctionEmitter:
             result = self.hoist(ind, f"_fn_{callee}(rt, ({packed}))")
             return result, True
         args = self.seq(node.args, ind)
-        result = self.hoist(
-            ind,
-            f"_call_builtin(rt, {callee!r}, [{', '.join(args)}], {kloc})",
-        )
+        builtin = REGISTRY.get(callee)
+        if builtin is None:
+            # Undefined: the tree-walker's resolution raises its error
+            # when the call runs, never while lowering.
+            target = f"rt._call_builtin_or_user({callee!r}, "
+        else:
+            target = f"{self.const(builtin)}(rt, "
+        result = self.hoist(ind, f"{target}[{', '.join(args)}], {kloc})")
         return result, True
 
     def _e_call_indirect(self, node: CallIndirect, ind: int) -> tuple[str, bool]:
@@ -1092,17 +1261,26 @@ class _FunctionEmitter:
 
     def _e_member(self, node: Member, ind: int) -> tuple[str, bool]:
         kloc = self.const(node.location)
-        base, _pure = self.value(node.base, ind)
+        base = self.atom(node.base, ind)
         fname = node.field_name
         return (
-            f"struct_from({base}, {fname!r}, {kloc}).get({fname!r}, {kloc})",
+            f"({base}.fields[{fname!r}] if type({base}) is StructValue"
+            f" and {fname!r} in {base}.fields"
+            f" else struct_from({base}, {fname!r}, {kloc}).get({fname!r},"
+            f" {kloc}))",
             False,
         )
 
     def _e_index(self, node: Index, ind: int) -> tuple[str, bool]:
         kloc = self.const(node.location)
-        base, index = self.seq((node.base, node.index), ind)
-        return f"index_value({base}, {index}, {kloc})", False
+        base = self.atom(node.base, ind)
+        index = self.atom(node.index, ind)
+        return (
+            f"({base}.items[{index}] if type({base}) is ArrayValue"
+            f" and type({index}) is int and 0 <= {index} < len({base}.items)"
+            f" else index_value({base}, {index}, {kloc}))",
+            False,
+        )
 
     def _e_cast(self, node: Cast, ind: int) -> tuple[str, bool]:
         expr, _pure = self.value(node.operand, ind)

@@ -19,7 +19,11 @@ from repro.runtime.codegen import (
     generate_source,
 )
 from repro.runtime.builtins import REGISTRY
-from repro.runtime.interpreter import InterpreterOptions
+from repro.runtime.interpreter import (
+    Interpreter,
+    InterpreterError,
+    InterpreterOptions,
+)
 from repro.runtime.os_model import EmulatedOS
 from repro.runtime.process import ProcessStatus, run_program
 from repro.runtime.snapshot import (
@@ -30,7 +34,7 @@ from repro.runtime.snapshot import (
     boot_launch,
 )
 from repro.runtime.values import ArrayValue, Pointer, VarSlot
-from repro.systems.registry import get_system
+from repro.systems.registry import get_system, system_names
 
 
 def _program(source: str) -> Program:
@@ -84,6 +88,67 @@ class TestGeneratedSource:
         assert "helper" in plan.invokes
         assert "main" in plan.invokes
         assert plan.main_steps  # stepwise runners for snapshot boots
+
+
+class TestLoweringTimeFacts:
+    """What lowering binds once instead of looking up per step."""
+
+    @pytest.mark.parametrize("name", system_names())
+    def test_builtin_calls_are_bound(self, name):
+        source = generate_source(get_system(name).program())
+        assert "_call_builtin(" not in source
+
+    def test_never_declared_global_loads_skip_the_locals(self):
+        source = generate_source(_program(
+            "int limit = 7;\n"
+            "int main() { return limit; }"
+        ))
+        body = source[source.index("def _fn_main"):]
+        assert "rt.globals.get('limit', _M)" in body
+        assert "L.get" not in body
+
+    def test_undefined_call_raises_when_run_not_when_lowered(self):
+        source = (
+            "int helper() { return missing(1); }\n"
+            "int main() { int x = 1; x = x + 2; return helper(); }"
+        )
+        compile_codegen(_program(source))  # lowering does not raise
+        outcomes = []
+        for engine in InterpreterOptions.ENGINES:
+            program = _program(source)
+            options = InterpreterOptions(engine=engine, warm_boot=False)
+            plan = codegen_plan_for(program) if engine == "codegen" else None
+            interp = Interpreter(program, options=options, plan=plan)
+            with pytest.raises(InterpreterError) as raised:
+                interp.run_main()
+            outcomes.append((str(raised.value), interp.steps))
+        assert outcomes[0] == outcomes[1]
+        assert "call to undefined function 'missing'" in outcomes[0][0]
+
+    @pytest.mark.parametrize("engine", InterpreterOptions.ENGINES)
+    def test_name_declared_twice_wraps_by_its_dynamic_type(self, engine):
+        result = run_program(
+            _program(
+                """
+                int main() {
+                    int i;
+                    for (i = 0; i < 2; i++) {
+                        if (i == 0) { int v = 0; v = 300; v++; printf("%d\\n", v); }
+                        else { char v = 0; v = 300; v++; printf("%d\\n", v); }
+                    }
+                    v += 200;
+                    return v;
+                }
+                """
+            ),
+            options=InterpreterOptions(engine=engine, warm_boot=False),
+        )
+        assert [str(record) for record in result.logs] == [
+            "[stdout] 301",
+            "[stdout] 45",
+        ]
+        assert result.status is ProcessStatus.EXITED
+        assert result.exit_code == -11  # 45 + 200 wrapped to a char
 
 
 class TestEngineSelection:

@@ -8,8 +8,16 @@ program mixes bounded `for`/`while`/`do` loops with `break` and
 pointers into locals, statics, globals and arrays, direct and indirect
 (function-pointer table) calls, static locals, and recursion - a
 Fibonacci-shaped one that runs out of step budget mid-recursion and a
-linear one that can overflow the call depth.  Occasional unguarded
-divisors, array indexes and NULL stores make some programs fault.
+linear one that can overflow the call depth.  They also reach every
+typed fast path the codegen engine lowers: `char`, `short` and
+`unsigned` locals, parameters and return types stored out of range;
+reads and writes of struct-array members (`tab[i].f`, `rp->f`); `== 0`
+on NULL pointers and strings; string indexing at and past the
+terminating NUL; `strcasecmp`, `atoi` and `strlen` calls; and a global
+(`g2`) that a local declared later - sometimes twice, with different
+types - shadows, read and stored both before and after.  Occasional
+unguarded divisors, indexes, NULL stores and NULL strings make some
+programs fault.
 
 Each program runs on both engines and the two outcomes must agree on
 status, exit code, fault signal, reason and location, logs, responses
@@ -114,6 +122,133 @@ int main() {
 }
 void *ops[4] = {f2, f2, f0, f2};
 """,
+    # a bound builtin call was handed the enclosing function's location
+    # instead of the call's, so its fault pointed at the wrong line
+    "bound-builtin-fault-location": """\
+int g0 = 0;
+int garr[8] = {3, 1, 4, 1, 5, 9, 2, 6};
+struct rec { int k; char c; char *name; };
+struct rec tab[4] = {{1, 200, "alpha"}, {-2, 7, NULL}, {3, -300, ""}, {40000, 0, NULL}};
+int main() {
+    int y = 1;
+    int *p = &y;
+    unsigned u = 3;
+    return (((g0 / (atoi(tab[((*p / (tab[(garr[((strlen(tab[((7 ^ u)) & 3].name) >> 3)) & 7]) % 5].c | 1))) & 3].name) | 1)) + -4)) & 255;
+}
+""",
+    # the scope scan skipped declarations nested in compound statements,
+    # so a shadowing local read inside a `switch` arm went to the globals
+    "nested-declaration-is-local": """\
+struct rec { int k; char c; char *name; };
+struct rec tab[4] = {{1, 200, "alpha"}, {-2, 7, NULL}, {3, -300, ""}, {40000, 0, NULL}};
+int main() {
+    int y = 1;
+    int z = 2;
+    struct rec *rp = &tab[0];
+    switch ((z) % 5) {
+    case 4:
+    default:
+        unsigned g2 = (127 % ((y > (rp == 0)) | 1));
+        printf("L9 %d %d\\n", g2, 0);
+    case 3:
+    }
+}
+""",
+    # the array-index fast path dropped its lower bound: a negative index
+    # read Python's end-relative element instead of faulting
+    "array-index-fast-path-rejects-negative": """\
+int garr[8] = {3, 1, 4, 1, 5, 9, 2, 6};
+struct rec { int k; char c; char *name; };
+struct rec tab[4] = {{1, 200, "alpha"}, {-2, 7, NULL}, {3, -300, ""}, {40000, 0, NULL}};
+short f0(int a, int b) {
+    static int s = 2;
+    if (garr[((s - 127)) % 9]) {
+    } else {
+    }
+}
+int main() {
+    int b = -2;
+    int y = 1;
+    int *p = &y;
+    tab[(f0(*p, b)) & 3].k++;
+}
+""",
+    # the member fast path dropped its struct type test, so `rp->k`
+    # through a pointer read `.fields` off the pointer
+    "member-fast-path-needs-a-struct": """\
+struct rec { int k; char c; char *name; };
+struct rec tab[4] = {{1, 200, "alpha"}, {-2, 7, NULL}, {3, -300, ""}, {40000, 0, NULL}};
+int main() {
+    int x = 0;
+    int z = 2;
+    struct rec *rp = &tab[0];
+    x ^= (tab[((z ^ x)) & 3].k != rp->k);
+}
+""",
+    # `== 0` compared natively without its int type test, so a NULL
+    # string was not equal to 0
+    "null-equals-zero": """\
+int garr[8] = {3, 1, 4, 1, 5, 9, 2, 6};
+struct rec { int k; char c; char *name; };
+struct rec tab[4] = {{1, 200, "alpha"}, {-2, 7, NULL}, {3, -300, ""}, {40000, 0, NULL}};
+int main() {
+    static int s = 1;
+    int y = 1;
+    int *p = &y;
+    unsigned u = 0;
+    switch (((tab[((65535 | garr[(s) & 7])) & 3].name == 0)) % 5) {
+    case 4:
+    case 1:
+        tab[((u * garr[((*p % (255 | 1))) & 7])) & 3].k |= 5;
+    }
+}
+""",
+    # a store at a known int type skipped its range test, so 40000 was
+    # kept in a `short`
+    "typed-store-wraps": """\
+int g2 = 7;
+int garr[8] = {3, 1, 4, 1, 5, 9, 2, 6};
+struct rec { int k; char c; char *name; };
+struct rec tab[4] = {{1, 200, "alpha"}, {-2, 7, NULL}, {3, -300, ""}, {40000, 0, NULL}};
+int f0(int a, int b) {
+}
+int main() {
+    static int s = 1;
+    int i0;
+    short h = 40000;
+    printf("L1 %d %d\\n", h, ((garr[(tab[(f0(s, g2)) & 3].k) & 7] * i0) << 4));
+}
+""",
+    # a name declared twice (`int g2`, later `unsigned g2`) stored through
+    # one of its declared types instead of the one that ran
+    "name-declared-twice-wraps-dynamically": """\
+int garr[8] = {3, 1, 4, 1, 5, 9, 2, 6};
+int main() {
+    int y = 1;
+    int z = 2;
+    int *p = &y;
+    int g2 = (++z ^ (garr[(-1) & 7] % (*p | 1)));
+    g2 -= 200;
+    printf("L10 %d %d\\n", g2, 0);
+    unsigned g2 = 10;
+}
+""",
+    # `++` on a local of known int type skipped the wrap, so an `unsigned`
+    # at UINT_MAX stepped to 2**32 instead of 0
+    "typed-increment-wraps": """\
+int main() {
+    int y = 1;
+    int z = 2;
+    int *p = &y;
+    unsigned u = -1;
+    switch ((++u) % 5) {
+    case 0:
+    case 4:
+    default:
+    }
+    return (((*p * u) ? 1 : z++)) & 255;
+}
+""",
 }
 
 
@@ -173,6 +308,17 @@ class ProgramGenerator:
         "+", "-", "*", "&", "|", "^", "==", "!=", "<", ">", "<=", ">=",
         "&&", "||",
     )
+    #: Declared types of the narrow scalars (locals, parameters and
+    #: return types); stores of wider values into them must wrap.
+    SCALAR_TYPES = ("int", "int", "char", "short", "unsigned")
+    #: Integer names every function declares (`g0`..`g2` are globals;
+    #: `g2` is shadowed by a local wherever a function declares one).
+    INT_NAMES = (
+        "a", "b", "x", "y", "z", "s", "c", "h", "u", "g0", "g1", "g2",
+        "i0", "i1",
+    )
+    STORE_NAMES = ("x", "y", "z", "s", "c", "h", "u", "g0", "g1", "g2")
+    STRINGS = ('"alpha"', '"ALPHA"', '"Beta"', '""', '"12x"', '"99999999999"')
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
@@ -209,7 +355,7 @@ class ProgramGenerator:
                 f": {self.expr(depth + 1)})"
             )
         if roll < 0.85:
-            name = rng.choice(("x", "y", "z", "s", "g0"))
+            name = rng.choice(("x", "y", "z", "s", "c", "u", "g0", "g2"))
             return rng.choice((f"{name}++", f"--{name}", f"++{name}"))
         if roll < 0.95 and self.callees:
             return self.call(depth)
@@ -218,20 +364,54 @@ class ProgramGenerator:
     def leaf(self) -> str:
         rng = self.rng
         roll = rng.random()
-        if roll < 0.3:
-            return str(rng.choice((0, 1, 2, 3, 5, 7, 10, -1, -4, 2147483647)))
-        if roll < 0.7:
-            return rng.choice(
-                ("a", "b", "x", "y", "z", "s", "g0", "g1", "i0", "i1")
-            )
-        if roll < 0.85:
+        if roll < 0.25:
+            return str(rng.choice(
+                (0, 1, 2, 3, 5, 7, 10, -1, -4, 127, 255, 65535, 2147483647)
+            ))
+        if roll < 0.6:
+            return rng.choice(self.INT_NAMES)
+        if roll < 0.72:
             return f"garr[{self.index()}]"
+        if roll < 0.8:
+            return f"{self.record()}.{rng.choice(('k', 'c'))}"
+        if roll < 0.87:
+            return self.string_probe()
         return "*p"
 
-    def index(self) -> str:
+    def index(self, size: int = 8) -> str:
         if self.rng.random() < 0.95:
-            return f"({self.expr(1)}) & 7"
-        return f"({self.expr(1)}) % 9"  # may run off either end
+            return f"({self.expr(1)}) & {size - 1}"
+        return f"({self.expr(1)}) % {size + 1}"  # may run off either end
+
+    def record(self) -> str:
+        """An element of the global struct array `tab`."""
+        return f"tab[{self.index(4)}]"
+
+    def string(self) -> str:
+        """A string-valued operand: a `char *` local or a table name
+        (either may be NULL)."""
+        if self.rng.random() < 0.8:
+            return "q"
+        return f"{self.record()}.name"
+
+    def string_probe(self) -> str:
+        """An int read off a string or a pointer: NULL tests, indexing
+        up to and past the terminating NUL, and string builtins."""
+        rng = self.rng
+        roll = rng.random()
+        if roll < 0.4:
+            subject = rng.choice(("q", f"{self.record()}.name", "rp", "p"))
+            return f"({subject} {rng.choice(('==', '!='))} 0)"
+        if roll < 0.55:
+            return f"q[{rng.choice((0, 1, 2, 3, 4, 5))}]"
+        if roll < 0.68:
+            return "rp->k"
+        if roll < 0.77:
+            return f"strlen({self.string()})"
+        if roll < 0.86:
+            return f"atoi({self.string()})"
+        other = rng.choice((*self.STRINGS, self.string()))
+        return f"strcasecmp({self.string()}, {other})"
 
     def call(self, depth: int) -> str:
         rng = self.rng
@@ -243,10 +423,14 @@ class ProgramGenerator:
     def lvalue(self) -> str:
         rng = self.rng
         roll = rng.random()
-        if roll < 0.6:
-            return rng.choice(("x", "y", "z", "s", "g0", "g1"))
-        if roll < 0.85:
+        if roll < 0.55:
+            return rng.choice(self.STORE_NAMES)
+        if roll < 0.75:
             return f"garr[{self.index()}]"
+        if roll < 0.88:
+            return f"{self.record()}.{rng.choice(('k', 'c'))}"
+        if roll < 0.9:
+            return "rp->c"
         return "(*p)"
 
     # -- statements --------------------------------------------------------
@@ -275,14 +459,22 @@ class ProgramGenerator:
         if roll < 0.27:
             return [f"{self.lvalue()}{rng.choice(('++', '--'))};"]
         if roll < 0.33:
-            self.labels += 1
-            return [
-                f'printf("L{self.labels} %d %d\\n", {self.expr()}, '
-                f"{self.expr()});"
-            ]
+            return self.show(self.expr(), self.expr())
         if roll < 0.38:
             return [self.pointer_retarget()]
-        if roll < 0.45:
+        if roll < 0.46:
+            # A local that shadows the global `g2` from here on: reads
+            # and stores before it reach the global.  A function may
+            # declare it more than once, with different types, so a
+            # store wraps by whichever declaration ran last.
+            value = rng.choice((self.expr(), "200", "-1", "40000"))
+            store = [f"g2 {rng.choice(self.ASSIGN_OPS)} {value};"]
+            if rng.random() < 0.4:
+                return store
+            kind = rng.choice(("char", "int", "unsigned"))
+            decl = [f"{kind} g2 = {self.expr()};"]
+            return ["{", [self.show("g2"), decl, store, self.show("g2")], "}"]
+        if roll < 0.51:
             if loop is not None and rng.random() < 0.6:
                 jump = rng.choice(("break;", "continue;"))
                 return [f"if ({self.expr()}) {{", [[jump]], "}"]
@@ -290,18 +482,32 @@ class ProgramGenerator:
                 cond = self.expr()
                 return [f"if ({cond}) {{", [[f"return {self.expr()};"]], "}"]
             return [f"{self.expr()};"]
-        if roll < 0.55:
+        if roll < 0.6:
             then = self.body(depth + 1, loop)
             if rng.random() < 0.5:
                 return [f"if ({self.expr()}) {{", then, "}"]
             other = self.body(depth + 1, loop)
             return [f"if ({self.expr()}) {{", then, "} else {", other, "}"]
-        if roll < 0.85:
+        if roll < 0.86:
             return self.loop(depth)
         return self.switch(depth, loop)
 
+    def show(self, first: str, second: str = "0") -> list:
+        """A `printf` of two values, labelled so every line differs."""
+        self.labels += 1
+        return [f'printf("L{self.labels} %d %d\\n", {first}, {second});']
+
     def pointer_retarget(self) -> str:
         rng = self.rng
+        roll = rng.random()
+        if roll < 0.2:
+            if rng.random() < 0.25:
+                return "q = NULL;"
+            return f"q = {rng.choice((*self.STRINGS, self.string()))};"
+        if roll < 0.3:
+            if rng.random() < 0.2:
+                return "rp = NULL;"
+            return f"rp = &{self.record()};"
         if rng.random() < 0.04:
             return "p = NULL;"
         target = rng.choice(("x", "y", "z", "s", "g0", "g1", "garr"))
@@ -354,24 +560,39 @@ class ProgramGenerator:
 
     # -- whole programs ----------------------------------------------------
 
+    def narrow_locals(self) -> list:
+        """The narrow scalar, string and struct-pointer locals every
+        function declares, started from values their types must wrap."""
+        rng = self.rng
+        return [
+            f"char c = {rng.choice((0, 65, 127, 200, -129))};",
+            f"short h = {rng.choice((0, 7, 32767, 40000))};",
+            f"unsigned u = {rng.choice((0, 3, -1, 4294967296))};",
+            f"char *q = {rng.choice(self.STRINGS)};",
+            f"struct rec *rp = &tab[{rng.randrange(4)}];",
+        ]
+
     def function(self, index: int) -> list:
+        rng = self.rng
         self.callees = [f"f{j}" for j in range(index)]
         self.indirect = False
         self.in_function = True
+        ret, ta, tb = (rng.choice(self.SCALAR_TYPES) for _ in range(3))
         prologue = [
-            f"static int s = {self.rng.randint(0, 9)};",
+            f"static int s = {rng.randint(0, 9)};",
             "int x = a;",
             "int y = b;",
-            f"int z = {self.rng.randint(-3, 3)};",
+            f"int z = {rng.randint(-3, 3)};",
             "int *p = &x;",
             "int i0;",
             "int i1;",
             "int i2;",
+            *self.narrow_locals(),
             "s++;",
         ]
         epilogue = [f"return {self.expr()};"]
         body = self.body(0, None)
-        return [f"int f{index}(int a, int b)", prologue, body, epilogue]
+        return [f"{ret} f{index}({ta} a, {tb} b)", prologue, body, epilogue]
 
     def main(self, helpers: int) -> list:
         rng = self.rng
@@ -389,6 +610,7 @@ class ProgramGenerator:
             "int i0;",
             "int i1;",
             "int i2;",
+            *self.narrow_locals(),
         ]
         body = self.body(0, None)
         # Recursion: Fibonacci-shaped calls outgrow the step budget
@@ -408,7 +630,11 @@ class ProgramGenerator:
         prelude = [
             f"int g0 = {rng.randint(-9, 9)};",
             "int g1;",
+            f"int g2 = {rng.randint(-9, 9)};",
             "int garr[8] = {3, 1, 4, 1, 5, 9, 2, 6};",
+            "struct rec { int k; char c; char *name; };",
+            "struct rec tab[4] = {{1, 200, \"alpha\"}, {-2, 7, NULL},"
+            " {3, -300, \"\"}, {40000, 0, NULL}};",
         ]
         functions = [
             [
@@ -514,12 +740,14 @@ def diverges(source: str) -> bool:
     return outcome(source, "tree") != outcome(source, "codegen")
 
 
-def parses(source: str) -> bool:
+def well_formed(source: str) -> bool:
+    """The program parses, and the reference engine runs it without an
+    interpreter error (no cut left a name undefined)."""
     try:
         Program.from_sources({"main.c": source})
     except Exception:
         return False
-    return True
+    return outcome(source, "tree")[0] != "raised"
 
 
 def _deletions(items: list):
@@ -565,16 +793,17 @@ def _edits(program: MiniCProgram):
 
 def shrink(program: MiniCProgram, failing=diverges) -> MiniCProgram:
     """Greedy delta reduction: keep applying the first edit after which
-    the program still parses and still fails, until no single edit
-    does.  A cut that breaks the program (an undefined name, a missing
-    `main`) fails both engines alike, so it is never kept."""
+    the program is still well formed and still fails, until no single
+    edit does.  A cut that breaks the program (an undefined name, a
+    missing `main`) is never kept, even where the engines would report
+    the breakage differently."""
     progress = True
     while progress:
         progress = False
         for edit in _edits(program):
             undo = edit()
             source = program.source()
-            if parses(source) and failing(source):
+            if well_formed(source) and failing(source):
                 progress = True
                 break
             undo()
