@@ -13,11 +13,14 @@ injection harness: a flag only counts as *confirmed* when the
 interpreter observably misbehaves (or pinpoints the mistake) under the
 very same config.
 
-Process sharding follows the campaign pipeline's honesty rules: tasks
-carry (system name, options, chunk range, pool digest), workers
-regenerate their shard deterministically and verify the digest before
-validating, and fork-started workers inherit the parent's inference
-result through a pre-fork seed so they never re-infer.
+Every executor runs the one by-name shard function `_validate_chunk`
+over tasks of (system name, options, chunk range, pool digest), through
+the executor's checkpointed map (`map_checkpointed`), which resumes a
+killed run from its finished chunks.  For the duration of a run the
+parent plants each system's context (system, mistake pool, template,
+mix, compiled checker) in module state, where inline and thread shards
+and fork-started workers read it; a worker that finds none rebuilds it
+from the system name and verifies the pool digest before validating.
 
 Usage::
 
@@ -31,8 +34,6 @@ Usage::
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import random
 import time
 from dataclasses import dataclass, field
@@ -201,7 +202,7 @@ class FleetReport:
 
 @dataclass
 class _SystemContext:
-    """Parent-side per-system state for one fleet run."""
+    """Per-system state of one fleet run, planted for its shards."""
 
     system: object
     checker: CompiledChecker
@@ -243,7 +244,7 @@ def run_fleet(
     pool digests), so a checkpoint can never leak across specs.
     """
     from repro.pipeline.cache import PipelineCaches
-    from repro.pipeline.executor import resolve_executor
+    from repro.pipeline.executor import map_checkpointed, resolve_executor
     from repro.systems.registry import iter_systems
 
     caches = caches if caches is not None else PipelineCaches()
@@ -254,96 +255,53 @@ def run_fleet(
     started = time.perf_counter()
 
     contexts: dict[str, _SystemContext] = {}
-    tasks: list[tuple[str, int, int]] = []  # (system, start, count)
+    # (shard key, task) per chunk; the key names the chunk both in the
+    # checkpoint store and in its quarantine record.
+    shards: list[tuple[str, tuple]] = []
     with span("fleet.compile"):
         for system in iter_systems(systems):
-            before = caches.checkers.stats.snapshot()
-            checker = checker_for_system(system, options, caches=caches)
-            from_cache = caches.checkers.stats.hits > before["hits"]
-            # peek, not get: compilation already populated this entry,
-            # and the footer's hit counters must reflect avoided
-            # inference runs, not this bookkeeping read.
-            spex_report = caches.inference.peek(
-                caches.inference.key_for(system, options)
-            )
-            if spex_report is None:  # pragma: no cover - cache contract
-                raise RuntimeError(
-                    f"inference result for {system.name} missing after "
-                    "checker compilation"
-                )
-            pool = corpus_pool(spex_report, system)
-            contexts[system.name] = _SystemContext(
-                system=system,
-                checker=checker,
-                pool=pool,
-                digest=pool_digest(pool),
-                mix=mistake_mix(system),
-                template=system.template_ar(),
-                from_cache=from_cache,
-            )
+            context = _build_context(system, options, caches)
+            contexts[system.name] = context
             for start in range(0, size, chunk_size):
-                tasks.append(
-                    (system.name, start, min(chunk_size, size - start))
+                count = min(chunk_size, size - start)
+                task = (
+                    system.name, options, seed, mistake_rate, start, count,
+                    context.digest,
                 )
+                shards.append((f"{system.name}:{start}:{count}", task))
 
     run_key = _fleet_run_key(
         contexts, size, seed, mistake_rate, chunk_size, options
     )
-    restored: dict[int, ChunkResult] = {}
-    pending: list[tuple[int, tuple[str, int, int]]] = []
-    if checkpoint is not None:
-        registry = get_registry()
-        for position, task in enumerate(tasks):
-            blob = checkpoint.load(run_key, _task_shard_key(task))
-            decoded = _decode_chunk_payload(blob) if blob else None
-            if decoded is not None:
-                restored[position] = decoded
-                registry.inc("resilience.checkpoint_hits")
-            else:
-                pending.append((position, task))
-    else:
-        pending = list(enumerate(tasks))
-
-    failed_shards: list[FailedShard] = []
-    executed: dict[int, ChunkResult] = {}
-    if pending:
-        pending_tasks = [task for _, task in pending]
-        with span(
-            "fleet.validate", executor=chosen.name, chunks=len(pending_tasks)
-        ):
-            chunk_results, failures = _run_chunks(
-                chosen,
-                contexts,
-                pending_tasks,
-                options,
-                seed,
-                mistake_rate,
-                caches,
-                retry_policy,
-                chaos,
-                checkpoint,
-                run_key,
-            )
-        for (position, task), result in zip(pending, chunk_results):
-            if result is not None:
-                executed[position] = result
-        # Re-anchor quarantine records on the shard's stable identity
-        # (system:start), not its position in this run's pending list.
-        for failure in failures:
-            _, task = pending[failure.index]
-            failed_shards.append(
-                dataclasses.replace(failure, label=_task_shard_key(task))
-            )
+    options_fp = options.fingerprint()
+    planted = {(name, options_fp): c for name, c in contexts.items()}
+    _FLEET_CONTEXTS.update(planted)
+    try:
+        mapped = map_checkpointed(
+            chosen,
+            _validate_chunk,
+            shards,
+            ChunkResult,
+            label="fleet",
+            span_name="fleet.validate",
+            checkpoint=checkpoint,
+            run_key=run_key,
+            policy=retry_policy,
+            chaos=chaos,
+            caches=caches,
+        )
+    finally:
+        for key in planted:
+            _FLEET_CONTEXTS.pop(key, None)
 
     # Fold chunk results back in submission order (determinism) while
     # streaming per-system tallies instead of keeping every outcome.
     folds: dict[str, _SystemFold] = {
         name: _SystemFold() for name in contexts
     }
-    for position, (name, _, _) in enumerate(tasks):
-        result = restored.get(position) or executed.get(position)
+    for (_, task), result in zip(shards, mapped.results):
         if result is not None:
-            folds[name].absorb(result)
+            folds[task[0]].absorb(result)
 
     results = [
         fold.result(name, contexts[name].from_cache)
@@ -374,7 +332,7 @@ def run_fleet(
         chunk_size=chunk_size,
         cache_stats=caches.stats(),
         agreement=agreement,
-        failed_shards=failed_shards,
+        failed_shards=mapped.failures,
     )
 
 
@@ -399,151 +357,6 @@ def _fleet_run_key(
         f"fleet|{size}|{seed}|{mistake_rate!r}|{chunk_size}|"
         f"{options.fingerprint()}|{digests}"
     )
-
-
-def _task_shard_key(task: tuple[str, int, int]) -> str:
-    name, start, count = task
-    return f"{name}:{start}:{count}"
-
-
-def _encode_chunk_payload(result: ChunkResult) -> bytes:
-    """JSON-frame one chunk's outcomes.  Floats round-trip exactly
-    through json (repr-based), so a resumed fold is bit-identical."""
-    return json.dumps(
-        {
-            "duration": result.duration,
-            "outcomes": [
-                [
-                    o.index,
-                    o.config_id,
-                    o.planted_kind,
-                    o.flagged,
-                    o.errors,
-                    o.warnings,
-                    list(o.error_kinds),
-                ]
-                for o in result.outcomes
-            ],
-        },
-        sort_keys=True,
-    ).encode("utf-8")
-
-
-def _decode_chunk_payload(blob: bytes | None) -> ChunkResult | None:
-    """Inverse of `_encode_chunk_payload`; None on any malformed blob
-    (the store already digest-verifies, this guards schema drift)."""
-    if blob is None:
-        return None
-    try:
-        data = json.loads(blob.decode("utf-8"))
-        outcomes = [
-            ConfigOutcome(
-                index=index,
-                config_id=config_id,
-                planted_kind=planted_kind,
-                flagged=flagged,
-                errors=errors,
-                warnings=warnings,
-                error_kinds=tuple(error_kinds),
-            )
-            for (
-                index,
-                config_id,
-                planted_kind,
-                flagged,
-                errors,
-                warnings,
-                error_kinds,
-            ) in data["outcomes"]
-        ]
-        return ChunkResult(outcomes, data["duration"])
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-def _save_chunk_checkpoint(
-    checkpoint: CheckpointStore | None,
-    run_key: str,
-    task: tuple[str, int, int],
-    result: ChunkResult,
-) -> None:
-    if checkpoint is None:
-        return
-    checkpoint.save(
-        run_key, _task_shard_key(task), _encode_chunk_payload(result)
-    )
-    get_registry().inc("resilience.checkpoint_saves")
-
-
-def _run_chunks(
-    executor,
-    contexts: dict[str, _SystemContext],
-    tasks: list[tuple[str, int, int]],
-    options: SpexOptions,
-    seed: int,
-    mistake_rate: float,
-    caches,
-    retry_policy: RetryPolicy | None,
-    chaos,
-    checkpoint: CheckpointStore | None,
-    run_key: str,
-) -> tuple[list, list[FailedShard]]:
-    """Fan the chunks out.  In-process chunks share the parent's
-    compiled checkers directly; a process pool gets tasks by name (see
-    the worker section below).  Either way each chunk checkpoints
-    inside its own task, so completed chunks survive a mid-run kill."""
-    from repro.pipeline.executor import ProcessExecutor
-
-    seed_keys = []
-    if isinstance(executor, ProcessExecutor) and len(tasks) > 1:
-        task_fn = _validate_chunk_by_name
-        options_fp = options.fingerprint()
-        for name, context in contexts.items():
-            key = (name, options_fp)
-            _FLEET_SEEDS[key] = caches.inference.peek(
-                caches.inference.key_for(context.system, options)
-            )
-            seed_keys.append(key)
-        ckpt_spec = (
-            (str(checkpoint.root), run_key) if checkpoint is not None else None
-        )
-        shards = [
-            (
-                name,
-                options,
-                seed,
-                mistake_rate,
-                start,
-                count,
-                contexts[name].digest,
-                tuple(sorted(contexts[name].mix.items())),
-                ckpt_spec,
-            )
-            for name, start, count in tasks
-        ]
-    else:
-
-        def task_fn(task):
-            result = _validate_chunk(
-                contexts[task[0]], task, seed, mistake_rate
-            )
-            _save_chunk_checkpoint(checkpoint, run_key, task, result)
-            return result
-
-        shards = tasks
-    try:
-        supervised = executor.map_resilient(
-            task_fn,
-            shards,
-            retry_policy,
-            chaos=chaos,
-            label="fleet",
-            caches=caches,
-        )
-    finally:
-        for key in seed_keys:
-            _FLEET_SEEDS.pop(key, None)
-    return supervised.results, supervised.failures
 
 
 class _SystemFold:
@@ -601,36 +414,6 @@ def _outcome_of(config: SyntheticConfig, report) -> ConfigOutcome:
         warnings=len(report.warnings()),
         error_kinds=report.kinds_flagged(),
     )
-
-
-def _validate_chunk(
-    context: _SystemContext,
-    task: tuple[str, int, int],
-    seed: int,
-    mistake_rate: float,
-) -> ChunkResult:
-    """Generate and validate one chunk of a system's corpus (closures
-    are pure, so threads may share the checker)."""
-    _, start, count = task
-    registry = get_registry()
-    registry.inc("fleet.chunks")
-    begun = time.perf_counter()
-    outcomes = [
-        _outcome_of(config, validate_config(context.checker, config.text))
-        for config in iter_corpus(
-            context.system,
-            context.pool,
-            count,
-            seed=seed,
-            mistake_rate=mistake_rate,
-            mix=context.mix,
-            start=start,
-            template=context.template,
-        )
-    ]
-    duration = time.perf_counter() - begun
-    registry.observe("fleet.chunk_seconds", duration)
-    return ChunkResult(outcomes, duration)
 
 
 # -- interpreter ground-truthing ---------------------------------------------
@@ -707,72 +490,66 @@ def ground_truth_agreement(
     return report
 
 
-# -- process-executor fleet workers ------------------------------------------
+# -- the shard function -------------------------------------------------------
 #
-# Chunk tasks are dispatched by name and rebuilt in the worker.  The
-# parent plants pure seed data (the inference result) in module state
-# right before the pool forks; each worker privately memoizes its
-# rebuilt context (system, mistake pool, template) so serving many
-# chunks pays the rebuild once, and verifies the pool digest so a
+# Each run plants its contexts here, keyed by (system name, options
+# fingerprint), for the duration of its fan-out; inline and thread
+# shards and fork-started pool workers read them.  A worker that finds
+# none (a spawn start method) rebuilds the context by name and keeps it
+# for the chunks it serves after, and verifies the pool digest so a
 # divergent re-inference fails loudly instead of planting different
 # mistakes.
-# Checkers come from the worker's checker cache (`worker_caches()`),
-# whose hits and misses ride home in each chunk's envelope.
 
-_FLEET_SEEDS: dict[tuple[str, str], object] = {}
 _FLEET_CONTEXTS: dict[tuple[str, str], _SystemContext] = {}
 
 
-def _fleet_worker_context(name: str, options: SpexOptions) -> _SystemContext:
-    """The worker's rebuilt context for one system; its checker and
-    mix are filled in per chunk."""
-    from repro.inject.campaign import Campaign
+def _build_context(system, options: SpexOptions, caches) -> _SystemContext:
+    """Compile (or fetch, content-addressed) one system's checker and
+    derive its mistake pool, mix and template."""
+    before = caches.checkers.stats.snapshot()
+    checker = checker_for_system(system, options, caches=caches)
+    # peek, not get: compilation already populated this entry, and the
+    # footer's hit counters must reflect avoided inference runs, not
+    # this bookkeeping read.
+    spex_report = caches.inference.peek(
+        caches.inference.key_for(system, options)
+    )
+    if spex_report is None:  # pragma: no cover - cache contract
+        raise RuntimeError(
+            f"inference result for {system.name} missing after "
+            "checker compilation"
+        )
+    pool = corpus_pool(spex_report, system)
+    return _SystemContext(
+        system=system,
+        checker=checker,
+        pool=pool,
+        digest=pool_digest(pool),
+        mix=mistake_mix(system),
+        template=system.template_ar(),
+        from_cache=caches.checkers.stats.hits > before["hits"],
+    )
+
+
+def _fleet_context(name: str, options: SpexOptions) -> _SystemContext:
+    """The run's planted context for one system, or one rebuilt from
+    its name on the shard's stores."""
     from repro.pipeline.executor import worker_caches
     from repro.systems.registry import get_system
 
     key = (name, options.fingerprint())
     context = _FLEET_CONTEXTS.get(key)
     if context is None:
-        system = get_system(name)
-        spex_report = _FLEET_SEEDS.get(key)
-        if spex_report is None:
-            # Spawn start method (or a cold worker): recompute; the
-            # pool digest check catches any hash-seed divergence.
-            spex_report = Campaign(system, spex_options=options).run_spex()
-        # `checker_for_system` finds the report here instead of
-        # re-inferring.
-        inference = worker_caches().inference
-        inference.put(inference.key_for(system, options), spex_report)
-        pool = corpus_pool(spex_report, system)
-        context = _SystemContext(
-            system=system,
-            checker=None,
-            pool=pool,
-            digest=pool_digest(pool),
-            mix={},
-            template=system.template_ar(),
-            from_cache=False,
-        )
+        context = _build_context(get_system(name), options, worker_caches())
         _FLEET_CONTEXTS[key] = context
     return context
 
 
-def _validate_chunk_by_name(task) -> ChunkResult:
-    """Process-pool entry point for one corpus chunk."""
-    from repro.pipeline.executor import worker_caches
-
-    (
-        name,
-        options,
-        seed,
-        mistake_rate,
-        start,
-        count,
-        parent_digest,
-        mix_items,
-        ckpt_spec,
-    ) = task
-    context = _fleet_worker_context(name, options)
+def _validate_chunk(task) -> ChunkResult:
+    """The fleet's one shard function, under every executor: generate
+    and validate one chunk of a system's corpus, by name."""
+    name, options, seed, mistake_rate, start, count, parent_digest = task
+    context = _fleet_context(name, options)
     if context.digest != parent_digest:
         raise RuntimeError(
             f"worker rebuilt a divergent mistake pool for {name}: the "
@@ -780,17 +557,22 @@ def _validate_chunk_by_name(task) -> ChunkResult:
             "sampled from (re-inference is sensitive to the interpreter "
             "hash seed; use a fork start method or set PYTHONHASHSEED)"
         )
-    checker = checker_for_system(
-        context.system, options, caches=worker_caches()
-    )
-    chunk = (name, start, count)
-    result = _validate_chunk(
-        dataclasses.replace(context, checker=checker, mix=dict(mix_items)),
-        chunk,
-        seed,
-        mistake_rate,
-    )
-    if ckpt_spec is not None:
-        root, run_key = ckpt_spec
-        _save_chunk_checkpoint(CheckpointStore(root), run_key, chunk, result)
-    return result
+    registry = get_registry()
+    registry.inc("fleet.chunks")
+    begun = time.perf_counter()
+    outcomes = [
+        _outcome_of(config, validate_config(context.checker, config.text))
+        for config in iter_corpus(
+            context.system,
+            context.pool,
+            count,
+            seed=seed,
+            mistake_rate=mistake_rate,
+            mix=context.mix,
+            start=start,
+            template=context.template,
+        )
+    ]
+    duration = time.perf_counter() - begun
+    registry.observe("fleet.chunk_seconds", duration)
+    return ChunkResult(outcomes, duration)

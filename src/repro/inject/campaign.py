@@ -91,19 +91,20 @@ class Campaign:
     # batches, re-runs and parity sweeps; None disables launch caching.
     launch_cache: "LaunchCache | None" = None
     # Shared warm-boot records (`repro.pipeline.cache.SnapshotCache`):
-    # one config's boot prefix is interpreted at most twice across all
-    # of this campaign's launches.  None keeps records harness-private
-    # (snapshots still on - the harness owns that default).
+    # most configs' boot prefix is interpreted once across all of this
+    # campaign's launches (twice when the first run could not capture).
+    # None keeps records harness-private (snapshots still on - the
+    # harness owns that default).
     snapshot_cache: "SnapshotCache | None" = None
     # Overrides the harness's interpreter options (engine selection,
     # budgets) - the launch-engine benchmarks use this to pit the
     # tree-walking baseline against the codegen engine on identical
-    # campaigns.  None keeps the harness default.  Not picklable, so
-    # the pipeline's process executor cannot ship it - use `engine`.
+    # campaigns.  None keeps the harness default.  It pickles, but the
+    # pipeline does not forward it to its campaigns - use `engine`.
     harness_options: InterpreterOptions | None = None
     # Launch-engine override as a plain string ("tree" | "codegen");
-    # unlike `harness_options` it crosses the pickle boundary, so
-    # process-executor workers honour it too.
+    # the pipeline forwards it to every campaign, under every
+    # executor.
     engine: str | None = None
 
     def run_spex(self) -> SpexReport:

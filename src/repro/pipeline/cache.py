@@ -15,8 +15,9 @@ identical configs - and every repeated baseline launch - share one
 interpreter run.  A fourth, the `SnapshotCache`, backs the launch
 engine's warm-boot replay (`repro.runtime.snapshot`): per-config boot
 records keyed by (system, config text, options), shared across
-harnesses so one config's boot prefix is interpreted at most twice per
-process no matter how many launches replay it.
+harnesses so one config's boot prefix is interpreted once - twice when
+its first run could not capture - no matter how many launches replay
+it.
 
 Keys are SHA-256 hex digests; a changed source file, annotation block
 or `SpexOptions` knob yields a new key, so stale entries are never
@@ -308,9 +309,11 @@ class SnapshotCache(ContentCache[BootRecord]):
     """`BootRecord`s keyed by `snapshot_fingerprint`.
 
     Shared across harnesses (campaign batches, the fleet agreement
-    sampler) so one config's boot prefix is interpreted at most twice
-    per process - probe and capture - no matter how many launches
-    replay it.  Records are mutated in place by the snapshot engine;
+    sampler) so most configs' boot prefix is interpreted once per
+    process: the first run captures at the system's boundary hint.  A
+    config whose first run kept no snapshot boots a second time to
+    capture (in a full serial audit, 8 of 1083 boots).  Records are
+    mutated in place by the snapshot engine;
     all transitions derive from deterministic runs, so concurrent
     writers can only race to store equivalent values.  `boot_stats`
     counts resumes/boots/captures - the hit/miss counters of the base

@@ -10,9 +10,9 @@ Three strategies cover the deployment spectrum:
   2-core machine, see the class docstring); they are the cheapest way
   to exercise the caches' thread safety.
 * `ProcessExecutor` - a process pool (`fork` where available).  Real
-  multi-core speedup; tasks and results cross a pickle boundary, so
-  process tasks are dispatched by system *name* and rebuilt in the
-  worker rather than shipped as closures.
+  multi-core speedup; tasks and results cross a pickle boundary, which
+  is why every fan-out's shard function takes a system *name* and
+  rebuilds what it needs rather than closing over parent state.
 
 One dispatch.  Every executor offers `map_resilient(fn, items,
 policy=None, chaos=None, label="", caches=None)`, and `map(fn, items)`
@@ -35,33 +35,49 @@ is the same dispatch returning bare results.  Both run one module-level code pat
 All executors preserve input order in their results, so downstream
 aggregation never depends on scheduling.
 
-One worker protocol.  A process-executor shard runs under
-`_run_shard`, which hands back a `WorkerEnvelope(result, stats,
-metrics)`: the entry point's plain result, the delta of the stores it
-used (`worker_caches()`, shaped like `PipelineCaches.stats()`), and the
+One worker protocol.  Every fan-out hands each executor the same
+module-level shard function and picklable items; no caller branches on
+the executor type.  A shard function takes its stores from
+`worker_caches()`: the caller's `caches` when the shard runs inline or
+on a thread, the worker's own set inside a process-pool worker.  A
+pool-worker shard runs under `_run_shard`, which hands back a
+`WorkerEnvelope(result, stats, metrics)`: the plain result, the delta
+of the worker's stores (shaped like `PipelineCaches.stats()`) and the
 `metrics_delta` of its registry.  The parent folds each envelope once,
 in `_fold`: `stats` into the caller's `caches` through
-`PipelineCaches.absorb`, `metrics` into the parent registry only when
-the shard really ran in a pool worker (an inline shard already
-recorded into the parent's own registry).  Worker entry points - the
-pipeline's campaigns and the fleet's chunks - take their stores from
-`worker_caches()` and return plain results.
+`PipelineCaches.absorb`, `metrics` into the parent registry.  Inline
+and thread shards count straight into the caller's stores and
+registry, so they need no envelope.
+
+One checkpointed fan-out.  `map_checkpointed` is how the pipeline's
+campaigns and the fleet's chunks resume: it serves every shard the
+`CheckpointStore` already holds, dispatches the rest through
+`map_resilient`, and each of those saves its own pickled result inside
+the task, so finished shards survive a kill of the run.  One shard key
+names a shard both in the store and in its `FailedShard` label.
 """
 
 from __future__ import annotations
 
 import contextvars
+import dataclasses
 import gc
 import os
+import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from repro.obs import get_registry, metrics_delta
+from repro.obs import get_registry, metrics_delta, span
 from repro.pipeline.cache import PipelineCaches
-from repro.resilience import FailedShard, ResilientMapResult, RetryPolicy
+from repro.resilience import (
+    CheckpointStore,
+    FailedShard,
+    ResilientMapResult,
+    RetryPolicy,
+)
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -78,21 +94,29 @@ class WorkerEnvelope:
     metrics: dict
 
 
-# The stores of the process shard running now: one set per pool worker
-# (set by its initializer, shared by every shard it serves), or a fresh
-# set for the duration of a shard run inline in the caller.
-_WORKER_CACHES: contextvars.ContextVar = contextvars.ContextVar(
+# The stores of the shard running now: the caller's `caches` for the
+# duration of an inline or thread shard, or the worker's own set in a
+# process-pool worker (set by its initializer, shared by every shard it
+# serves).
+_SHARD_CACHES: contextvars.ContextVar = contextvars.ContextVar(
     "worker_caches", default=None
 )
 
+# Set by the pool initializer: this process is a disposable pool
+# worker, the only place a shard may SIGKILL itself.
+_IN_POOL_WORKER = False
+
 
 def worker_caches() -> PipelineCaches:
-    """The stores a process-shard entry point must use, so that what it
-    counts reaches the caller's caches through its envelope."""
-    caches = _WORKER_CACHES.get()
+    """The stores a shard function must use: the caller's `caches` for
+    an inline or thread shard, the worker's own inside a process-pool
+    worker (what those count reaches the caller through its
+    envelope)."""
+    caches = _SHARD_CACHES.get()
     if caches is None:
         raise RuntimeError(
-            "worker_caches() is only available inside a process shard"
+            "worker_caches() is only available inside a shard "
+            "dispatched with caches"
         )
     return caches
 
@@ -103,31 +127,30 @@ def _init_pool_worker() -> None:
     generation - without this, each GC collection in a worker walks the
     parent's whole heap, which can make forked campaigns slower than
     serial - and give the worker its own stores."""
+    global _IN_POOL_WORKER
     gc.freeze()
-    _WORKER_CACHES.set(PipelineCaches())
+    _IN_POOL_WORKER = True
+    _SHARD_CACHES.set(PipelineCaches())
 
 
-def _run_shard(fn, item, chaos, key: str, envelope: bool):
+def _run_shard(fn, item, chaos, key: str, caches):
     """Run one shard attempt, letting an armed chaos schedule perturb
-    it first.  With `envelope` (process executors) the result comes
-    back as a `WorkerEnvelope`."""
-    caches = _WORKER_CACHES.get()
+    it first.  Inline and thread shards run with the caller's `caches`
+    bound; a pool-worker shard uses the worker's stores and comes back
+    as a `WorkerEnvelope`."""
     if chaos is not None:
-        chaos.perturb(key, allow_kill=caches is not None)
-    if not envelope:
-        return fn(item)
-    token = None
-    if caches is None:
-        caches = PipelineCaches()
-        token = _WORKER_CACHES.set(caches)
+        chaos.perturb(key, allow_kill=_IN_POOL_WORKER)
+    if not _IN_POOL_WORKER:
+        token = _SHARD_CACHES.set(caches)
+        try:
+            return fn(item)
+        finally:
+            _SHARD_CACHES.reset(token)
+    caches = _SHARD_CACHES.get()
     registry = get_registry()
     stats_before = caches.snapshot()
     obs_before = registry.snapshot()
-    try:
-        result = fn(item)
-    finally:
-        if token is not None:
-            _WORKER_CACHES.reset(token)
+    result = fn(item)
     return WorkerEnvelope(
         result,
         caches.delta(stats_before),
@@ -135,13 +158,12 @@ def _run_shard(fn, item, chaos, key: str, envelope: bool):
     )
 
 
-def _fold(envelope: WorkerEnvelope, caches, pooled: bool):
-    """The parent side of the protocol: fold one envelope in, return
-    its plain result."""
+def _fold(envelope: WorkerEnvelope, caches):
+    """The parent side of the protocol: fold one pool worker's
+    envelope in, return its plain result."""
     if caches is not None:
         caches.absorb(envelope.stats)
-    if pooled:
-        get_registry().absorb(envelope.metrics)
+    get_registry().absorb(envelope.metrics)
     return envelope.result
 
 
@@ -154,7 +176,7 @@ class Executor:
 
     Pooled subclasses define `_pool(workers)`, a fresh pool per
     supervision round (None: every shard runs inline), and set
-    `envelope` when their shards cross a process boundary."""
+    `envelope` when their pooled shards cross a process boundary."""
 
     name = "base"
     envelope = False
@@ -175,8 +197,9 @@ class Executor:
     ) -> ResilientMapResult:
         """Supervised fan-out (see the module docstring).  Results stay
         aligned with `items`; a quarantined shard's slot is None and
-        its `FailedShard` lands in ``failures``.  Process shards' store
-        deltas fold into `caches`."""
+        its `FailedShard` lands in ``failures``.  `caches` is what
+        `worker_caches()` returns to inline and thread shards, and
+        where pool workers' store deltas fold."""
         return _dispatch(self, fn, items, policy, chaos, label, caches)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -221,7 +244,7 @@ class ThreadExecutor(Executor):
 
 class ProcessExecutor(Executor):
     """Process-pool fan-out.  `fn` and every item/result must pickle;
-    the pipeline honours this by sending system names, not systems.
+    the fan-outs honour this by sending system names, not systems.
     A SIGKILL'd worker surfaces as `BrokenProcessPool`: every
     unfinished shard of that pool counts one failed attempt and the
     pool is rebuilt for the next round.  Watchdog timeouts abandon the
@@ -288,8 +311,8 @@ def _run_inline(
         shard = _shard_label(label, index)
         for attempt in range(1, max_attempts + 1):
             try:
-                outcome = _run_shard(
-                    fn, item, chaos, f"{shard}|a{attempt}", executor.envelope
+                results[index] = _run_shard(
+                    fn, item, chaos, f"{shard}|a{attempt}", caches
                 )
             except Exception as exc:
                 if policy is None:
@@ -305,11 +328,6 @@ def _run_inline(
                     registry.inc("resilience.retries")
                     time.sleep(policy.delay_for(attempt, shard))
             else:
-                results[index] = (
-                    _fold(outcome, caches, pooled=False)
-                    if executor.envelope
-                    else outcome
-                )
                 break
     return ResilientMapResult(results, failures, retries)
 
@@ -337,6 +355,8 @@ def _supervise_pool(
     failures: list[FailedShard] = []
     retries = 0
     pending = list(range(len(items)))
+    # A process pool's workers use their own stores; never ship ours.
+    shard_caches = None if executor.envelope else caches
     while pending:
         pool = executor._pool(min(executor.max_workers, len(pending)))
         abandoned = False
@@ -345,7 +365,7 @@ def _supervise_pool(
             attempts[index] += 1
             key = f"{_shard_label(label, index)}|a{attempts[index]}"
             futures[index] = pool.submit(
-                _run_shard, fn, items[index], chaos, key, executor.envelope
+                _run_shard, fn, items[index], chaos, key, shard_caches
             )
         for index, future in futures.items():
             try:
@@ -377,9 +397,7 @@ def _supervise_pool(
                     last_error[index] = (type(exc).__name__, str(exc))
             else:
                 results[index] = (
-                    _fold(outcome, caches, pooled=True)
-                    if executor.envelope
-                    else outcome
+                    _fold(outcome, caches) if executor.envelope else outcome
                 )
                 finished[index] = True
         # A stalled shard's worker cannot be joined promptly: abandon
@@ -404,6 +422,98 @@ def _supervise_pool(
             time.sleep(policy.delay_for(attempts[still_pending[0]], label))
         pending = still_pending
     return ResilientMapResult(results, failures, retries)
+
+
+@dataclass(frozen=True)
+class CheckpointedMap:
+    """What `map_checkpointed` hands back, aligned with its shards:
+    each result (None for a quarantined shard), whether it was served
+    from the checkpoint store, and the quarantine records, labelled by
+    shard key."""
+
+    results: list
+    restored: list[bool]
+    failures: list[FailedShard]
+
+
+def map_checkpointed(
+    executor: Executor,
+    fn: Callable,
+    shards: Sequence[tuple[str, object]],
+    expect: type,
+    *,
+    label: str,
+    span_name: str,
+    checkpoint: CheckpointStore | None = None,
+    run_key: str = "",
+    policy: RetryPolicy | None = None,
+    chaos=None,
+    caches: PipelineCaches | None = None,
+) -> CheckpointedMap:
+    """Apply the shard function `fn` to each `(key, item)` shard,
+    resuming from `checkpoint`.
+
+    A shard whose key the store holds under `run_key` is served from
+    it; a payload that fails to unpickle or is not an `expect` counts
+    as a miss (schema drift between the writer's code and ours).  The
+    rest go through `executor.map_resilient` under `label`, and each
+    saves its own pickled result inside the task.  A quarantined
+    shard's `FailedShard` is labelled by its key.  `span_name` traces
+    the dispatch of the shards not served from the store."""
+    registry = get_registry()
+    results: list = []
+    pending: list[int] = []
+    for position, (key, _) in enumerate(shards):
+        found = _load_shard(checkpoint, run_key, key, expect)
+        if found is None:
+            pending.append(position)
+        else:
+            registry.inc("resilience.checkpoint_hits")
+        results.append(found)
+    restored = [found is not None for found in results]
+    failures: list[FailedShard] = []
+    if pending:
+        tasks = [
+            (fn, shards[position][1], checkpoint, run_key, shards[position][0])
+            for position in pending
+        ]
+        with span(span_name, executor=executor.name, shards=len(pending)):
+            supervised = executor.map_resilient(
+                _checkpointed_shard, tasks, policy, chaos, label, caches
+            )
+        for position, result in zip(pending, supervised.results):
+            results[position] = result
+        failures = [
+            dataclasses.replace(
+                failure, label=shards[pending[failure.index]][0]
+            )
+            for failure in supervised.failures
+        ]
+    return CheckpointedMap(results, restored, failures)
+
+
+def _load_shard(checkpoint, run_key: str, key: str, expect: type):
+    if checkpoint is None:
+        return None
+    blob = checkpoint.load(run_key, key)
+    if blob is None:
+        return None
+    try:
+        found = pickle.loads(blob)
+    except Exception:
+        return None
+    return found if isinstance(found, expect) else None
+
+
+def _checkpointed_shard(task):
+    """One `map_checkpointed` task: run the shard function, then save
+    its result, so the shard's progress survives a kill of the run."""
+    fn, item, checkpoint, run_key, key = task
+    result = fn(item)
+    if checkpoint is not None:
+        checkpoint.save(run_key, key, pickle.dumps(result))
+        get_registry().inc("resilience.checkpoint_saves")
+    return result
 
 
 _EXECUTORS: dict[str, Callable[[int | None], Executor]] = {

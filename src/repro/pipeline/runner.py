@@ -9,7 +9,10 @@
    is unchanged;
 3. fans the remaining campaigns out over a pluggable executor
    (serial / thread / process) - the sweep's only fan-out: each
-   campaign tests its own batches in order;
+   campaign tests its own batches in order.  Every executor runs the
+   one by-name shard function `_run_campaign`, through the executor's
+   checkpointed map (`map_checkpointed`), which resumes a killed sweep
+   from its finished campaigns;
 4. shares one `InferenceCache` so ablation sweeps over harness or
    generator settings never re-run SPEX inference for an unchanged
    program, and one `LaunchCache` so identical interpreter launches
@@ -30,7 +33,6 @@ Usage::
 from __future__ import annotations
 
 import dataclasses
-import pickle
 import time
 from dataclasses import dataclass, field
 
@@ -42,7 +44,7 @@ from repro.obs import get_registry, span
 from repro.pipeline.cache import PipelineCaches, campaign_fingerprint
 from repro.pipeline.executor import (
     Executor,
-    ProcessExecutor,
+    map_checkpointed,
     resolve_executor,
     worker_caches,
 )
@@ -129,36 +131,24 @@ class PipelineReport:
         }
 
 
-def _save_campaign_checkpoint(
-    ckpt_spec: tuple[str, str, str] | None, report: CampaignReport
-) -> None:
-    """Persist one finished campaign report, keyed by the
-    campaign fingerprint within the sweep's run key.  Runs inside the
-    task (worker or inline), so completed campaigns survive a mid-run
-    kill of the sweep."""
-    if ckpt_spec is None:
-        return
-    root, run_key, shard_key = ckpt_spec
-    CheckpointStore(root).save(run_key, shard_key, pickle.dumps(report))
-    get_registry().inc("resilience.checkpoint_saves")
-
-
-def _run_campaign_by_name(
-    task: tuple[str, SpexOptions, str | None, tuple[str, str, str] | None]
+def _run_campaign(
+    task: tuple[str, SpexOptions, GeneratorRegistry, str | None]
 ) -> SystemRun:
-    """Process-pool entry point: rebuild the system in the worker (the
-    task crosses a pickle boundary, the `SubjectSystem` does not)."""
-    name, spex_options, engine, ckpt_spec = task
+    """The pipeline's one shard function, under every executor: run
+    one system's campaign by name (a `SubjectSystem` never crosses a
+    pickle boundary) on the shard's stores (`worker_caches()`)."""
+    name, spex_options, generators, engine = task
     started = time.perf_counter()
     caches = worker_caches()
     report = Campaign(
         get_system(name),
+        generators=generators,
         spex_options=spex_options,
+        inference_cache=caches.inference,
         launch_cache=caches.launches,
         snapshot_cache=caches.snapshots,
         engine=engine,
     ).run()
-    _save_campaign_checkpoint(ckpt_spec, report)
     return SystemRun(name, report, time.perf_counter() - started)
 
 
@@ -238,43 +228,48 @@ class CampaignPipeline:
             )
             if cached is not None:
                 runs[name] = SystemRun(name, cached, 0.0, from_cache=True)
-                continue
-            restored = self._restore_checkpoint(run_key, campaign_key)
-            if restored is not None:
-                if self.reuse_campaigns:
-                    self.caches.campaigns.put(campaign_key, restored)
-                self._warm_inference_cache(spex_key, restored)
-                runs[name] = SystemRun(
-                    name, restored, 0.0, from_checkpoint=True
-                )
-                continue
-            pending.append((name, spex_key, campaign_key))
+            else:
+                pending.append((name, spex_key, campaign_key))
 
         failed_shards: list[FailedShard] = []
         if pending:
-            with span(
-                "pipeline.execute",
-                executor=chosen.name,
-                campaigns=len(pending),
-            ):
-                executed, failures = self._execute(chosen, pending, run_key)
-            for (name, spex_key, campaign_key), run in zip(
-                pending, executed
+            if chosen.envelope:
+                self._check_process_compatible()
+            # A campaign's shard key is its system's name: the run key
+            # already pins every campaign fingerprint.
+            mapped = map_checkpointed(
+                chosen,
+                _run_campaign,
+                [
+                    (
+                        name,
+                        (name, self.spex_options, self.generators, self.engine),
+                    )
+                    for name, _, _ in pending
+                ],
+                SystemRun,
+                label="pipeline",
+                span_name="pipeline.execute",
+                checkpoint=self.checkpoint,
+                run_key=run_key,
+                policy=self.retry_policy,
+                chaos=self.chaos,
+                caches=self.caches,
+            )
+            for (name, spex_key, campaign_key), run, restored in zip(
+                pending, mapped.results, mapped.restored
             ):
                 if run is None:  # quarantined campaign
                     continue
+                if restored:
+                    run = dataclasses.replace(
+                        run, duration=0.0, from_checkpoint=True
+                    )
                 if self.reuse_campaigns:
                     self.caches.campaigns.put(campaign_key, run.report)
                 self._warm_inference_cache(spex_key, run.report)
                 runs[name] = run
-            # Re-anchor quarantine records on the system's name, not
-            # its position in this run's pending list.
-            for failure in failures:
-                failed_shards.append(
-                    dataclasses.replace(
-                        failure, label=pending[failure.index][0]
-                    )
-                )
+            failed_shards = mapped.failures
 
         ordered = [
             runs[system.name]
@@ -289,91 +284,6 @@ class CampaignPipeline:
             failed_shards=failed_shards,
         )
 
-    # -- execution strategies ------------------------------------------------
-
-    def _restore_checkpoint(
-        self, run_key: str, campaign_key: str
-    ) -> CampaignReport | None:
-        """A checkpointed campaign report, or None (no store, missing
-        shard, or a payload that no longer unpickles — schema drift
-        between the writer's code and ours reads as a plain miss)."""
-        if self.checkpoint is None:
-            return None
-        blob = self.checkpoint.load(run_key, campaign_key)
-        if blob is None:
-            return None
-        try:
-            report = pickle.loads(blob)
-        except Exception:
-            return None
-        if not isinstance(report, CampaignReport):
-            return None
-        get_registry().inc("resilience.checkpoint_hits")
-        return report
-
-    def _execute(
-        self,
-        executor: Executor,
-        pending: list[tuple[str, str, str]],
-        run_key: str,
-    ) -> tuple[list, list[FailedShard]]:
-        """Fan the pending campaigns out under the configured
-        resilience mode: supervised (`retry_policy`), chaos-exposed
-        (with no policy a fault aborts the sweep - the checkpoint store
-        is what a resume recovers from), or plain."""
-        ckpt_root = (
-            str(self.checkpoint.root) if self.checkpoint is not None else None
-        )
-        ckpt_specs = [
-            (ckpt_root, run_key, campaign_key)
-            if ckpt_root is not None
-            else None
-            for _, _, campaign_key in pending
-        ]
-        if isinstance(executor, ProcessExecutor):
-            self._check_process_compatible()
-            # Only names cross the pickle boundary.
-            task_fn = _run_campaign_by_name
-            tasks = [
-                (name, self.spex_options, self.engine, spec)
-                for (name, _, _), spec in zip(pending, ckpt_specs)
-            ]
-        else:
-            def task_fn(task):
-                name, ckpt_spec = task
-                run = self._run_one(name)
-                _save_campaign_checkpoint(ckpt_spec, run.report)
-                return run
-
-            tasks = [
-                (name, spec) for (name, _, _), spec in zip(pending, ckpt_specs)
-            ]
-        supervised = executor.map_resilient(
-            task_fn,
-            tasks,
-            self.retry_policy,
-            chaos=self.chaos,
-            label="pipeline",
-            caches=self.caches,
-        )
-        return supervised.results, supervised.failures
-
-    def _run_one(self, name: str) -> SystemRun:
-        """In-process task (serial and thread executors): campaigns
-        share the pipeline's inference and launch caches directly."""
-        started = time.perf_counter()
-        campaign = Campaign(
-            get_system(name),
-            generators=self.generators,
-            spex_options=self.spex_options,
-            inference_cache=self.caches.inference,
-            launch_cache=self.caches.launches,
-            snapshot_cache=self.caches.snapshots,
-            engine=self.engine,
-        )
-        report = campaign.run()
-        return SystemRun(name, report, time.perf_counter() - started)
-
     def _warm_inference_cache(
         self, spex_key: str, report: CampaignReport
     ) -> None:
@@ -386,6 +296,8 @@ class CampaignPipeline:
             self.caches.inference.put(spex_key, report.spex_report)
 
     def _check_process_compatible(self) -> None:
+        """A process worker unpickles the generator registry by class
+        reference: only the default roster is known to survive that."""
         if self.generators.roster() != default_generators().roster():
             raise ValueError(
                 "the process executor rebuilds campaigns in worker "

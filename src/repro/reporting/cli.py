@@ -110,7 +110,7 @@ def _pipeline_command(args: list[str]) -> int:
     parser.add_argument("--workers", type=_positive_int, default=None)
     parser.add_argument(
         "--repeat",
-        type=int,
+        type=_positive_int,
         default=1,
         help="run the sweep N times (re-runs hit the caches)",
     )
@@ -231,10 +231,12 @@ def _fleet_command(args: list[str]) -> int:
         "--executor", choices=list(executor_names()), default="serial"
     )
     parser.add_argument("--workers", type=_positive_int, default=None)
-    parser.add_argument("--chunk", type=int, default=DEFAULT_CHUNK_SIZE)
+    parser.add_argument(
+        "--chunk", type=_positive_int, default=DEFAULT_CHUNK_SIZE
+    )
     parser.add_argument(
         "--sample",
-        type=int,
+        type=_non_negative_int,
         default=0,
         help="ground-truth this many flagged configs under the "
         "injection harness",

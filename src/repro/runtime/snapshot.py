@@ -17,21 +17,27 @@ the **boot boundary**: everything before it is request-independent.
 Per (system, config text, interpreter options) a `BootRecord` evolves
 over launches:
 
-1. *probe* - the first launch runs normally and learns the boundary;
-2. *capture* - the second launch re-runs the prefix, deep-copies the
-   full interpreter + OS state right before the boundary statement
-   (with the request queue normalized to empty), then continues;
-3. *resume* - every later launch restores a copy of the snapshot,
-   installs its own request queue, and executes only the statements
-   from the boundary on.
+1. *first run* - the first launch boots cold and learns the boundary.
+   Once any config of the system has learned it (the per-system
+   `BoundaryHint`), the first run also captures the snapshot at the
+   hinted index and keeps it if the observed boundary agrees, so most
+   configs boot exactly once;
+2. *capture* - a config whose first run kept no snapshot (no hint yet,
+   or a wrong one) re-boots on its second launch and captures right
+   before the boundary statement;
+3. *resume* - every later launch restores a copy-on-write copy of the
+   snapshot (`StateBundleCopier`), installs its own request queue, and
+   executes only the statements from the boundary on.
 
-Resumed runs produce the same `ProcessResult` a cold run would - same
-verdicts, logs, responses and `steps` counts (the step counter is part
-of the captured state) - which the parity suite enforces.  A config
-whose boot never polls (e.g. it exits or crashes during startup) gets
-`boundary=None` and keeps launching cold; those configs launch once
-per unique request set anyway, and the launch cache above this layer
-already deduplicates them.
+A capture forks the full interpreter + OS state with the request queue
+normalized to empty.  Resumed runs produce the same `ProcessResult` a
+cold run would - same verdicts, logs, responses and `steps` counts (the
+step counter is part of the captured state) - which the parity suite
+enforces.  A config whose boot never polls (e.g. it exits or crashes
+during startup) gets `boundary=None` and keeps launching cold; the
+harness consults its `LaunchCache`, when one is attached, before it
+calls `boot_launch`, so identical launches of such a config still run
+once.
 """
 
 from __future__ import annotations

@@ -143,6 +143,32 @@ class TestFleetRecovery:
         assert _counter_delta(before, "resilience.checkpoint_hits") == saves
         assert _fleet_view(resumed) == _fleet_view(fleet_baseline)
 
+    @pytest.mark.parametrize(
+        "first, then", [("process", "serial"), ("serial", "process")]
+    )
+    def test_resume_across_executors_is_bit_identical(
+        self, caches, fleet_baseline, tmp_path, first, then
+    ):
+        store = CheckpointStore(tmp_path / "fleet-cross")
+        spec = dict(
+            systems=FLEET_SYSTEMS,
+            size=SIZE,
+            seed=SEED,
+            chunk_size=CHUNK,
+            caches=caches,
+            checkpoint=store,
+        )
+        run_fleet(executor=first, **spec)
+        before = _counters()
+        resumed = run_fleet(executor=then, **spec)
+        # Every chunk comes back from the other executor's checkpoints.
+        assert _counter_delta(before, "resilience.checkpoint_hits") == 6
+        assert _counter_delta(before, "resilience.checkpoint_saves") == 0
+        assert resumed.executor == then
+        assert {**_fleet_view(resumed), "executor": "serial"} == _fleet_view(
+            fleet_baseline
+        )
+
     def test_different_spec_never_reads_stale_checkpoints(
         self, caches, tmp_path
     ):
@@ -246,6 +272,32 @@ class TestPipelineRecovery:
         # Bit-identical to the fault-free sweep: summaries and the
         # parity currency itself, the per-system Vulnerability sets.
         assert _pipeline_view(resumed) == _pipeline_view(pipeline_baseline)
+        assert (
+            resumed.vulnerability_sets()
+            == pipeline_baseline.vulnerability_sets()
+        )
+
+    @pytest.mark.parametrize(
+        "first, then", [("process", "serial"), ("serial", "process")]
+    )
+    def test_resume_across_executors_is_bit_identical(
+        self, caches, pipeline_baseline, tmp_path, first, then
+    ):
+        store = CheckpointStore(tmp_path / "pipe-cross")
+        _make_pipeline(caches, checkpoint=store, executor=first).run()
+        before = _counters()
+        resumed = _make_pipeline(
+            caches, checkpoint=store, executor=then
+        ).run()
+        assert _counter_delta(before, "resilience.checkpoint_hits") == len(
+            PIPE_SYSTEMS
+        )
+        assert _counter_delta(before, "resilience.checkpoint_saves") == 0
+        assert all(run.from_checkpoint for run in resumed.runs)
+        assert resumed.executor == then
+        assert {
+            **_pipeline_view(resumed), "executor": "serial"
+        } == _pipeline_view(pipeline_baseline)
         assert (
             resumed.vulnerability_sets()
             == pipeline_baseline.vulnerability_sets()

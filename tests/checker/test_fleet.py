@@ -2,8 +2,12 @@
 
 import pytest
 
+import repro.checker.fleet as fleet
 from repro.checker import run_fleet
-from repro.pipeline import PipelineCaches
+from repro.checker.corpus import DEFAULT_MISTAKE_RATE
+from repro.core import SpexOptions
+from repro.pipeline import PipelineCaches, SerialExecutor
+from repro.systems.registry import get_system
 
 SYSTEMS = ["mysql", "vsftpd"]
 
@@ -122,3 +126,57 @@ class TestExecutorParity:
             caches=caches, chunk_size=7,
         )
         assert _summary(report) == _summary(serial_report)
+
+
+class TestShardRebuild:
+    """The fleet's shard function with the run's contexts absent - what
+    a pool worker that inherited none (a spawn start method) does."""
+
+    NAME = "vsftpd"
+
+    def _tasks(self, digest: str) -> list[tuple]:
+        return [
+            (self.NAME, SpexOptions(), 5, DEFAULT_MISTAKE_RATE, start,
+             min(16, 60 - start), digest)
+            for start in range(0, 60, 16)
+        ]
+
+    def _run(self, tasks, caches) -> list:
+        return SerialExecutor().map_resilient(
+            fleet._validate_chunk, tasks, caches=caches
+        ).results
+
+    def test_rebuild_by_name_matches_the_planted_run(
+        self, serial_report, caches, monkeypatch
+    ):
+        planted = fleet._build_context(
+            get_system(self.NAME), SpexOptions(), caches
+        )
+        key = (self.NAME, SpexOptions().fingerprint())
+        tasks = self._tasks(planted.digest)
+        monkeypatch.setattr(fleet, "_FLEET_CONTEXTS", {key: planted})
+        from_planted = self._run(tasks, caches)
+
+        monkeypatch.setattr(fleet, "_FLEET_CONTEXTS", {})
+        cold = PipelineCaches()  # a fresh worker's stores
+        rebuilt = self._run(tasks, cold)
+        # The shard rebuilt its context on its own stores, once.
+        assert cold.checkers.stats.misses == 1
+        assert fleet._FLEET_CONTEXTS[key].checker is not planted.checker
+        assert [c.outcomes for c in rebuilt] == [
+            c.outcomes for c in from_planted
+        ]
+        fold = fleet._SystemFold()
+        for chunk in rebuilt:
+            fold.absorb(chunk)
+        expected = serial_report.result_for(self.NAME).summary_dict()
+        got = fold.result(self.NAME, False).summary_dict()
+        for row in (expected, got):
+            row.pop("duration")
+            row.pop("checker_from_cache")
+        assert got == expected
+
+    def test_divergent_mistake_pool_raises(self, caches, monkeypatch):
+        monkeypatch.setattr(fleet, "_FLEET_CONTEXTS", {})
+        with pytest.raises(RuntimeError, match="divergent mistake pool"):
+            self._run(self._tasks("0" * 64)[:1], caches)

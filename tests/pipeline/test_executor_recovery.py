@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from repro.chaos import ChaosError, ChaosSchedule
+from repro.pipeline.cache import PipelineCaches
 from repro.pipeline.executor import (
     SerialExecutor,
     ThreadExecutor,
@@ -193,13 +194,18 @@ class TestFailFast:
         with pytest.raises(KeyError, match="second"):
             resolve_executor(name, 2).map_resilient(pick, [1, 2, 3])
 
+    @pytest.mark.parametrize("caches", [None, PipelineCaches()],
+                             ids=["no-caches", "caches"])
     @pytest.mark.parametrize("name", ["serial", "thread", "process"])
-    def test_chaos_without_policy_raises_chaos_error(self, name):
+    def test_chaos_without_policy_raises_chaos_error(self, name, caches):
         # A lone process shard runs inline in this process, so a fired
-        # kill must degrade to ChaosError instead of a SIGKILL.
+        # kill must degrade to ChaosError instead of a SIGKILL - also
+        # when the shard runs with the caller's stores bound.
         chaos = ChaosSchedule(seed=0, kill_rate=1.0)
         with pytest.raises(ChaosError, match="simulated worker kill"):
-            resolve_executor(name, 2).map_resilient(abs, [-1], chaos=chaos)
+            resolve_executor(name, 2).map_resilient(
+                abs, [-1], chaos=chaos, caches=caches
+            )
 
 
 class TestResilienceCounters:

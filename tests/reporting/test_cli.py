@@ -81,6 +81,10 @@ class TestFlagBounds:
             ["fleet", "--size", "-5"],
             ["fleet", "--mistake-rate", "1.5"],
             ["fleet", "--mistake-rate", "-0.1"],
+            ["pipeline", "--systems", "vsftpd", "--repeat", "-2"],
+            ["pipeline", "--systems", "vsftpd", "--repeat", "0"],
+            ["fleet", "--chunk", "0"],
+            ["fleet", "--sample", "-3"],
         ],
         ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
     )
@@ -93,7 +97,8 @@ class TestFlagBounds:
     def test_boundary_values_are_accepted(self, capsys):
         argv = [
             "fleet", "--systems", "vsftpd", "--size", "0",
-            "--mistake-rate", "1", "--workers", "1", "--json",
+            "--mistake-rate", "1", "--workers", "1", "--chunk", "1",
+            "--sample", "0", "--json",
         ]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["total_configs"] == 0

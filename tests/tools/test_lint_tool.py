@@ -345,6 +345,59 @@ class TestWorkerProtocol:
             assert "metrics_delta(" in module.read_text(encoding="utf-8")
 
 
+class TestExecutorBranch:
+    LIB_PATH = Path("src/repro/pipeline/runner.py")
+    BRANCH = (
+        "from repro.pipeline.executor import ProcessExecutor\n"
+        "def fan_out(executor):\n"
+        "    if isinstance(executor, ProcessExecutor):\n"
+        "        return 'by name'\n"
+        "    return 'closure'\n"
+    )
+
+    def _codes_at(self, path: Path, source: str) -> list[str]:
+        return [c for _, _, c, _ in check_tree(path, ast.parse(source))]
+
+    def test_branch_in_library_module_flagged(self):
+        assert self._codes_at(self.LIB_PATH, self.BRANCH) == [
+            "executor-branch"
+        ]
+
+    def test_attribute_tuple_and_issubclass_forms_flagged(self):
+        for test in (
+            "isinstance(e, executor.ThreadExecutor)",
+            "isinstance(e, (int, SerialExecutor))",
+            "issubclass(type(e), Executor)",
+        ):
+            assert self._codes_at(self.LIB_PATH, f"{test}\n") == [
+                "executor-branch"
+            ]
+
+    def test_other_isinstance_tests_pass(self):
+        source = "isinstance(e, ProcessPoolExecutor)\nisinstance(e, str)\n"
+        assert self._codes_at(self.LIB_PATH, source) == []
+
+    def test_executor_and_non_library_modules_exempt(self):
+        for raw in (
+            "src/repro/pipeline/executor.py",
+            "tests/pipeline/test_executors.py",
+            "perfbench/rep.py",
+        ):
+            assert self._codes_at(Path(raw), self.BRANCH) == []
+
+    def test_library_has_no_executor_branches(self):
+        # Each fan-out passes one shard function to every executor.
+        found = [
+            f"{path}:{line}"
+            for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+            for _, line, code, _ in check_tree(
+                path, ast.parse(path.read_text(encoding="utf-8"))
+            )
+            if code == "executor-branch"
+        ]
+        assert found == []
+
+
 class TestSilentException:
     LIB_PATH = Path("src/repro/inject/campaign.py")
 

@@ -39,6 +39,14 @@ have actually bitten this codebase:
   in one ``WorkerEnvelope`` built by the executor; an entry point that
   takes its own delta is a second, hand-rolled worker protocol - the
   double-counting kind.  Keep the allowlist at the executor.
+* ``executor-branch`` - an ``isinstance``/``issubclass`` test against
+  an executor class (``Executor``, ``SerialExecutor``,
+  ``ThreadExecutor``, ``ProcessExecutor``) in library code under
+  ``src/repro/`` outside ``pipeline/executor.py``.  A fan-out hands
+  every executor the same by-name shard function; a caller that
+  branches on the executor type grows a second shard path (the
+  pipeline's and the fleet's closures beside their process entry
+  points were the motivating instances).
 * ``bare-print`` - a ``print(...)`` call in library code under
   ``src/repro/``.  Library modules have two sanctioned output
   channels: human-facing text flows through the CLI layer
@@ -152,6 +160,9 @@ def check_tree(path: Path, tree: ast.AST) -> list[tuple[Path, int, str, str]]:
 
     for line, message in _find_worker_protocol_escapes(path, tree):
         findings.append((path, line, "worker-protocol", message))
+
+    for line, message in _find_executor_branches(path, tree):
+        findings.append((path, line, "executor-branch", message))
 
     for line, code, message in _find_observability_escapes(path, tree):
         findings.append((path, line, code, message))
@@ -302,6 +313,18 @@ METRICS_DELTA_ALLOWLIST = {
     "pipeline/executor.py",
 }
 
+# The executor classes, and the one module under src/repro/ that may
+# test an object against them: the executor itself (`resolve_executor`).
+EXECUTOR_CLASSES = {
+    "Executor",
+    "SerialExecutor",
+    "ThreadExecutor",
+    "ProcessExecutor",
+}
+EXECUTOR_BRANCH_ALLOWLIST = {
+    "pipeline/executor.py",
+}
+
 # Modules under src/repro/ (repo-relative, posix) permitted to call
 # print() directly: the CLI is the sanctioned human-output surface.
 # Everything else routes human-facing text through reporting/cli.py
@@ -368,6 +391,48 @@ def _find_worker_protocol_escapes(
                     "metrics_delta() outside the executor; dispatch the "
                     "fan-out through repro.pipeline.executor, whose "
                     "WorkerEnvelope ships worker metrics home",
+                )
+            )
+    return findings
+
+
+def _class_names(node: ast.expr) -> list[str]:
+    """The bare names an isinstance/issubclass class argument lists."""
+    candidates = node.elts if isinstance(node, ast.Tuple) else [node]
+    names = []
+    for candidate in candidates:
+        if isinstance(candidate, ast.Name):
+            names.append(candidate.id)
+        elif isinstance(candidate, ast.Attribute):
+            names.append(candidate.attr)
+    return names
+
+
+def _find_executor_branches(
+    path: Path, tree: ast.AST
+) -> list[tuple[int, str]]:
+    """``isinstance``/``issubclass`` tests against an executor class in
+    library modules outside the allowlisted executor."""
+    rel = _repro_relative(path)
+    if rel is None or rel in EXECUTOR_BRANCH_ALLOWLIST:
+        return []
+    findings: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("isinstance", "issubclass")
+            and len(node.args) == 2
+        ):
+            continue
+        tested = EXECUTOR_CLASSES.intersection(_class_names(node.args[1]))
+        if tested:
+            findings.append(
+                (
+                    node.lineno,
+                    f"{node.func.id}() against {min(tested)}; pass every "
+                    "executor the same by-name shard function instead of "
+                    "branching on the executor type",
                 )
             )
     return findings
