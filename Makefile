@@ -31,9 +31,10 @@ lint:
 
 # The engine parity contract: codegen == tree on every observable
 # channel (hand-picked programs, the eight systems, seeded generated
-# programs and warm-boot resumes), plus the codegen unit tier.
+# programs and warm-boot resumes), plus the codegen unit tier and what
+# snapshot restores share by reference (option tables, file nodes).
 engine-gate:
-	$(PYTHON) -m pytest -q tests/runtime/test_engine_parity.py tests/runtime/test_engine_fuzz.py tests/runtime/test_codegen_engine.py tests/runtime/test_boot_snapshots.py
+	$(PYTHON) -m pytest -q tests/runtime/test_engine_parity.py tests/runtime/test_engine_fuzz.py tests/runtime/test_codegen_engine.py tests/runtime/test_boot_snapshots.py tests/runtime/test_snapshot_sharing.py
 
 # Benchmark suite only, with the regenerated tables printed.
 bench:

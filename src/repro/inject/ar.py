@@ -12,7 +12,7 @@ OpenLDAP, Storage-A style).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 @dataclass
@@ -97,7 +97,10 @@ class ConfigAR:
     def clone(self) -> "ConfigAR":
         return ConfigAR(
             dialect=self.dialect,
-            entries=[replace(e) for e in self.entries],
+            entries=[
+                ConfigEntry(e.name, e.value, e.lineno, e.comment)
+                for e in self.entries
+            ],
             raw_lines=list(self.raw_lines),
         )
 

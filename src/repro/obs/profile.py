@@ -5,13 +5,13 @@ so the profiler samples whole *launches*: every ``sample_every``-th
 launch (the first one included, so short runs still produce data) has
 its boot and replay phases timed and its step-budget consumption
 recorded as histograms on the metrics registry.  Off-sample launches
-pay one lock-protected increment; ``repro.obs.set_enabled(False)``
-reduces even that to a boolean check.
+pay one atomic counter step; ``repro.obs.set_enabled(False)`` reduces
+even that to a boolean check.
 """
 
 from __future__ import annotations
 
-import threading
+import itertools
 
 from repro.obs import metrics as _metrics
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -35,16 +35,16 @@ class LaunchProfiler:
     ) -> None:
         self.registry = registry if registry is not None else get_registry()
         self.sample_every = max(1, sample_every)
-        self._lock = threading.Lock()
-        self._seen = 0
+        # `next()` on an `itertools.count` is one C call under the GIL:
+        # atomic across threads without a lock on the launch path.
+        self._seen = itertools.count(1)
 
     def should_sample(self) -> bool:
         """Count one launch; true on the 1st, N+1th, 2N+1th, ..."""
         if not _metrics.enabled():
             return False
-        with self._lock:
-            self._seen += 1
-            return self._seen % self.sample_every == 1 or self.sample_every == 1
+        seen = next(self._seen)
+        return seen % self.sample_every == 1 or self.sample_every == 1
 
     def record_phase(self, phase: str, seconds: float) -> None:
         """``phase`` is ``boot``, ``resume`` or ``replay``."""

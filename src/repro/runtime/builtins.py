@@ -400,7 +400,7 @@ def _strtol_impl(interp, args, loc, bits):
         value = min_v
         interp.errno = ERANGE
     if isinstance(endp, Pointer):
-        endp.store(s[idx:] if count else s, loc)
+        endp.store(interp, s[idx:] if count else s, loc)
     return value
 
 
@@ -427,10 +427,10 @@ def _strtod(interp, args, loc):
     m = _FLOAT_PREFIX_RE.match(s)
     if not m:
         if isinstance(endp, Pointer):
-            endp.store(s, loc)
+            endp.store(interp, s, loc)
         return 0.0
     if isinstance(endp, Pointer):
-        endp.store(s[m.end() :], loc)
+        endp.store(interp, s[m.end() :], loc)
     return float(m.group(1))
 
 
@@ -480,10 +480,10 @@ def _sscanf(interp, args, loc):
         if not ok:
             # Conversion failure: C leaves the target holding garbage.
             if isinstance(target, Pointer) and conv != "s":
-                target.store(GARBAGE_INT, loc)
+                target.store(interp, GARBAGE_INT, loc)
             break
         if isinstance(target, Pointer):
-            target.store(value, loc)
+            target.store(interp, value, loc)
         converted += 1
     return converted
 
@@ -580,7 +580,7 @@ def _write_stream(interp, stream, text, loc):
             return
         node = interp.os.lookup(stream.path)
         if node is not None and not node.is_dir:
-            node.content += text
+            interp.os.update_node(node, content=node.content + text)
             return
     interp.os.log("stderr", text)
 
@@ -619,7 +619,7 @@ def _open(interp, args, loc):
         interp.errno = EACCES
         return -1
     if flags & O_TRUNC and not node.is_dir:
-        node.content = ""
+        node = interp.os.update_node(node, content="")
     handle = FileHandle(
         fd=interp.next_fd(),
         path=path,
@@ -652,7 +652,7 @@ def _fopen(interp, args, loc):
         interp.errno = EACCES
         return None
     if "w" in mode and not node.is_dir:
-        node.content = ""
+        node = interp.os.update_node(node, content="")
     handle = FileHandle(
         fd=interp.next_fd(),
         path=path,
@@ -709,7 +709,7 @@ def _fwrite_str(interp, args, loc):
     node = interp.os.lookup(handle.path)
     if node is None or node.is_dir or not node.writable:
         return -1
-    node.content += text
+    interp.os.update_node(node, content=node.content + text)
     return len(text)
 
 
@@ -791,22 +791,18 @@ def _unlink(interp, args, loc):
 
 @register("chmod")
 def _chmod(interp, args, loc):
-    node = interp.os.lookup(_as_str(args[0], loc))
-    if node is None:
+    path = _as_str(args[0], loc)
+    if not interp.os.exists(path):
         interp.errno = ENOENT
         return -1
-    node.mode = _as_int(args[1], loc) & 0o7777
-    return 0
+    return interp.os.chmod(path, _as_int(args[1], loc))
 
 
 @register("chown_user")
 def _chown_user(interp, args, loc):
-    node = interp.os.lookup(_as_str(args[0], loc))
+    path = _as_str(args[0], loc)
     user = _as_str(args[1], loc)
-    if node is None or user not in interp.os.users:
-        return -1
-    node.owner = user
-    return 0
+    return 0 if interp.os.chown(path, user) == 0 else -1
 
 
 @register("check_read_access")

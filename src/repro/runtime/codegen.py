@@ -264,11 +264,11 @@ def _incdec_fallback(rt, name, operand_loc, loc, delta, prefix):
     """++/-- on a name that is not a local: errno, a global, or an
     undefined-variable error - the tree-walker's slot path verbatim."""
     slot = rt._name_slot(name, operand_loc)
-    old = slot.get(loc)
+    old = slot.get(rt, loc)
     if not isinstance(old, (int, float)):
         raise SegmentationFault(f"++/-- on non-number {old!r}", loc)
-    slot.set(old + delta, loc)
-    return slot.get(loc) if prefix else old
+    slot.set(rt, old + delta, loc)
+    return slot.get(rt, loc) if prefix else old
 
 
 def _name_fb(rt, value, name, loc, is_function):
@@ -959,7 +959,7 @@ class _FunctionEmitter:
             return f"Pointer({slot_expr})", False
         if op == "*":
             expr, _pure = self.value(node.operand, ind)
-            return f"deref_value({expr}, {kloc})", False
+            return f"deref_value(rt, {expr}, {kloc})", False
         if op == "!":
             expr, _pure = self.value(node.operand, ind)
             return f"(0 if truthy({expr}) else 1)", False
@@ -1041,16 +1041,16 @@ class _FunctionEmitter:
             return result, True
         slot = self.hoist(ind, self.slot(node.operand, ind))
         old = self.temp()
-        self.w(ind, f"{old} = {slot}.get({kloc})")
+        self.w(ind, f"{old} = {slot}.get(rt, {kloc})")
         self.w(ind, f"if not isinstance({old}, (int, float)):")
         self.w(
             ind + 1,
             f"raise SegmentationFault(f'++/-- on non-number {{{old}!r}}',"
             f" {kloc})",
         )
-        self.w(ind, f"{slot}.set({old} {step}, {kloc})")
+        self.w(ind, f"{slot}.set(rt, {old} {step}, {kloc})")
         if prefix:
-            self.w(ind, f"{result} = {slot}.get({kloc})")
+            self.w(ind, f"{result} = {slot}.get(rt, {kloc})")
         else:
             self.w(ind, f"{result} = {old}")
         return result, True
@@ -1168,17 +1168,17 @@ class _FunctionEmitter:
         slot = self.hoist(ind, self.slot(node.target, ind))
         rhs, _pure = self.value(node.value, ind)
         if node.op == "=":
-            self.w(ind, f"{slot}.set({rhs}, {kloc})")
+            self.w(ind, f"{slot}.set(rt, {rhs}, {kloc})")
         else:
             # Compound: the right-hand side runs first, then the slot
             # is re-read for the combine (tree-walker order).
             rhs_t = self.hoist(ind, rhs)
             self.w(
                 ind,
-                f"{slot}.set(binop({node.op[:-1]!r}, {slot}.get({kloc}),"
-                f" {rhs_t}, {kloc}), {kloc})",
+                f"{slot}.set(rt, binop({node.op[:-1]!r},"
+                f" {slot}.get(rt, {kloc}), {rhs_t}, {kloc}), {kloc})",
             )
-        result = self.hoist(ind, f"{slot}.get({kloc})")
+        result = self.hoist(ind, f"{slot}.get(rt, {kloc})")
         return result, True
 
     def _e_assign_name(self, node: Assign, ind: int) -> tuple[str, bool]:
@@ -1266,7 +1266,7 @@ class _FunctionEmitter:
         return (
             f"({base}.fields[{fname!r}] if type({base}) is StructValue"
             f" and {fname!r} in {base}.fields"
-            f" else struct_from({base}, {fname!r}, {kloc}).get({fname!r},"
+            f" else struct_from(rt, {base}, {fname!r}, {kloc}).get({fname!r},"
             f" {kloc}))",
             False,
         )
@@ -1304,7 +1304,10 @@ class _FunctionEmitter:
             kloc = self.const(node.location)
             base, _pure = self.value(node.base, ind)
             fname = node.field_name
-            return f"FieldSlot(struct_from({base}, {fname!r}, {kloc}), {fname!r})"
+            return (
+                f"FieldSlot(struct_from(rt, {base}, {fname!r}, {kloc}),"
+                f" {fname!r})"
+            )
         if isinstance(node, Index):
             kloc = self.const(node.location)
             base, index = self.seq((node.base, node.index), ind)

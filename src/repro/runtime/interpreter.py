@@ -62,11 +62,13 @@ from repro.runtime.faults import (
 )
 from repro.runtime.os_model import EmulatedOS
 from repro.runtime.values import (
+    ERRNO_SLOT,
     ArrayValue,
     ElemSlot,
     FieldSlot,
     FileHandle,
     FunctionRef,
+    GlobalSlot,
     Pointer,
     Slot,
     StructValue,
@@ -534,7 +536,7 @@ class Interpreter:
             return self._name_slot(expr.name, expr.location)
         if isinstance(expr, Member):
             base = self.eval(expr.base)
-            struct = self._struct_from(base, expr)
+            struct = struct_from(self, base, expr.field_name, expr.location)
             return FieldSlot(struct, expr.field_name)
         if isinstance(expr, Index):
             base = self.eval(expr.base)
@@ -565,13 +567,10 @@ class Interpreter:
                     )
                 return VarSlot(frame.locals, name, frame.local_types.get(name))
         if name == "errno":
-            return _ErrnoSlot(self)
+            return ERRNO_SLOT
         if name in self.globals:
-            return VarSlot(self.globals, name, self.global_types.get(name))
+            return GlobalSlot(name, self.global_types.get(name))
         raise InterpreterError(f"{location}: undefined variable {name!r}")
-
-    def _struct_from(self, base: object, expr: Member) -> StructValue:
-        return struct_from(base, expr.field_name, expr.location)
 
     # -- expressions --------------------------------------------------------
 
@@ -619,7 +618,7 @@ class Interpreter:
             return Pointer(self.resolve_slot(expr.operand))
         value = self.eval(expr.operand)
         if expr.op == "*":
-            return self._deref_value(value, expr.location)
+            return deref_value(self, value, expr.location)
         if expr.op == "!":
             return 0 if truthy(value) else 1
         if expr.op == "-":
@@ -630,19 +629,16 @@ class Interpreter:
             return ~_int_of(value, expr.location)
         raise InterpreterError(f"unhandled unary {expr.op}")
 
-    def _deref_value(self, value: object, location: Location):
-        return deref_value(value, location)
-
     def _eval_incdec(self, expr: IncDec):
         slot = self.resolve_slot(expr.operand)
-        old = slot.get(expr.location)
+        old = slot.get(self, expr.location)
         if not isinstance(old, (int, float)):
             raise SegmentationFault(
                 f"++/-- on non-number {old!r}", expr.location
             )
         new = old + 1 if expr.op == "++" else old - 1
-        slot.set(new, expr.location)
-        return slot.get(expr.location) if expr.prefix else old
+        slot.set(self, new, expr.location)
+        return slot.get(self, expr.location) if expr.prefix else old
 
     def _eval_binary(self, expr: Binary):
         op = expr.op
@@ -670,10 +666,10 @@ class Interpreter:
         slot = self.resolve_slot(expr.target)
         value = self.eval(expr.value)
         if expr.op != "=":
-            current = slot.get(expr.location)
+            current = slot.get(self, expr.location)
             value = self._binop(expr.op[:-1], current, value, expr.location)
-        slot.set(value, expr.location)
-        return slot.get(expr.location)
+        slot.set(self, value, expr.location)
+        return slot.get(self, expr.location)
 
     def _eval_call(self, expr: Call):
         self._tick()
@@ -694,7 +690,7 @@ class Interpreter:
 
     def _eval_member(self, expr: Member):
         base = self.eval(expr.base)
-        struct = self._struct_from(base, expr)
+        struct = struct_from(self, base, expr.field_name, expr.location)
         return struct.get(expr.field_name, expr.location)
 
     def _eval_index(self, expr: Index):
@@ -718,17 +714,6 @@ class Interpreter:
 @dataclass
 class _StaticMarker:
     key: tuple[str, str]
-
-
-class _ErrnoSlot(Slot):
-    def __init__(self, interp: Interpreter):
-        self.interp = interp
-
-    def get(self, location=None):
-        return self.interp.errno
-
-    def set(self, value, location=None):
-        self.interp.errno = int(value) if isinstance(value, (int, float)) else 0
 
 
 def _values_equal(left, right) -> bool:
@@ -839,12 +824,12 @@ def binop(op: str, left, right, loc: Location):
     raise InterpreterError(f"unhandled binary {op}")
 
 
-def deref_value(value: object, location: Location):
-    """`*value` in rvalue position."""
+def deref_value(rt, value: object, location: Location):
+    """`*value` in rvalue position (`rt`: the running interpreter)."""
     if value is None:
         raise SegmentationFault("NULL pointer dereference", location)
     if isinstance(value, Pointer):
-        return value.deref(location)
+        return value.deref(rt, location)
     if isinstance(value, str):
         return ord(value[0]) if value else 0
     if isinstance(value, ArrayValue):
@@ -852,14 +837,17 @@ def deref_value(value: object, location: Location):
     raise SegmentationFault(f"dereferencing non-pointer {value!r}", location)
 
 
-def struct_from(base: object, field_name: str, location: Location) -> StructValue:
-    """Resolve the struct a member access reads through (auto-deref)."""
+def struct_from(
+    rt, base: object, field_name: str, location: Location
+) -> StructValue:
+    """Resolve the struct a member access reads through (auto-deref;
+    `rt`: the running interpreter)."""
     if base is None:
         raise SegmentationFault(
             f"NULL dereference accessing field {field_name!r}", location
         )
     if isinstance(base, Pointer):
-        base = base.deref(location)
+        base = base.deref(rt, location)
         if base is None:
             raise SegmentationFault(
                 f"NULL dereference accessing field {field_name!r}", location

@@ -11,12 +11,17 @@ observable channel the paper uses on real systems.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 
-@dataclass
+@dataclass(frozen=True)
 class FileNode:
-    """One entry in the emulated filesystem."""
+    """One entry in the emulated filesystem.
+
+    Immutable: every writer swaps a changed copy into `EmulatedOS.files`
+    (`EmulatedOS.update_node`), so a snapshot and all of its resumes
+    share the nodes they never write.
+    """
 
     path: str
     is_dir: bool = False
@@ -77,17 +82,27 @@ class EmulatedOS:
 
     # -- filesystem -----------------------------------------------------
 
-    def add_dir(self, path: str) -> FileNode:
-        node = FileNode(path=path, is_dir=True, mode=0o755)
+    def add_dir(self, path: str, mode: int = 0o755,
+                owner: str = "root") -> FileNode:
+        node = FileNode(path=path, is_dir=True, mode=mode, owner=owner)
         self.files[path] = node
         return node
 
     def add_file(self, path: str, content: str = "", mode: int = 0o644,
-                 owner: str = "root") -> FileNode:
+                 owner: str = "root", writable: bool = True) -> FileNode:
         self._ensure_parents(path)
-        node = FileNode(path=path, content=content, mode=mode, owner=owner)
+        node = FileNode(
+            path=path, content=content, mode=mode, owner=owner,
+            writable=writable,
+        )
         self.files[path] = node
         return node
+
+    def update_node(self, node: FileNode, **changes) -> FileNode:
+        """Replace `node` in `files` by a copy with `changes` applied."""
+        new = replace(node, **changes)
+        self.files[node.path] = new
+        return new
 
     def _ensure_parents(self, path: str) -> None:
         parts = [p for p in path.split("/") if p]
@@ -118,7 +133,7 @@ class EmulatedOS:
         node = self.files.get(path)
         if node is None:
             return -2  # ENOENT
-        node.mode = mode & 0o7777
+        self.update_node(node, mode=mode & 0o7777)
         return 0
 
     def chown(self, path: str, owner: str) -> int:
@@ -127,7 +142,7 @@ class EmulatedOS:
             return -2  # ENOENT
         if owner not in self.users:
             return -1
-        node.owner = owner
+        self.update_node(node, owner=owner)
         return 0
 
     def exists(self, path: str) -> bool:

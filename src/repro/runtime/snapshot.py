@@ -38,6 +38,33 @@ during startup) gets `boundary=None` and keeps launching cold; the
 harness consults its `LaunchCache`, when one is attached, before it
 calls `boot_launch`, so identical launches of such a config still run
 once.
+
+What a restore shares by reference - the state no launch ever writes,
+so no write can be seen through another bundle:
+
+- *immutable values*: numbers, strings, `CType`s, locations, log
+  records, function refs and static markers;
+- *pointers to named slots*: `&global` is `Pointer(GlobalSlot(name))`
+  and `&errno` is `Pointer(ERRNO_SLOT)`.  Neither slot holds storage -
+  every access resolves through the running interpreter (`rt.globals`,
+  `rt.errno`) - so the same pointer object means the right variable in
+  the capture run, the snapshot and every resume;
+- *constant globals*: an option table (`{name, &variable, default,
+  min, max}` rows) is written by `_init_globals` and never again.
+  `constant_globals` proves that syntactically for a program (every
+  use is a ``g[i].field`` read), and `_shared_constants` admits the
+  live value only when every field is itself shared by reference, so
+  a read can never hand out a mutable alias into the table;
+- *file nodes*: `FileNode` is frozen and its writers swap a new node
+  into `EmulatedOS.files`, so the files dict restores with one C-level
+  copy;
+- *the item list of an array of such values*, copy-on-write
+  (`ArrayValue.shared`).
+
+Everything else - dicts, lists, frames, struct and array values that
+can be written, slots into them, file handles, the `EmulatedOS` - is
+rebuilt per restore; `launch.restore_objects` records how many objects
+that is for each snapshot.
 """
 
 from __future__ import annotations
@@ -46,7 +73,16 @@ import copy
 import time
 from dataclasses import dataclass, field
 
-from repro.lang.ast_nodes import FunctionDef
+from repro.lang.ast_nodes import (
+    Assign,
+    FunctionDef,
+    Identifier,
+    IncDec,
+    Index,
+    Member,
+    Node,
+    Unary,
+)
 from repro.lang.program import Program
 from repro.lang.source import Location
 from repro.runtime.codegen import CodegenPlan, codegen_plan_for
@@ -58,6 +94,7 @@ from repro.runtime.interpreter import (
     _ReturnSignal,
     _StaticMarker,
 )
+from repro.obs.metrics import get_registry
 from repro.obs.profile import default_profiler
 from repro.runtime.os_model import EmulatedOS, FileNode, LogRecord
 from repro.runtime.process import ProcessResult, capture_outcome
@@ -65,9 +102,11 @@ from repro.runtime.values import (
     ArrayValue,
     BoxSlot,
     ElemSlot,
+    ErrnoSlot,
     FieldSlot,
     FileHandle,
     FunctionRef,
+    GlobalSlot,
     Pointer,
     SparseArrayValue,
     StructValue,
@@ -92,15 +131,15 @@ class BootSnapshot:
 
     The bundle is held as a private structure-copied bundle
     (`slim_state`) and each resume takes a **copy-on-write restore**
-    through its `copier`: immutable state (strings, numbers, `CType`
-    tables, locations, log records) is shared by reference, and so is
-    every array whose elements all are (the `items` list is marked
-    shared and privatized by the resume's first write to it - see
-    `StateBundleCopier`).  Only the rest of the mutable spine - dicts,
-    lists, frames, struct/array values, slots, file nodes, the
+    through its `copier`: what no launch writes (see the module
+    docstring) is shared by reference, and so is every array whose
+    elements all are (the `items` list is marked shared and privatized
+    by the resume's first write to it - see `StateBundleCopier`).
+    Only the rest of the mutable spine - dicts, lists, frames,
+    writable struct/array values, slots into them, file handles, the
     `EmulatedOS` - is rebuilt.  Identity relations inside the bundle
-    (a `Pointer` into the globals dict, a shared `FileHandle`) survive
-    the copy exactly as they did under pickle.
+    (a `Pointer` into a struct, a shared `FileHandle`) survive the
+    copy exactly as they did under pickle.
 
     Capture scans the live state once and `StateBundleCopier.fork`s
     it: `slim_state` is the fork's private copy and `copier` carries
@@ -151,18 +190,29 @@ def _global_types_of(program: Program) -> dict:
 
 #: Leaf values shared by reference: immutable, or never mutated after
 #: creation by any runtime path (LogRecord lines are append-only at
-#: the list level; FunctionRef/_StaticMarker are read-only tokens).
+#: the list level; FunctionRef/_StaticMarker are read-only tokens;
+#: a FileNode is frozen and its writers swap a new node into
+#: `EmulatedOS.files`; the named slots hold no storage - they resolve
+#: through the running interpreter - so a `Pointer` to one is
+#: immutable too, see `_shareable_value`).
 _SHARED_LEAF_TYPES = (
     ct.CType,
     Location,
     LogRecord,
     FunctionRef,
     _StaticMarker,
+    FileNode,
+    GlobalSlot,
+    ErrnoSlot,
 )
 
 _ATOMIC_TYPES = frozenset(
     (type(None), bool, int, float, complex, str, bytes, frozenset)
 )
+
+#: Buckets of the `launch.restore_objects` histogram: the objects each
+#: restore of one snapshot rebuilds, recorded once per capture.
+RESTORE_OBJECT_BUCKETS = (8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0)
 
 #: Memo key (never an `id()` int) carrying the precomputed fixup map
 #: for this copy - see `StateBundleCopier`.
@@ -180,6 +230,15 @@ def _shareable_type(kind: type) -> bool:
         known = issubclass(kind, _SHARED_LEAF_TYPES)
         _SHAREABLE_CACHE[kind] = known
     return known
+
+
+def _shareable_value(value) -> bool:
+    """Atomic, a shared leaf, or a pointer to a named slot (`&global`,
+    `&errno`): a frozen `Pointer` over storage-free slot is immutable."""
+    kind = type(value)
+    return _shareable_type(kind) or (
+        kind is Pointer and _shareable_type(type(value.slot))
+    )
 
 
 def _copy_value(obj, memo):
@@ -340,6 +399,8 @@ def _copy_box_slot(obj, memo):
 
 
 def _copy_pointer(obj, memo):
+    if _shareable_type(type(obj.slot)):
+        return obj  # a named slot: the pointer is immutable
     slot = _copy_value(obj.slot, memo)
     new = Pointer(slot)
     memo[id(obj)] = new
@@ -357,13 +418,6 @@ def _copy_file_handle(obj, memo):
         closed=obj.closed,
     )
     memo[id(obj)] = new
-    return new
-
-
-def _copy_file_node(obj, memo):
-    new = FileNode.__new__(FileNode)
-    memo[id(obj)] = new
-    new.__dict__.update(obj.__dict__)  # every field is an immutable scalar
     return new
 
 
@@ -390,7 +444,6 @@ _COPIERS = {
     BoxSlot: _copy_box_slot,
     Pointer: _copy_pointer,
     FileHandle: _copy_file_handle,
-    FileNode: _copy_file_node,
     EmulatedOS: _copy_os,
 }
 
@@ -407,11 +460,12 @@ _SCAN_FIELDS = {
     BoxSlot: ("value",),
     Pointer: ("slot",),
     FileHandle: (),
-    FileNode: (),
 }
 
 
-def _scan_fixups(obj, fixups: dict[int, tuple], seen: set[int]) -> None:
+def _scan_fixups(
+    obj, fixups: dict[int, tuple], seen: set[int], shared: frozenset[int]
+) -> None:
     """Precompute each container's copy recipe.
 
     For a dict or list the recipe is the tuple of keys/indices whose
@@ -424,7 +478,9 @@ def _scan_fixups(obj, fixups: dict[int, tuple], seen: set[int]) -> None:
     get a recipe only when fully shareable (tuples are then shared
     outright - immutable containers of immutables).  A list recipe of
     ``()`` also lets `_copy_array` share an array's `items` list
-    copy-on-write instead of copying it."""
+    copy-on-write instead of copying it.  `shared` holds the `id()`s
+    of values shared by reference whatever their type (constant
+    globals, see `_shared_constants`)."""
     kind = type(obj)
     if _shareable_type(kind):
         return
@@ -438,41 +494,128 @@ def _scan_fixups(obj, fixups: dict[int, tuple], seen: set[int]) -> None:
         # numbers compare equal to 0 among runtime values.
         fixups[key] = ()
         return
-    if kind is dict:
-        kinds = set(map(type, obj.values()))
+    if kind is dict or kind is list:
+        values = obj.values() if kind is dict else obj
+        kinds = set(map(type, values))
         if all(_shareable_type(k) for k in kinds):
             fixups[key] = ()
             return
+        pairs = obj.items() if kind is dict else enumerate(obj)
         impure = tuple(
-            k for k, v in obj.items() if not _shareable_type(type(v))
+            k for k, v in pairs
+            if not _shareable_value(v) and id(v) not in shared
         )
         fixups[key] = impure
         for k in impure:
-            _scan_fixups(obj[k], fixups, seen)
-    elif kind is list:
-        kinds = set(map(type, obj))
-        if all(_shareable_type(k) for k in kinds):
-            fixups[key] = ()
-            return
-        impure = tuple(
-            i for i, v in enumerate(obj) if not _shareable_type(type(v))
-        )
-        fixups[key] = impure
-        for i in impure:
-            _scan_fixups(obj[i], fixups, seen)
+            _scan_fixups(obj[k], fixups, seen, shared)
     elif kind is set or kind is tuple:
         kinds = set(map(type, obj))
         if all(_shareable_type(k) for k in kinds):
             fixups[key] = ()
             return
         for value in obj:
-            _scan_fixups(value, fixups, seen)
+            _scan_fixups(value, fixups, seen, shared)
     elif kind is EmulatedOS:
         for value in obj.__dict__.values():
-            _scan_fixups(value, fixups, seen)
+            _scan_fixups(value, fixups, seen, shared)
     else:
         for name in _SCAN_FIELDS.get(kind, ()):
-            _scan_fixups(getattr(obj, name), fixups, seen)
+            _scan_fixups(getattr(obj, name), fixups, seen, shared)
+
+
+# -- constant globals ---------------------------------------------------------
+#
+# Option tables (`{name, &variable, default, min, max}` rows, like
+# MySQL's `sys_var` or PostgreSQL's `ConfigureNamesInt`) are written by
+# `_init_globals` and never again.  `constant_globals` proves that
+# syntactically; `_shared_constants` checks the live value is one
+# level of rows over immutable leaves, and the copier then shares it
+# by reference instead of rebuilding every row on every restore.
+
+
+def constant_globals(program: Program) -> frozenset[str]:
+    """The globals of `program` no launch can write, memoized on the
+    program (both engines' captures and the global-init template read
+    the same answer).
+
+    A global is constant when every use of its name - in any function
+    body or global initializer - is a ``g[i].field`` rvalue read: not
+    the target of an assignment, compound assignment or ``++``/``--``,
+    not under ``&``, and never the bare name or a whole element
+    (``g``, ``g[i]``), which could alias it (MiniC struct assignment
+    aliases; a call or pointer could write through it).  A local that
+    shadows the name counts as a use of it: conservative, never
+    unsound.
+    """
+    found = getattr(program, "_constant_globals", None)
+    if found is None:
+        found = _find_constant_globals(program)
+        program._constant_globals = found
+    return found
+
+
+def _row_field_base(node) -> str | None:
+    """The global name `g` when `node` is ``g[i].field``, else None."""
+    if type(node) is Member:
+        row = node.base
+        if type(row) is Index and type(row.base) is Identifier:
+            return row.base.name
+    return None
+
+
+def _find_constant_globals(program: Program) -> frozenset[str]:
+    written: set[str] = set()
+    stack: list = [
+        decl.init for decl in program.globals.values() if decl.init is not None
+    ]
+    stack.extend(
+        fn.body for fn in program.functions.values() if fn.body is not None
+    )
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Identifier:
+            written.add(node.name)  # any use but a row-field read
+            continue
+        if kind is Assign or kind is IncDec or (
+            kind is Unary and node.op == "&"
+        ):
+            target = node.target if kind is Assign else node.operand
+            name = _row_field_base(target)
+            if name is not None:
+                written.add(name)
+        name = _row_field_base(node)
+        if name is not None:
+            stack.append(node.base.index)  # `g` itself is only read
+            continue
+        for value in vars(node).values():
+            if isinstance(value, Node):
+                stack.append(value)
+            elif isinstance(value, list):
+                stack.extend(v for v in value if isinstance(v, Node))
+    return frozenset(program.globals) - written
+
+
+def _shared_constants(state: dict, constants: frozenset[str]) -> frozenset[int]:
+    """`id()`s of the constant globals in `state` that a copy may share
+    by reference: an array of struct rows whose every field is
+    shareable (`_shareable_value`).  Syntax guarantees nothing writes
+    the array or its rows; this guarantees nothing reachable from a
+    field read is mutable, so no alias of a shared object can ever be
+    written."""
+    env = state.get("globals")
+    if not constants or type(env) is not dict:
+        return frozenset()
+    shared = set()
+    for name in constants:
+        table = env.get(name)
+        if type(table) is ArrayValue and all(
+            type(row) is StructValue
+            and all(_shareable_value(v) for v in row.fields.values())
+            for row in table.items
+        ):
+            shared.add(id(table))
+    return frozenset(shared)
 
 
 class StateBundleCopier:
@@ -485,6 +628,8 @@ class StateBundleCopier:
     with the copy (the **shared-array invariant**: both arrays are
     marked `shared`, and the first write through either privatizes
     its own list, so no write is ever seen through another bundle).
+    Constant globals (`constants`, names from `constant_globals`) that
+    pass `_shared_constants` ride along by reference, like atoms.
     A resume therefore pays for the arrays it writes, not for every
     array the bundle holds.  Resumed runs mutate only the copies,
     never the source bundle, so the scan never goes stale.
@@ -493,19 +638,25 @@ class StateBundleCopier:
     bundle and builds the copy's recipe by translating this one
     through the copy memo, so one purity scan serves both.  `fixups`
     is that translated recipe; it holds `id()`s into `state`, so a
-    copier never leaves its process.
+    copier never leaves its process.  A forked copier's `rebuilds` is
+    the number of objects each of its copies builds (0 before a fork).
     """
 
-    __slots__ = ("state", "_fixups")
+    __slots__ = ("state", "_fixups", "rebuilds")
 
     def __init__(
-        self, state: dict, fixups: dict[int, tuple] | None = None
+        self,
+        state: dict,
+        fixups: dict[int, tuple] | None = None,
+        constants: frozenset[str] = frozenset(),
     ) -> None:
         self.state = state
         if fixups is None:
             fixups = {}
-            _scan_fixups(state, fixups, set())
+            shared = _shared_constants(state, constants)
+            _scan_fixups(state, fixups, set(), shared)
         self._fixups = fixups
+        self.rebuilds = 0
 
     def copy(self) -> dict:
         """An independent copy of the bundle: semantically
@@ -527,7 +678,12 @@ class StateBundleCopier:
         fixups = {
             id(memo[key]): recipe for key, recipe in self._fixups.items()
         }
-        return StateBundleCopier(state, fixups)
+        forked = StateBundleCopier(state, fixups)
+        del memo[_FIXUPS_KEY]
+        forked.rebuilds = sum(
+            1 for key, new in memo.items() if id(new) != key
+        )
+        return forked
 
 
 @dataclass
@@ -658,7 +814,9 @@ def _fresh_interpreter(
         try:
             # Privatize once; every later cold boot restores from this
             # bundle copy-on-write instead of re-running the inits.
-            plan.globals_template = StateBundleCopier(bundle).fork()
+            plan.globals_template = StateBundleCopier(
+                bundle, constants=constant_globals(program)
+            ).fork()
         except Exception:
             # Uncopyable initializer values: template disabled.
             plan.globals_pure = False
@@ -829,11 +987,18 @@ def _capture(interp: Interpreter, boundary: int) -> BootSnapshot:
         slim = dict(bundle)
         slim.pop("global_types")  # rebuilt from the program on resume
         try:
-            private = StateBundleCopier(slim).fork()
+            private = StateBundleCopier(
+                slim, constants=constant_globals(interp.program)
+            ).fork()
         except Exception:
             # Uncopyable state (e.g. a custom builtin planted a value
             # even deepcopy refuses): keep a live deep copy instead.
             return BootSnapshot(boundary=boundary, state=copy.deepcopy(bundle))
+        get_registry().observe(
+            "launch.restore_objects",
+            private.rebuilds,
+            buckets=RESTORE_OBJECT_BUCKETS,
+        )
         return BootSnapshot(
             boundary=boundary, slim_state=private.state, copier=private
         )

@@ -142,28 +142,68 @@ class SparseArrayValue(ArrayValue):
 
 
 class Slot:
-    """Abstract addressable storage cell."""
+    """Abstract addressable storage cell.
 
-    def get(self, location: Location | None = None) -> object:
+    `rt` is the running interpreter: a slot that names its storage
+    (`GlobalSlot`, the errno slot) resolves through it, every other
+    slot holds its storage and ignores it.
+    """
+
+    def get(self, rt, location: Location | None = None) -> object:
         raise NotImplementedError
 
-    def set(self, value: object, location: Location | None = None) -> None:
+    def set(self, rt, value: object, location: Location | None = None) -> None:
         raise NotImplementedError
 
 
 @dataclass
 class VarSlot(Slot):
-    """A named variable in an environment dict."""
+    """A named variable in an environment dict (a local or a static)."""
 
     env: dict
     name: str
     declared_type: ct.CType | None = None
 
-    def get(self, location: Location | None = None) -> object:
+    def get(self, rt, location: Location | None = None) -> object:
         return self.env[self.name]
 
-    def set(self, value: object, location: Location | None = None) -> None:
+    def set(self, rt, value: object, location: Location | None = None) -> None:
         self.env[self.name] = coerce(self.declared_type, value)
+
+
+@dataclass(frozen=True)
+class GlobalSlot(Slot):
+    """A global variable by name - what `&global` points at.
+
+    It holds no storage: every access resolves `name` in the running
+    interpreter's globals, so a pointer to a global is an immutable
+    value that any number of state bundles (a snapshot and each of its
+    resumes) can share by reference.
+    """
+
+    name: str
+    declared_type: ct.CType | None = None
+
+    def get(self, rt, location: Location | None = None) -> object:
+        return rt.globals[self.name]
+
+    def set(self, rt, value: object, location: Location | None = None) -> None:
+        rt.globals[self.name] = coerce(self.declared_type, value)
+
+
+class ErrnoSlot(Slot):
+    """`&errno`: storage-free like `GlobalSlot` - every access resolves
+    through the running interpreter's `errno` - so the one instance,
+    `ERRNO_SLOT`, serves every run and every state bundle."""
+
+    def get(self, rt, location: Location | None = None) -> object:
+        return rt.errno
+
+    def set(self, rt, value: object, location: Location | None = None) -> None:
+        rt.errno = int(value) if isinstance(value, (int, float)) else 0
+
+
+ERRNO_SLOT = ErrnoSlot()
 
 
 @dataclass
@@ -171,10 +211,10 @@ class FieldSlot(Slot):
     base: StructValue
     field_name: str
 
-    def get(self, location: Location | None = None) -> object:
+    def get(self, rt, location: Location | None = None) -> object:
         return self.base.get(self.field_name, location)
 
-    def set(self, value: object, location: Location | None = None) -> None:
+    def set(self, rt, value: object, location: Location | None = None) -> None:
         self.base.set(self.field_name, value, location)
 
 
@@ -183,10 +223,10 @@ class ElemSlot(Slot):
     base: ArrayValue
     index: int
 
-    def get(self, location: Location | None = None) -> object:
+    def get(self, rt, location: Location | None = None) -> object:
         return self.base.get(self.index, location)
 
-    def set(self, value: object, location: Location | None = None) -> None:
+    def set(self, rt, value: object, location: Location | None = None) -> None:
         self.base.set(self.index, value, location)
 
 
@@ -197,24 +237,25 @@ class BoxSlot(Slot):
     value: object = None
     declared_type: ct.CType | None = None
 
-    def get(self, location: Location | None = None) -> object:
+    def get(self, rt, location: Location | None = None) -> object:
         return self.value
 
-    def set(self, value: object, location: Location | None = None) -> None:
+    def set(self, rt, value: object, location: Location | None = None) -> None:
         self.value = coerce(self.declared_type, value)
 
 
 @dataclass(frozen=True)
 class Pointer:
-    """A typed pointer to a slot (or NULL, represented by None overall)."""
+    """A typed pointer to a slot (or NULL, represented by None overall);
+    `rt` is the running interpreter (see `Slot`)."""
 
     slot: Slot
 
-    def deref(self, location: Location | None = None) -> object:
-        return self.slot.get(location)
+    def deref(self, rt, location: Location | None = None) -> object:
+        return self.slot.get(rt, location)
 
-    def store(self, value: object, location: Location | None = None) -> None:
-        self.slot.set(value, location)
+    def store(self, rt, value: object, location: Location | None = None) -> None:
+        self.slot.set(rt, value, location)
 
 
 @dataclass

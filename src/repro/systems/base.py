@@ -282,13 +282,10 @@ class SubjectSystem:
         # A root-only directory: the guaranteed-denied target for
         # access-control mistake injection (non-root identities can
         # neither read nor write it).
-        restricted = os_model.add_dir("/data/restricted_dir")
-        restricted.mode = 0o700
+        os_model.add_dir("/data/restricted_dir", mode=0o700)
         os_model.occupy_port(3130)
         for entry in self.os_dirs:
-            node = os_model.add_dir(entry.path)
-            node.mode = entry.mode
-            node.owner = entry.owner
+            os_model.add_dir(entry.path, mode=entry.mode, owner=entry.owner)
         for entry in self.os_files:
             os_model.add_file(
                 entry.path, entry.content, mode=entry.mode, owner=entry.owner

@@ -170,9 +170,7 @@ class TestEmulatedOsAclModel:
 
     def test_os_can_read_write_and_chmod(self):
         os_model = EmulatedOS()
-        node = os_model.add_dir("/data/private")
-        node.mode = 0o700
-        node.owner = "root"
+        os_model.add_dir("/data/private", mode=0o700, owner="root")
         assert not os_model.can_read("/data/private", "www-data")
         os_model.chmod("/data/private", 0o755)
         assert os_model.can_read("/data/private", "www-data")

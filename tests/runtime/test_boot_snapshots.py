@@ -7,6 +7,8 @@ cycle directly; the harness tests cover the integration path the
 injection campaigns use.
 """
 
+import pytest
+
 from repro.lang.program import Program
 from repro.runtime.interpreter import InterpreterOptions
 from repro.runtime.os_model import EmulatedOS
@@ -51,6 +53,21 @@ int main(int argc, char **argv) {
     }
     send_response("banner");
     serve();
+    return 0;
+}
+"""
+
+
+#: `&errno` taken during the boot prefix and written through after the
+#: boundary: the pointer must reach the resumed run's errno.
+ERRNO_ACROSS_BOOT = """
+int *ep;
+int main(int argc, char **argv) {
+    ep = &errno;
+    printf("boot\\n");
+    recv_request();
+    *ep = 7;
+    printf("errno=%d\\n", errno);
     return 0;
 }
 """
@@ -187,6 +204,21 @@ class TestBootLifecycle:
         assert record.snapshot is not None
         resumed = warm(program, record, ["a", "b"], engine="tree")
         assert_same_result(resumed, cold(program, ["a", "b"], engine="tree"))
+
+    @pytest.mark.parametrize("engine", ["codegen", "tree"])
+    def test_errno_pointer_reaches_the_resumed_run(self, engine):
+        program = Program.from_sources({"errno.c": ERRNO_ACROSS_BOOT})
+        record = BootRecord()
+        stats = BootStats()
+        launches = [
+            warm(program, record, ["r"], stats=stats, engine=engine)
+            for _ in range(3)  # probe, capture, resume
+        ]
+        assert stats.resumes == 1
+        expected = cold(program, ["r"], engine=engine)
+        assert "[stdout] errno=7" in [str(r) for r in expected.logs]
+        for result in launches:
+            assert_same_result(result, expected)
 
     def test_steps_are_part_of_replayed_state(self):
         program = make_program()

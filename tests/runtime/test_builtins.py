@@ -198,8 +198,7 @@ class TestFileBuiltins:
 
     def test_access_write_permission(self):
         os_model = EmulatedOS()
-        node = os_model.add_file("/etc/readonly.conf", "x")
-        node.writable = False
+        os_model.add_file("/etc/readonly.conf", "x", writable=False)
         src = """
         int main() {
             if (access("/etc/readonly.conf", 0) != 0) { return 1; }

@@ -31,7 +31,9 @@ from repro.runtime.snapshot import (
     BootStats,
     StateBundleCopier,
     _scan_fixups,
+    _shared_constants,
     boot_launch,
+    constant_globals,
 )
 from repro.runtime.values import ArrayValue, Pointer, VarSlot
 from repro.systems.registry import get_system, system_names
@@ -348,7 +350,7 @@ class TestCopyStateBundle:
         pointer = arena.items[40_000]
         assert pointer is not items[40_000]
         assert pointer.slot.env is copied["globals"]
-        pointer.store(9)
+        pointer.store(None, 9)  # a VarSlot needs no interpreter
         assert env["x"] == 5
         assert copied["globals"]["x"] == 9
 
@@ -362,14 +364,15 @@ class TestCopyStateBundle:
     def test_forked_recipe_equals_a_fresh_scan(self):
         """`fork` translates the live scan through the copy memo; the
         result must be exactly what rescanning the private copy finds,
-        on a synthetic bundle and on a real captured boot."""
+        on a synthetic bundle and on a real captured boot (whose option
+        tables the scan shares as constant globals)."""
         env = {"n": 1, "name": "x", "t": (1, "a")}
         env["p"] = Pointer(VarSlot(env, "n"))
         env["arr"] = ArrayValue(None, [0, 3, env["p"]])
         env["zeros"] = ArrayValue(None, [0] * 1024)
         env["nested"] = [[1, 2], {"k": env["p"]}, {3, 4}, (env["p"],)]
         live = {"globals": env, "statics": {("f", "s"): 2}}
-        bundles = [StateBundleCopier(live).fork()]
+        bundles = [(StateBundleCopier(live).fork(), frozenset())]
 
         system = get_system("storage_a")
         record = BootRecord()
@@ -386,12 +389,15 @@ class TestCopyStateBundle:
                 InterpreterOptions(max_steps=400_000), record,
             )
         assert record.can_resume
-        bundles.append(record.snapshot.copier)
+        constants = constant_globals(system.program())
+        bundles.append((record.snapshot.copier, constants))
         assert record.snapshot.copier.state is record.snapshot.slim_state
+        assert _shared_constants(record.snapshot.slim_state, constants)
 
-        for forked in bundles:
+        for forked, constants in bundles:
             fresh: dict = {}
-            _scan_fixups(forked.state, fresh, set())
+            shared = _shared_constants(forked.state, constants)
+            _scan_fixups(forked.state, fresh, set(), shared)
             assert forked._fixups == fresh
             assert len(fresh) > 3
 

@@ -15,7 +15,13 @@ reads and writes of struct-array members (`tab[i].f`, `rp->f`); `== 0`
 on NULL pointers and strings; string indexing at and past the
 terminating NUL; `strcasecmp`, `atoi` and `strlen` calls; and a global
 (`g2`) that a local declared later - sometimes twice, with different
-types - shadows, read and stored both before and after.  Occasional
+types - shadows, read and stored both before and after.  Every program
+also carries an option table in the subject systems' shape
+(`{name, &variable, lo, hi}` rows over the globals, read by a `setopt`
+lookup loop that stores through `*opts[i].var`); main calls `setopt`
+at both ends of its body, and some programs write the table itself
+(`opts[i].lo += n`, through `&opts[i]`, or through an aliasing struct
+copy), which must keep it private to each launch.  Occasional
 unguarded divisors, indexes, NULL stores and NULL strings make some
 programs fault.
 
@@ -31,7 +37,7 @@ The snapshot leg reuses the generator for the warm-boot engine
 top-level statement of `main`, so the statements before it are the
 boot prefix, and a cold run must agree on the same channels with the
 probe, the capturing run and two successive resumes of one
-`boot_launch` record.
+`boot_launch` record.  Pinned programs are re-checked on both legs.
 """
 
 from __future__ import annotations
@@ -55,8 +61,9 @@ SNAPSHOT_SEEDS = 50
 
 #: Shrunk fuzzer output, pinned so it is re-checked on every run.  Each
 #: program was shrunk from a seed that caught a deliberately broken
-#: codegen engine (the comment names the break); on a correct engine
-#: both engines agree on it.  Append new divergences here.
+#: codegen engine or snapshot layer (the comment names the break); on a
+#: correct engine both engines agree on it, and warm launches agree
+#: with a cold one.  Append new divergences here.
 REGRESSIONS = {
     # a compound assignment combined with the target's value from
     # *before* its right-hand side ran
@@ -233,6 +240,47 @@ int main() {
     unsigned g2 = 10;
 }
 """,
+    # the constant-global pass ignored assignment targets, so a table
+    # written with `+=` was shared by the global-init template and each
+    # cold boot saw the writes of the launches before it
+    "written-table-is-not-shared": """\
+int g0 = -5;
+int g1;
+int g2 = 3;
+struct opt { char *name; int *var; int lo; int hi; };
+struct opt opts[3] = {{"g0", &g0, -5, 50}, {"g1", &g1, 0, 9}, {"g2", &g2, 3, 50}};
+int setopt(char *key, int v) {
+    int i;
+    for (i = 0; i < 3; i++) {
+        if (v < opts[i].lo) { v = opts[i].lo; }
+        *opts[i].var = v;
+    }
+}
+int main() {
+    opts[2].lo += 1;
+    setopt("g2", -100);
+    printf("O %d %d %d\\n", g0, g1, g2);
+}
+""",
+    # `&g0` resolved through the globals of the run that built it, so a
+    # launch restored from the global-init template stored into the
+    # template's globals instead of its own
+    "global-pointer-resolves-in-the-running-launch": """\
+int g0 = 4;
+int g1;
+int g2 = -8;
+int garr[8] = {3, 1, 4, 1, 5, 9, 2, 6};
+struct opt { char *name; int *var; int lo; int hi; };
+struct opt opts[3] = {{"g0", &g0, 0, 50}, {"g1", &g1, 0, 9}, {"garr", &garr[2], 0, 9}};
+int setopt(char *key, int v) {
+    int i;
+    *opts[i].var = v;
+}
+int main() {
+    setopt("g0", 1000);
+    printf("O %d %d %d\\n", g0, g1, g2);
+}
+""",
     # `++` on a local of known int type skipped the wrap, so an `unsigned`
     # at UINT_MAX stepped to 2**32 instead of 0
     "typed-increment-wraps": """\
@@ -322,6 +370,9 @@ class ProgramGenerator:
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
+        # The option table draws from its own stream, so every other
+        # part of a seed's program is what it was before the table.
+        self.options_rng = random.Random(f"options:{seed}")
         self.labels = 0
         # Per-function context, set as each function is generated.
         self.callees: list[str] = []
@@ -621,8 +672,75 @@ class ProgramGenerator:
         if rng.random() < 0.3:
             body.append([f"y += deep({rng.choice((5, 40, 99, 130))});"])
         rng.shuffle(body)
+        self.option_stores(body)
         epilogue = [f"return ({self.expr()}) & 255;"]
         return ["int main()", prologue, body, epilogue]
+
+    # -- the option table --------------------------------------------------
+
+    #: `opts` row names, matched case-insensitively by `setopt`.
+    OPTION_KEYS = ('"g0"', '"G1"', '"g2"', '"garr"', '"zz"')
+
+    def options_table(self) -> list:
+        """An option table in the subject systems' shape: rows of
+        {name, &variable, lo, hi} over the generated globals - the
+        third row sometimes over an array element instead, which no
+        restore may share."""
+        orng = self.options_rng
+        targets = ["g0", "g1", "g2"]
+        if orng.random() < 0.25:
+            targets[2] = "garr"
+        rows = ", ".join(
+            f'{{"{name}", &{"garr[2]" if name == "garr" else name},'
+            f" {orng.choice((-5, 0, 3))}, {orng.choice((9, 50, 300))}}}"
+            for name in targets
+        )
+        return [
+            "struct opt { char *name; int *var; int lo; int hi; };",
+            f"struct opt opts[3] = {{{rows}}};",
+        ]
+
+    def option_stores(self, body: list) -> None:
+        """`setopt` stores through the table at both ends of main's
+        body (so on both sides of the snapshot leg's poll) and at one
+        seeded point between; some programs also write the table
+        itself, which makes it private to each launch again."""
+        orng = self.options_rng
+
+        def store(key=None, value=None):
+            key = key or orng.choice(self.OPTION_KEYS)
+            if value is None:
+                value = orng.choice((-100, 1, 7, 1000))
+            return [f"setopt({key}, {value});"]
+
+        body.insert(0, store())
+        if orng.random() < 0.5:
+            body.insert(orng.randint(0, len(body)), store())
+        if orng.random() < 0.4:
+            row = orng.randrange(3)
+            name = ('"g0"', '"G1"', '"g2"')[row]
+            fld = orng.choice(("lo", "hi"))
+            step = orng.choice((1, 3, 7))
+            variant = orng.random()
+            if variant < 0.4:
+                body.append([f"opts[{row}].{fld} += {step};"])
+            elif variant < 0.7:
+                body.append(["{", [
+                    [f"struct opt *op = &opts[{row}];"],
+                    [f"op->{fld} -= {step};"],
+                ], "}"])
+            else:
+                # MiniC struct assignment aliases: `o` is the row.
+                body.append(["{", [
+                    [f"struct opt o = opts[{row}];"],
+                    [f"o.{fld} += {step};"],
+                ], "}"])
+            # Clamp by the written bound, so a write seen through
+            # another launch shows in the stored value.
+            body.append(store(name, -100 if fld == "lo" else 1000))
+        else:
+            body.append(store())
+        body.append(['printf("O %d %d %d\\n", g0, g1, g2);'])
 
     def program(self) -> MiniCProgram:
         rng = self.rng
@@ -635,6 +753,7 @@ class ProgramGenerator:
             "struct rec { int k; char c; char *name; };",
             "struct rec tab[4] = {{1, 200, \"alpha\"}, {-2, 7, NULL},"
             " {3, -300, \"\"}, {40000, 0, NULL}};",
+            *self.options_table(),
         ]
         functions = [
             [
@@ -648,6 +767,21 @@ class ProgramGenerator:
                 [],
                 [["if (n <= 0) {", [["return 0;"]], "}"]],
                 ["return deep(n - 1) + 1;"],
+            ],
+            [
+                "int setopt(char *key, int v)",
+                ["int i;"],
+                [["for (i = 0; i < 3; i++) {", [[
+                    "if (strcasecmp(key, opts[i].name) == 0) {",
+                    [
+                        ["if (v < opts[i].lo) { v = opts[i].lo; }"],
+                        ["if (v > opts[i].hi) { v = opts[i].hi; }"],
+                        ["*opts[i].var = v;"],
+                        ["return i;"],
+                    ],
+                    "}",
+                ]], "}"]],
+                ["return -1;"],
             ],
         ]
         functions.extend(self.function(i) for i in range(helpers))
@@ -857,6 +991,7 @@ def test_snapshot_leg_resumes_most_programs():
 @pytest.mark.parametrize("name", sorted(REGRESSIONS))
 def test_pinned_regressions(name):
     assert not diverges(REGRESSIONS[name])
+    assert not snapshot_diverges(REGRESSIONS[name])
 
 
 def test_generator_is_deterministic_and_covers_every_outcome():
