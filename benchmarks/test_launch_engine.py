@@ -1,7 +1,7 @@
 """Launch-engine benchmark: source codegen + warm-boot snapshots.
 
 The acceptance bar for the codegen-and-replay engine: a *cold*
-(launch-cache-empty) 8-system campaign must run at >= 3x the launch
+(empty launch store) 8-system campaign must run at >= 3x the launch
 throughput of the tree-walking baseline (the seed's engine: tree
 dispatch, no snapshots), while producing bit-identical verdicts and
 `Vulnerability` sets.  Inference is pre-warmed and shared so both
@@ -48,7 +48,7 @@ def inference():
 
 
 def _sweep(inference, harness_options=None, snapshot_cache=None):
-    """One cold 8-system campaign sweep; launch caches stay empty so
+    """One cold 8-system campaign sweep from an empty launch store;
     every single launch is really executed."""
     duration = 0.0
     verdict_streams = {}

@@ -467,7 +467,6 @@ def ground_truth_agreement(
         if harness is None:
             harness = harnesses[name] = InjectionHarness(
                 context.system,
-                launch_cache=caches.launches,
                 snapshot_cache=caches.snapshots,
                 engine=engine,
             )

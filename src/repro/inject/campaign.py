@@ -9,8 +9,10 @@ sharing; without one it re-infers on every `run_spex()` call.
 
 `run()` tests the per-parameter `MisconfigurationBatch`es in order,
 in this process; the pipeline's system-level executor is the only
-fan-out of a sweep.  A shared `launch_cache` deduplicates interpreter
-runs across batches, campaigns and re-runs.
+fan-out of a sweep.  A shared `snapshot_cache` (the launch store)
+keeps one boot record per config across batches, campaigns and
+re-runs, so each repeated launch of a config resumes from its
+snapshot instead of re-running the boot.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.runtime.interpreter import InterpreterOptions
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # avoid the inject <-> systems/pipeline import cycles
-    from repro.pipeline.cache import InferenceCache, LaunchCache, SnapshotCache
+    from repro.pipeline.cache import InferenceCache, SnapshotCache
     from repro.systems.base import SubjectSystem
 
 
@@ -86,10 +88,6 @@ class Campaign:
     # Shared by the pipeline so ablation sweeps and re-runs skip
     # re-inference; None means infer fresh each time.
     inference_cache: "InferenceCache | None" = None
-    # Shared by the pipeline so identical launches (same system,
-    # rendered config, requests, interpreter options) run once across
-    # batches, re-runs and parity sweeps; None disables launch caching.
-    launch_cache: "LaunchCache | None" = None
     # Shared warm-boot records (`repro.pipeline.cache.SnapshotCache`):
     # most configs' boot prefix is interpreted once across all of this
     # campaign's launches (twice when the first run could not capture).
@@ -191,7 +189,6 @@ class Campaign:
     def _harness(self) -> InjectionHarness:
         """The in-process harness, wired to this campaign's caches."""
         kwargs = {
-            "launch_cache": self.launch_cache,
             "snapshot_cache": self.snapshot_cache,
             "engine": self.engine,
         }

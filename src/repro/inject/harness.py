@@ -28,7 +28,7 @@ from repro.runtime.snapshot import (
 )
 
 if TYPE_CHECKING:  # avoid the inject <-> systems/pipeline import cycles
-    from repro.pipeline.cache import LaunchCache, SnapshotCache
+    from repro.pipeline.cache import SnapshotCache
     from repro.systems.base import SubjectSystem
 
 
@@ -68,10 +68,6 @@ class InjectionHarness:
     # `InterpreterOptions`), so `Campaign`/process executors can
     # forward it to workers.
     engine: str | None = None
-    # When set, launches are served content-addressed: identical
-    # (system, config text, requests, interpreter options) share one
-    # interpreter run.  Launches are pure, so caching is transparent.
-    launch_cache: "LaunchCache | None" = None
     # Warm-boot snapshots (`repro.runtime.snapshot`): per-config boot
     # state replayed across the functional-test launches of one
     # config.  Enabled by `options.warm_boot` (default on);
@@ -113,26 +109,8 @@ class InjectionHarness:
                 system=self.system.name,
                 requests=len(requests or ()),
             ):
-                return self._cached_launch(config_text, requests)
-        return self._cached_launch(config_text, requests)
-
-    def _cached_launch(
-        self, config_text: str, requests: list[str] | None = None
-    ) -> ProcessResult:
-        if self.launch_cache is None:
-            return self._observed_launch(config_text, requests)
-        if self._options_fingerprint is None:
-            self._options_fingerprint = self.options.fingerprint()
-        key = self.launch_cache.key_for(
-            self.system,
-            config_text,
-            requests,
-            self.options,
-            options_fingerprint=self._options_fingerprint,
-        )
-        return self.launch_cache.get_or_compute(
-            key, lambda: self._observed_launch(config_text, requests)
-        )
+                return self._observed_launch(config_text, requests)
+        return self._observed_launch(config_text, requests)
 
     def _launch(
         self, config_text: str, requests: list[str] | None = None
@@ -207,8 +185,8 @@ class InjectionHarness:
         A startup run's only interpreter state ever read is its
         effective config values (the silent-violation check), so they
         are resolved once into `effective_values` and the interpreter
-        is dropped from every result: cached results and verdicts then
-        hold no interpreter heap.
+        is dropped from every result: verdicts then hold no
+        interpreter heap.
         """
         result = self._launch(config_text, requests)
         if not requests:

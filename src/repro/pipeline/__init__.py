@@ -17,11 +17,9 @@ from repro.pipeline.cache import (
     CacheStats,
     ContentCache,
     InferenceCache,
-    LaunchCache,
     PipelineCaches,
     campaign_fingerprint,
     checker_fingerprint,
-    launch_fingerprint,
     spex_fingerprint,
 )
 from repro.pipeline.executor import (
@@ -45,7 +43,6 @@ __all__ = [
     "ContentCache",
     "Executor",
     "InferenceCache",
-    "LaunchCache",
     "PipelineCaches",
     "PipelineReport",
     "ProcessExecutor",
@@ -55,7 +52,6 @@ __all__ = [
     "campaign_fingerprint",
     "checker_fingerprint",
     "executor_names",
-    "launch_fingerprint",
     "resolve_executor",
     "run_pipeline",
     "spex_fingerprint",

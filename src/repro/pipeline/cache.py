@@ -5,19 +5,17 @@ Inference dominates nothing (campaigns do), but it is the part that is
 produces the same `SpexReport`.  The pipeline therefore keys inference
 results by a content hash of exactly that triple, so repeated
 campaigns, ablation sweeps and multi-executor parity runs skip
-re-inference entirely.  A second, optional layer caches whole
-`CampaignReport`s keyed by the inference fingerprint plus the
-generator-rule set, which makes a warm pipeline re-run almost free.
-A third layer, the `LaunchCache`, works at the opposite end of the
-stack: individual interpreter launches keyed by (system, config text,
-requests, interpreter options), so injections that serialize to
-identical configs - and every repeated baseline launch - share one
-interpreter run.  A fourth, the `SnapshotCache`, backs the launch
-engine's warm-boot replay (`repro.runtime.snapshot`): per-config boot
-records keyed by (system, config text, options), shared across
-harnesses so one config's boot prefix is interpreted once - twice when
-its first run could not capture - no matter how many launches replay
-it.
+re-inference entirely.  A second layer caches whole `CampaignReport`s
+keyed by the inference fingerprint plus the generator-rule set, which
+makes a warm pipeline re-run almost free.  The launch store, the
+`SnapshotCache`, works at the opposite end of the stack: it backs the
+launch engine's warm-boot replay (`repro.runtime.snapshot`) with
+per-config boot records keyed by (system, config text, argv,
+interpreter options), shared across harnesses so one config's boot
+prefix is interpreted once - twice when its first run could not
+capture - and every later launch of it resumes from the snapshot.  It
+is the only thing a repeated launch reuses: every launch still runs
+its post-boot statements.
 
 Keys are SHA-256 hex digests; a changed source file, annotation block
 or `SpexOptions` knob yields a new key, so stale entries are never
@@ -205,75 +203,6 @@ class InferenceCache(ContentCache[SpexReport]):
         return spex_fingerprint(system.sources, system.annotations, options)
 
 
-def launch_fingerprint(
-    system_name: str,
-    config_text: str,
-    requests: tuple[str, ...] = (),
-    options_fingerprint: str = "",
-) -> str:
-    """Content hash of one interpreter launch.
-
-    The key covers everything that determines a `ProcessResult` for a
-    registered system: which system runs (its program and OS fixtures
-    are a deterministic function of the name within one process), the
-    rendered config text installed before boot, the exact request
-    sequence driven through it, and the interpreter budget knobs via
-    `InterpreterOptions.fingerprint()`.  Launches are pure - the
-    emulated OS has no real clock or randomness - so two launches with
-    equal keys produce interchangeable results.
-    """
-    digest = hashlib.sha256()
-    digest.update(system_name.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(config_text.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(str(len(requests)).encode("utf-8"))
-    for request in requests:
-        digest.update(b"\x00")
-        digest.update(request.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(options_fingerprint.encode("utf-8"))
-    return digest.hexdigest()
-
-
-class LaunchCache(ContentCache):
-    """`ProcessResult`s keyed by `launch_fingerprint`.
-
-    This is the injection hot path's cache: a campaign launches the
-    interpreter once per startup plus once per functional test, and
-    identical (config text, requests) pairs recur - several generation
-    rules can serialize to the same erroneous config, re-runs repeat
-    every baseline launch, and ablation sweeps repeat whole campaigns.
-    All of those share one interpreter run.
-
-    Cached `ProcessResult`s follow the store's immutable-by-convention
-    contract; the harness reduces every result to what it reads back
-    (no interpreter; startup runs keep their effective config values)
-    *before* insertion, never after.
-    """
-
-    def key_for(
-        self,
-        system,
-        config_text: str,
-        requests: list[str] | None,
-        options,
-        options_fingerprint: str | None = None,
-    ) -> str:
-        """Key of one launch of a subject system (duck-typed: any
-        object with a `.name` works; `options` needs `fingerprint()`).
-        Callers on a hot path may pass a precomputed
-        `options_fingerprint` to skip re-hashing unchanged options."""
-        return launch_fingerprint(
-            system.name,
-            config_text,
-            tuple(requests or ()),
-            options_fingerprint
-            if options_fingerprint is not None
-            else options.fingerprint(),
-        )
-
-
 def snapshot_fingerprint(
     system_name: str,
     config_text: str,
@@ -306,18 +235,20 @@ def snapshot_fingerprint(
 
 
 class SnapshotCache(ContentCache[BootRecord]):
-    """`BootRecord`s keyed by `snapshot_fingerprint`.
+    """`BootRecord`s keyed by `snapshot_fingerprint`: the launch store.
 
     Shared across harnesses (campaign batches, the fleet agreement
     sampler) so most configs' boot prefix is interpreted once per
     process: the first run captures at the system's boundary hint.  A
     config whose first run kept no snapshot boots a second time to
-    capture (in a full serial audit, 8 of 1083 boots).  Records are
+    capture, and one whose boot never polls boots on every launch (in
+    a full serial audit, 1,075 configs take 1,092 boots).  Records are
     mutated in place by the snapshot engine;
     all transitions derive from deterministic runs, so concurrent
-    writers can only race to store equivalent values.  `boot_stats`
-    counts resumes/boots/captures - the hit/miss counters of the base
-    class are unused (records are bookkeeping containers, not results).
+    writers can only race to store equivalent values.  `stats` counts
+    record lookups (`record_for`: a hit when the config already has a
+    record, a miss when the lookup creates it) and `boot_stats` counts
+    the work the records save or cost (resumes/boots/captures).
     """
 
     def __init__(self) -> None:
@@ -333,8 +264,10 @@ class SnapshotCache(ContentCache[BootRecord]):
         options_fingerprint: str | None = None,
         argv: tuple[str, ...] = (),
     ) -> str:
-        """Key of one system config's boot record (duck-typed like
-        `LaunchCache.key_for`)."""
+        """Key of one system config's boot record (duck-typed: any
+        object with a `.name` works; `options` needs `fingerprint()`).
+        Callers on a hot path may pass a precomputed
+        `options_fingerprint` to skip re-hashing unchanged options."""
         return snapshot_fingerprint(
             system.name,
             config_text,
@@ -345,12 +278,15 @@ class SnapshotCache(ContentCache[BootRecord]):
         )
 
     def record_for(self, key: str) -> BootRecord:
-        """The record under `key`, created empty on first use (no
-        hit/miss accounting - `boot_stats` measures the work)."""
+        """The record under `key`, created empty on first use (a
+        miss; every later lookup of `key` is a hit)."""
         with self._lock:
             record = self._entries.get(key)
             if record is None:
+                self.stats.misses += 1
                 record = self._entries[key] = BootRecord()
+            else:
+                self.stats.hits += 1
             return record
 
     def hint_for(
@@ -388,7 +324,9 @@ def checker_fingerprint(
 
 
 # The store layers a process shard reports home in its envelope; the
-# inference and campaign layers live in the parent only.
+# inference and campaign layers live in the parent only.  "launches"
+# and "snapshots" are two views of one store, the `SnapshotCache`:
+# its record lookups and its boot counters.
 WORKER_LAYERS = ("launches", "snapshots", "checkers")
 
 
@@ -399,11 +337,12 @@ class PipelineCaches:
     `checkers` holds `CompiledChecker`s keyed by `checker_fingerprint`
     - the fleet validator's layer: re-checking a config fleet against
     an unchanged program re-infers and re-compiles nothing.
+    `snapshots` is the launch store; its record lookups report as the
+    "launches" section and its boot counters as "snapshots".
     """
 
     inference: InferenceCache = field(default_factory=InferenceCache)
     campaigns: ContentCache = field(default_factory=ContentCache)
-    launches: LaunchCache = field(default_factory=LaunchCache)
     checkers: ContentCache = field(default_factory=ContentCache)
     snapshots: SnapshotCache = field(default_factory=SnapshotCache)
 
@@ -412,7 +351,7 @@ class PipelineCaches:
         return {
             "inference": self.inference.stats.snapshot(),
             "campaigns": self.campaigns.stats.snapshot(),
-            "launches": self.launches.stats.snapshot(),
+            "launches": self.snapshots.stats.snapshot(),
             "checkers": self.checkers.stats.snapshot(),
             "snapshots": self.snapshots.boot_stats.snapshot(),
         }
@@ -432,29 +371,24 @@ class PipelineCaches:
     def absorb(self, stats: dict[str, dict[str, int]]) -> None:
         """Fold a process shard's store deltas (`delta`) in: how what
         worker stores counted reaches the caller's stores."""
-        self.launches.absorb_stats(stats.get("launches", {}))
+        self.snapshots.absorb_stats(stats.get("launches", {}))
         self.checkers.absorb_stats(stats.get("checkers", {}))
         self.snapshots.absorb_boot_stats(stats.get("snapshots", {}))
 
     def stats(self) -> dict[str, dict[str, int]]:
-        """Per-layer counters, routed through the metrics registry.
+        """Per-layer counters (`snapshot`), also published as
+        ``cache.<layer>.<counter>`` gauges on the process registry
+        (`repro.obs`) for the serve ``metrics`` op and telemetry
+        readers.
 
-        Every counter is published as a ``cache.<layer>.<counter>``
-        gauge on the process registry (`repro.obs`) and the returned
-        mapping is read *back* from those gauges, so report footers,
-        ``--json`` payloads and the serve ``metrics`` op all draw from
-        one source.  The shape is byte-compatible with the
-        pre-registry dict-of-snapshots form.
+        The mapping returned is this instance's own snapshot, never a
+        read-back of the gauges: the registry is process-wide, so
+        another `PipelineCaches` publishing between the two steps
+        would hand this caller its counters.
         """
         registry = get_registry()
         sections = self.snapshot()
         for layer, counters in sections.items():
             for name, value in counters.items():
                 registry.gauge(f"cache.{layer}.{name}", value)
-        return {
-            layer: {
-                name: registry.gauge_value(f"cache.{layer}.{name}")
-                for name in counters
-            }
-            for layer, counters in sections.items()
-        }
+        return sections

@@ -15,9 +15,12 @@
    from its finished campaigns;
 4. shares one `InferenceCache` so ablation sweeps over harness or
    generator settings never re-run SPEX inference for an unchanged
-   program, and one `LaunchCache` so identical interpreter launches
-   (same system, rendered config, requests, interpreter options) run
-   once across campaigns and re-runs.
+   program, and one launch store (`SnapshotCache`) so repeated
+   launches of a config resume from its boot snapshot across
+   campaigns and re-runs.
+
+A campaign the pipeline must execute again (a parity or timing
+re-run) takes fresh `PipelineCaches` that share only `inference`.
 
 Usage::
 
@@ -145,7 +148,6 @@ def _run_campaign(
         generators=generators,
         spex_options=spex_options,
         inference_cache=caches.inference,
-        launch_cache=caches.launches,
         snapshot_cache=caches.snapshots,
         engine=engine,
     ).run()
@@ -160,9 +162,9 @@ class CampaignPipeline:
     `executor` is a name ("serial", "thread", "process") or an
     `Executor` instance; `caches` may be shared between pipelines so
     e.g. a parity re-run under a different executor still reuses
-    inference results.  `reuse_campaigns=False` disables the
-    whole-campaign cache (inference stays cached) - ablation sweeps
-    that vary harness behaviour want exactly that.
+    inference results.  The campaign cache is always consulted; a
+    sweep that must re-execute its campaigns passes fresh
+    `PipelineCaches(inference=shared.inference)`.
     """
 
     systems: list[str] | None = None
@@ -171,7 +173,6 @@ class CampaignPipeline:
     executor: str | Executor = "serial"
     max_workers: int | None = None
     caches: PipelineCaches = field(default_factory=PipelineCaches)
-    reuse_campaigns: bool = True
     # Launch-engine override for every campaign of the sweep ("tree" |
     # "codegen"); a plain string, so it survives the process-executor
     # pickle boundary.  None keeps the default.
@@ -221,11 +222,7 @@ class CampaignPipeline:
 
         pending: list[tuple[str, str, str]] = []
         for name, spex_key, campaign_key in keyed:
-            cached = (
-                self.caches.campaigns.get(campaign_key)
-                if self.reuse_campaigns
-                else None
-            )
+            cached = self.caches.campaigns.get(campaign_key)
             if cached is not None:
                 runs[name] = SystemRun(name, cached, 0.0, from_cache=True)
             else:
@@ -265,8 +262,7 @@ class CampaignPipeline:
                     run = dataclasses.replace(
                         run, duration=0.0, from_checkpoint=True
                     )
-                if self.reuse_campaigns:
-                    self.caches.campaigns.put(campaign_key, run.report)
+                self.caches.campaigns.put(campaign_key, run.report)
                 self._warm_inference_cache(spex_key, run.report)
                 runs[name] = run
             failed_shards = mapped.failures

@@ -214,7 +214,7 @@ def _footer(report: PipelineReport) -> str:
         f"{inference.get('misses', 0)} misses; "
         f"campaign cache: {campaigns.get('hits', 0)} hits / "
         f"{campaigns.get('misses', 0)} misses; "
-        f"launch cache: {launches.get('hits', 0)} hits / "
+        f"launch store: {launches.get('hits', 0)} hits / "
         f"{launches.get('misses', 0)} misses; "
         f"warm boots: {snapshots.get('resumes', 0)} resumes / "
         f"{snapshots.get('boots', 0)} full boots",

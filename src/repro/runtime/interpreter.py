@@ -140,7 +140,7 @@ class InterpreterOptions:
 
         Two option sets with the same fingerprint run a program
         identically, so the fingerprint is the options component of
-        the launch-cache key (`repro.pipeline.cache`).  `asdict`
+        the boot-record key (`repro.pipeline.cache`).  `asdict`
         recurses, so new knobs automatically invalidate old entries.
         """
         payload = json.dumps(asdict(self), sort_keys=True, default=repr)

@@ -10,7 +10,6 @@ observable channel the paper uses on real systems.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, replace
 
 
@@ -213,20 +212,6 @@ class EmulatedOS:
 
     def log_text(self) -> str:
         return "\n".join(str(r) for r in self.logs)
-
-    # -- copy semantics ---------------------------------------------------------
-
-    def clone(self) -> "EmulatedOS":
-        """An independent deep copy of this OS state.
-
-        Mutating the clone (or the original) never affects the other;
-        used by warm-boot snapshots and anything else that needs to
-        branch a deterministic world.  Callers that must preserve
-        object identity *between* the OS and interpreter values deep-
-        copy the interpreter's whole state bundle instead (the OS is
-        part of it) - `copy.deepcopy` composes either way.
-        """
-        return copy.deepcopy(self)
 
 
 def node_allows(

@@ -34,10 +34,8 @@ normalized to empty.  Resumed runs produce the same `ProcessResult` a
 cold run would - same verdicts, logs, responses and `steps` counts (the
 step counter is part of the captured state) - which the parity suite
 enforces.  A config whose boot never polls (e.g. it exits or crashes
-during startup) gets `boundary=None` and keeps launching cold; the
-harness consults its `LaunchCache`, when one is attached, before it
-calls `boot_launch`, so identical launches of such a config still run
-once.
+during startup) gets `boundary=None` and keeps launching cold: every
+launch of it runs the whole program again.
 
 What a restore shares by reference - the state no launch ever writes,
 so no write can be seen through another bundle:
@@ -144,13 +142,9 @@ class BootSnapshot:
     Capture scans the live state once and `StateBundleCopier.fork`s
     it: `slim_state` is the fork's private copy and `copier` carries
     the live scan's recipe translated to it, so no resume rescans.
-
-    `state` is the legacy deep-copy fallback for bundles the
-    structure copier refuses.
     """
 
     boundary: int
-    state: dict | None = None
     slim_state: dict | None = None
     # Purity recipe over `slim_state`, set at capture (it holds
     # `id()`s into this process's bundle).
@@ -166,11 +160,9 @@ class BootSnapshot:
         type), immutable after init, and copying its type objects per
         resume would be pure waste.
         """
-        if self.copier is not None:
-            state = self.copier.copy()
-            state["global_types"] = _global_types_of(program)
-            return state
-        return copy.deepcopy(self.state)
+        state = self.copier.copy()
+        state["global_types"] = _global_types_of(program)
+        return state
 
 
 def _global_types_of(program: Program) -> dict:
@@ -811,15 +803,11 @@ def _fresh_interpreter(
         bundle = dict(interp.state_bundle())
         bundle.pop("os")
         bundle.pop("global_types")
-        try:
-            # Privatize once; every later cold boot restores from this
-            # bundle copy-on-write instead of re-running the inits.
-            plan.globals_template = StateBundleCopier(
-                bundle, constants=constant_globals(program)
-            ).fork()
-        except Exception:
-            # Uncopyable initializer values: template disabled.
-            plan.globals_pure = False
+        # Privatize once; every later cold boot restores from this
+        # bundle copy-on-write instead of re-running the inits.
+        plan.globals_template = StateBundleCopier(
+            bundle, constants=constant_globals(program)
+        ).fork()
         return interp
     state = template.copy()
     state["os"] = os_model
@@ -973,27 +961,23 @@ def _capture(interp: Interpreter, boundary: int) -> BootSnapshot:
 
     The boot prefix never touches the queue (by the boundary's
     definition), so the captured state is request-independent; resumed
-    launches install their own queue.  One copy-on-write fork (or a
-    fallback deepcopy) over the whole bundle preserves identity
-    relations (pointers into environment dicts, shared file handles);
-    the live run keeps going on arrays now shared with the snapshot,
-    privatizing each one it writes.
+    launches install their own queue.  One copy-on-write fork over the
+    whole bundle preserves identity relations (pointers into
+    environment dicts, shared file handles); the live run keeps going
+    on arrays now shared with the snapshot, privatizing each one it
+    writes.  A value the copier cannot copy (one `copy.deepcopy`
+    refuses, such as a lock a custom builtin planted) raises out of the
+    launch: no other copy could hold it either.
     """
     os_model = interp.os
     saved_requests = os_model.requests
     os_model.requests = []
     try:
-        bundle = dict(interp.state_bundle())
-        slim = dict(bundle)
+        slim = dict(interp.state_bundle())
         slim.pop("global_types")  # rebuilt from the program on resume
-        try:
-            private = StateBundleCopier(
-                slim, constants=constant_globals(interp.program)
-            ).fork()
-        except Exception:
-            # Uncopyable state (e.g. a custom builtin planted a value
-            # even deepcopy refuses): keep a live deep copy instead.
-            return BootSnapshot(boundary=boundary, state=copy.deepcopy(bundle))
+        private = StateBundleCopier(
+            slim, constants=constant_globals(interp.program)
+        ).fork()
         get_registry().observe(
             "launch.restore_objects",
             private.rebuilds,

@@ -231,12 +231,12 @@ def _pipeline_view(report) -> dict:
 
 
 def _make_pipeline(caches, **kwargs) -> CampaignPipeline:
-    # reuse_campaigns=False keeps the whole-campaign cache out of the
-    # way: these tests must prove the *checkpoint* path, not the cache.
+    # Fresh caches sharing only inference keep the whole-campaign
+    # cache out of the way: these tests must prove the *checkpoint*
+    # path, not the cache.
     return CampaignPipeline(
         systems=PIPE_SYSTEMS,
-        caches=caches,
-        reuse_campaigns=False,
+        caches=PipelineCaches(inference=caches.inference),
         **kwargs,
     )
 

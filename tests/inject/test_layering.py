@@ -61,7 +61,7 @@ class TestInjectLayering:
         source = (
             "from typing import TYPE_CHECKING\n"
             "if TYPE_CHECKING:\n"
-            "    from repro.pipeline.cache import LaunchCache\n"
+            "    from repro.pipeline.cache import SnapshotCache\n"
             "def run():\n"
             "    from repro.pipeline.executor import resolve_executor\n"
             "    from ..pipeline import cache\n"

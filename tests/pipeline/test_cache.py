@@ -175,6 +175,19 @@ class TestSnapshotCache:
         assert cache.record_for("k2") is not record
         assert not record.probed
 
+    def test_record_for_counts_hits_and_misses(self):
+        from repro.pipeline.cache import SnapshotCache
+
+        cache = SnapshotCache()
+        for key in ("k1", "k1", "k2", "k1", "k2"):
+            cache.record_for(key)
+        assert (cache.stats.hits, cache.stats.misses) == (3, 2)
+        assert cache.stats.hits + cache.stats.misses == 5
+        # The pipeline reports record lookups as its "launches" layer.
+        caches = PipelineCaches(snapshots=cache)
+        assert caches.stats()["launches"]["hits"] == 3
+        assert caches.stats()["launches"]["misses"] == 2
+
     def test_hints_shared_per_system_and_options(self):
         from repro.pipeline.cache import SnapshotCache
 

@@ -9,6 +9,7 @@ one key, and `SnapshotCache`'s record/hint registries return one
 instance per key no matter how many threads race on first use.
 """
 
+import sys
 import threading
 import time
 
@@ -161,6 +162,10 @@ class TestSnapshotCacheContention:
         _hammer(worker)
         assert all(len(ids) == 1 for ids in seen.values())
         assert len(cache) == 8
+        # One miss per key (the lookup that created the record), a hit
+        # for every other lookup.
+        assert cache.stats.misses == 8
+        assert cache.stats.hits + cache.stats.misses == THREADS * ROUNDS
 
     def test_hint_for_returns_one_hint_per_key(self):
         cache = SnapshotCache()
@@ -198,7 +203,6 @@ class TestPipelineCachesContention:
                 caches.checkers.get_or_compute(
                     f"c{round_ % 8}", lambda: round_
                 )
-                caches.launches.put(f"l{round_ % 8}", round_)
                 caches.snapshots.record_for(f"s{round_ % 8}")
                 stats = caches.stats()
                 assert set(stats) == {
@@ -212,6 +216,48 @@ class TestPipelineCachesContention:
         _hammer(worker)
         checkers = caches.checkers.stats
         assert checkers.hits + checkers.misses == THREADS * ROUNDS
+        launches = caches.stats()["launches"]
+        assert launches["hits"] + launches["misses"] == THREADS * ROUNDS
+
+    def test_stats_returns_own_counters_beside_another_instance(self):
+        """Two instances publish to the one process-wide registry; each
+        `stats()` must still return its own counters, however the two
+        threads interleave."""
+        calls = 20_000
+        pair = []
+        for misses in (1, 5):
+            caches = PipelineCaches()
+            for index in range(misses):
+                caches.checkers.get(f"absent{index}")
+            pair.append(caches)
+        wrong = [0, 0]
+        finished = [False, False]
+        gate = threading.Barrier(2)
+
+        def worker(index):
+            caches = pair[index]
+            expected = caches.checkers.stats.misses
+            gate.wait(timeout=30)
+            for _ in range(calls):
+                if caches.stats()["checkers"]["misses"] != expected:
+                    wrong[index] += 1
+            finished[index] = True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,)) for i in (0, 1)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert finished == [True, True]
+        assert wrong == [0, 0]
 
     def test_shared_caches_between_services_count_once(self):
         """Two consumers sharing one `PipelineCaches` see one compile

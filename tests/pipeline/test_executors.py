@@ -6,6 +6,7 @@ from repro.inject.campaign import Campaign
 from repro.inject.generators import GeneratorPlugin, default_generators
 from repro.pipeline import (
     CampaignPipeline,
+    PipelineCaches,
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
@@ -144,12 +145,18 @@ class TestPipelineCaching:
         assert warm.runs[0].report is cold.runs[0].report
 
     def test_reuse_disabled_still_caches_inference(self):
-        pipeline = CampaignPipeline(systems=["apache"], reuse_campaigns=False)
-        first = pipeline.run()
+        """A re-run on fresh caches that share only `inference`
+        re-executes the campaign but not its inference."""
+        first_pipeline = CampaignPipeline(systems=["apache"])
+        first = first_pipeline.run()
+        inference = first_pipeline.caches.inference
+        pipeline = CampaignPipeline(
+            systems=["apache"], caches=PipelineCaches(inference=inference)
+        )
         second = pipeline.run()
         assert second.cached_count() == 0
         assert second.runs[0].report is not first.runs[0].report
-        assert pipeline.caches.inference.stats.hits >= 1
+        assert inference.stats.hits >= 1
         assert second.vulnerability_sets() == first.vulnerability_sets()
 
     def test_executor_override_per_run(self):

@@ -1,44 +1,47 @@
-"""Launch-cache semantics: key sensitivity, hit/miss accounting,
-snapshot slimming, and campaign parity with and without the cache."""
+"""The launch layer of the pipeline caches: one store, the
+`SnapshotCache` boot record per config.  Key sensitivity, record
+lookup accounting, slimmed startup results, and campaign parity with
+and without the store."""
 
 import pytest
 
 from repro.inject.campaign import Campaign
 from repro.inject.harness import InjectionHarness
-from repro.pipeline import CampaignPipeline, LaunchCache, launch_fingerprint
+from repro.obs import get_registry
+from repro.pipeline import CampaignPipeline
+from repro.pipeline.cache import SnapshotCache, snapshot_fingerprint
 from repro.runtime.interpreter import InterpreterOptions
 from repro.systems import get_system
 
 
 class TestLaunchFingerprint:
+    """The launch store's key (`snapshot_fingerprint`) and its options
+    component."""
+
     def test_stable(self):
-        assert launch_fingerprint(
-            "sys", "a = 1\n", ("GET",), "opts"
-        ) == launch_fingerprint("sys", "a = 1\n", ("GET",), "opts")
+        assert snapshot_fingerprint(
+            "sys", "a = 1\n", "opts", ("sys", "/etc/a")
+        ) == snapshot_fingerprint("sys", "a = 1\n", "opts", ("sys", "/etc/a"))
 
     def test_config_text_changes_key(self):
-        assert launch_fingerprint("sys", "a = 1\n") != launch_fingerprint(
-            "sys", "a = 2\n"
-        )
+        assert snapshot_fingerprint(
+            "sys", "a = 1\n", "opts"
+        ) != snapshot_fingerprint("sys", "a = 2\n", "opts")
 
-    def test_requests_change_key(self):
-        base = launch_fingerprint("sys", "c", ("GET",))
-        assert base != launch_fingerprint("sys", "c", ())
-        assert base != launch_fingerprint("sys", "c", ("GET", "GET"))
-        assert base != launch_fingerprint("sys", "c", ("PUT",))
-
-    def test_request_split_does_not_collide(self):
+    def test_argv_split_does_not_collide(self):
         # ("ab", "c") and ("a", "bc") must hash differently.
-        assert launch_fingerprint("sys", "c", ("ab", "c")) != launch_fingerprint(
-            "sys", "c", ("a", "bc")
-        )
+        assert snapshot_fingerprint(
+            "sys", "c", "opts", ("ab", "c")
+        ) != snapshot_fingerprint("sys", "c", "opts", ("a", "bc"))
 
     def test_system_and_options_change_key(self):
-        assert launch_fingerprint("a", "c") != launch_fingerprint("b", "c")
-        assert launch_fingerprint(
-            "a", "c", (), InterpreterOptions().fingerprint()
-        ) != launch_fingerprint(
-            "a", "c", (), InterpreterOptions(max_steps=7).fingerprint()
+        assert snapshot_fingerprint("a", "c", "") != snapshot_fingerprint(
+            "b", "c", ""
+        )
+        assert snapshot_fingerprint(
+            "a", "c", InterpreterOptions().fingerprint()
+        ) != snapshot_fingerprint(
+            "a", "c", InterpreterOptions(max_steps=7).fingerprint()
         )
 
     def test_interpreter_options_fingerprint_is_hex(self):
@@ -50,55 +53,77 @@ class TestLaunchFingerprint:
 class TestHarnessLaunchCaching:
     @pytest.fixture()
     def harness(self):
-        return InjectionHarness(get_system("openldap"), launch_cache=LaunchCache())
+        return InjectionHarness(
+            get_system("openldap"), snapshot_cache=SnapshotCache()
+        )
 
-    def test_identical_launches_share_one_run(self, harness):
+    def test_identical_launches_share_one_record(self, harness):
         config = harness.system.default_config
         first = harness.launch(config)
         second = harness.launch(config)
-        assert second is first
-        assert harness.launch_cache.stats.misses == 1
-        assert harness.launch_cache.stats.hits == 1
+        # One record, two real launches.
+        assert second is not first
+        assert harness.snapshot_cache.stats.misses == 1
+        assert harness.snapshot_cache.stats.hits == 1
+        assert len(harness.snapshot_cache) == 1
 
-    def test_different_requests_are_distinct_entries(self, harness):
+    def test_different_requests_share_one_record(self, harness):
+        """Boot state is request-independent, so the request queue is
+        not part of the record's key."""
         config = harness.system.default_config
-        startup = harness.launch(config)
-        ping = harness.launch(config, ["PING"])
-        assert ping is not startup
-        assert harness.launch_cache.stats.misses == 2
+        harness.launch(config)
+        harness.launch(config, ["PING"])
+        harness.launch(config, ["PING", "PING"])
+        assert harness.snapshot_cache.stats.misses == 1
+        assert harness.snapshot_cache.stats.hits == 2
+        assert harness.boot_stats.resumes >= 1
 
     def test_cache_keeps_effective_values(self, harness):
         config = harness.system.default_config
         startup = harness.launch(config)
         request_run = harness.launch(config, ["PING"])
         # Silent-violation checks read a startup run's effective config
-        # values, resolved before caching; no cached result holds an
-        # interpreter, which bounds the cache's footprint.
+        # values, resolved at launch; no result holds an interpreter,
+        # which bounds what verdicts keep alive.
         assert startup.interpreter is None
         assert request_run.interpreter is None
         assert set(startup.effective_values) == set(
             harness.system.effective_locations
         )
         assert request_run.effective_values is None
-        # A cache hit hands back the same resolved values.
-        assert harness.launch(config).effective_values == (
-            startup.effective_values
-        )
+        # A startup launch resumed from the stored record resolves the
+        # same values.
+        resumes = harness.boot_stats.resumes
+        again = harness.launch(config)
+        assert harness.boot_stats.resumes == resumes + 1
+        assert again.interpreter is None
+        assert again.effective_values == startup.effective_values
 
     def test_uncached_harness_reruns_every_launch(self):
+        """Without a store the harness keeps private records and still
+        runs every launch."""
         harness = InjectionHarness(get_system("openldap"))
         config = harness.system.default_config
-        assert harness.launch(config) is not harness.launch(config)
+        first = harness.launch(config)
+        second = harness.launch(config)
+        assert second is not first
+        assert second.logs == first.logs
+        stats = harness.boot_stats
+        assert stats.boots + stats.resumes == 2
 
     def test_repeated_baseline_served_from_cache(self, harness):
+        store = harness.snapshot_cache
         assert harness.baseline_ok()
-        misses = harness.launch_cache.stats.misses
+        misses = store.stats.misses
+        boots = store.boot_stats.boots
         assert harness.baseline_ok()
-        assert harness.launch_cache.stats.misses == misses
-        assert harness.launch_cache.stats.hits >= misses
+        # The second pass finds every record and resumes every launch.
+        assert store.stats.misses == misses
+        assert store.boot_stats.boots == boots
+        assert store.stats.hits >= len(harness.system.tests) + 1
 
 
-class TestCampaignLaunchCacheParity:
+class TestCampaignLaunchStoreParity:
     @pytest.fixture(scope="class")
     def system(self):
         return get_system("openldap")
@@ -109,8 +134,9 @@ class TestCampaignLaunchCacheParity:
 
     @pytest.fixture(scope="class")
     def reference(self, system, spex_report):
-        # The no-cache loop: the semantics every cached variant must
-        # reproduce bit-identically.
+        # The bare-harness loop (harness-private records): the
+        # semantics every store-backed variant must reproduce
+        # bit-identically.
         return Campaign(system).run(spex_report)
 
     def _assert_equal_reports(self, report, reference):
@@ -127,29 +153,39 @@ class TestCampaignLaunchCacheParity:
     def test_cached_campaign_matches_uncached_serial(
         self, system, spex_report, reference
     ):
-        cache = LaunchCache()
-        report = Campaign(system, launch_cache=cache).run(spex_report)
+        store = SnapshotCache()
+        report = Campaign(system, snapshot_cache=store).run(spex_report)
         self._assert_equal_reports(report, reference)
-        assert cache.stats.misses > 0
+        assert store.stats.misses > 0
+        assert store.boot_stats.resumes > 0
 
     def test_warm_rerun_is_all_hits(self, system, spex_report, reference):
-        cache = LaunchCache()
-        Campaign(system, launch_cache=cache).run(spex_report)
-        cold = cache.stats.snapshot()
-        rerun = Campaign(system, launch_cache=cache).run(spex_report)
+        store = SnapshotCache()
+        Campaign(system, snapshot_cache=store).run(spex_report)
+        cold = store.stats.snapshot()
+        rerun = Campaign(system, snapshot_cache=store).run(spex_report)
         self._assert_equal_reports(rerun, reference)
-        assert cache.stats.misses == cold["misses"]  # nothing re-launched
-        assert cache.stats.hits >= cold["misses"]
+        # Every config already has its record: the rerun's lookups
+        # are all hits, one per launch the cold run made.
+        assert store.stats.misses == cold["misses"]
+        assert store.stats.hits - cold["hits"] == (
+            cold["hits"] + cold["misses"]
+        )
 
     def test_pipeline_surfaces_launch_stats(self):
-        pipeline = CampaignPipeline(
-            systems=["openldap"], reuse_campaigns=False
+        before = get_registry().snapshot()["counters"].get(
+            "launch.requests", 0
         )
-        pipeline.run()
-        warm = pipeline.run()
-        launches = warm.cache_stats["launches"]
+        report = CampaignPipeline(systems=["openldap"]).run()
+        launched = (
+            get_registry().snapshot()["counters"].get("launch.requests", 0)
+            - before
+        )
+        launches = report.cache_stats["launches"]
         assert launches["hits"] > 0
-        assert warm.summary_dict()["cache_stats"]["launches"] == launches
+        # One record lookup per harness launch.
+        assert launches["hits"] + launches["misses"] == launched
+        assert report.summary_dict()["cache_stats"]["launches"] == launches
 
 
 if __name__ == "__main__":

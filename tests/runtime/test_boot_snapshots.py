@@ -7,9 +7,12 @@ cycle directly; the harness tests cover the integration path the
 injection campaigns use.
 """
 
+import threading
+
 import pytest
 
 from repro.lang.program import Program
+from repro.runtime.builtins import REGISTRY
 from repro.runtime.interpreter import InterpreterOptions
 from repro.runtime.os_model import EmulatedOS
 from repro.runtime.process import ProcessStatus, run_program
@@ -68,6 +71,19 @@ int main(int argc, char **argv) {
     recv_request();
     *ep = 7;
     printf("errno=%d\\n", errno);
+    return 0;
+}
+"""
+
+
+#: A custom builtin plants a value no copy can hold (a lock) in a
+#: global during the boot prefix.
+LOCK_PLANTED_AT_BOOT = """
+int guard;
+int main(int argc, char **argv) {
+    plant_lock();
+    printf("boot\\n");
+    recv_request();
     return 0;
 }
 """
@@ -219,6 +235,30 @@ class TestBootLifecycle:
         assert "[stdout] errno=7" in [str(r) for r in expected.logs]
         for result in launches:
             assert_same_result(result, expected)
+
+    @pytest.mark.parametrize("engine", ["codegen", "tree"])
+    def test_uncopyable_boot_state_fails_the_capture_launch(
+        self, engine, monkeypatch
+    ):
+        """The copier deep-copies values it does not know; one that
+        even `copy.deepcopy` refuses fails the launch that captures
+        it, on both engines (no fallback copy could hold it)."""
+
+        def plant_lock(interp, args, loc):
+            interp.globals["guard"] = threading.Lock()
+            return 0
+
+        # Registered before the program is lowered: codegen binds
+        # builtins at lowering time.
+        monkeypatch.setitem(REGISTRY.table, "plant_lock", plant_lock)
+        program = Program.from_sources({"lock.c": LOCK_PLANTED_AT_BOOT})
+        record = BootRecord()
+        probe = warm(program, record, ["r"], engine=engine)
+        assert probe.exited_ok
+        assert record.boundary is not None and record.snapshot is None
+        with pytest.raises(TypeError):
+            warm(program, record, ["r"], engine=engine)  # the capture
+        assert record.snapshot is None
 
     def test_steps_are_part_of_replayed_state(self):
         program = make_program()
