@@ -18,9 +18,9 @@ from conftest import emit
 
 from repro.inject.campaign import Campaign
 from repro.inject.harness import InjectionHarness
-from repro.pipeline.cache import PipelineCaches, SnapshotCache
+from repro.pipeline.cache import PipelineCaches
 from repro.runtime.interpreter import InterpreterOptions
-from repro.runtime.snapshot import BootSnapshot
+from repro.runtime.snapshot import BootSnapshot, SnapshotCache
 from repro.systems.registry import get_system, iter_systems
 
 # The harness's default budgets, pinned so both engines run identical
@@ -47,7 +47,7 @@ def inference():
     return caches.inference
 
 
-def _sweep(inference, harness_options=None, snapshot_cache=None):
+def _sweep(inference, snapshot_cache, harness_options=None):
     """One cold 8-system campaign sweep from an empty launch store;
     every single launch is really executed."""
     duration = 0.0
@@ -83,11 +83,11 @@ def _sweep(inference, harness_options=None, snapshot_cache=None):
 
 def test_cold_campaign_3x_throughput_with_identical_results(inference):
     tree_time, tree_mis, tree_vulns, tree_verdicts = _sweep(
-        inference, harness_options=TREE_BASELINE
+        inference, SnapshotCache(), harness_options=TREE_BASELINE
     )
     snapshot_cache = SnapshotCache()
     new_time, new_mis, new_vulns, new_verdicts = _sweep(
-        inference, snapshot_cache=snapshot_cache
+        inference, snapshot_cache
     )
 
     assert new_mis == tree_mis
@@ -150,7 +150,7 @@ def _warm_throughput(system, engine, legacy_restore=False, passes=25):
     _launch_pass(harness, system)  # capture: takes the snapshot
     if legacy_restore:
         argv = [system.name, system.config_path]
-        record, _, _ = harness._boot_record(system.default_config, argv)
+        record, _ = harness._boot_record(system.default_config, argv)
         record.snapshot = _LegacySnapshot(
             boundary=record.snapshot.boundary,
             blob=pickle.dumps(

@@ -160,9 +160,6 @@ class FleetReport:
     def total_configs(self) -> int:
         return sum(r.corpus_size for r in self.results)
 
-    def total_flagged(self) -> int:
-        return sum(r.flagged for r in self.results)
-
     def throughput(self) -> float:
         """Configs validated per wall-clock second."""
         return self.total_configs / self.wall_time if self.wall_time else 0.0

@@ -244,9 +244,6 @@ class ConstraintSet:
         self.constraints.append(constraint)
         self.parameters.add(constraint.param)
 
-    def of_kind(self, kind: ConstraintKind) -> list[Constraint]:
-        return [c for c in self.constraints if c.kind is kind]
-
     def for_param(self, param: str) -> list[Constraint]:
         return [c for c in self.constraints if c.param == param]
 

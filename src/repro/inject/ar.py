@@ -22,9 +22,6 @@ class ConfigEntry:
     lineno: int = 0
     comment: str = ""
 
-    def is_comment(self) -> bool:
-        return self.name == ""
-
 
 class ConfigDialect:
     """Parsing/serialization rules for one config file format."""

@@ -9,10 +9,11 @@ sharing; without one it re-infers on every `run_spex()` call.
 
 `run()` tests the per-parameter `MisconfigurationBatch`es in order,
 in this process; the pipeline's system-level executor is the only
-fan-out of a sweep.  A shared `snapshot_cache` (the launch store)
-keeps one boot record per config across batches, campaigns and
-re-runs, so each repeated launch of a config resumes from its
-snapshot instead of re-running the boot.
+fan-out of a sweep.  Every launch goes through the campaign's
+`snapshot_cache` (the launch store, its own unless one is shared),
+which keeps one boot record per config across batches, runs and -
+when shared - campaigns, so each repeated launch of a config resumes
+from its snapshot instead of re-running the boot.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ from repro.knowledge import default_knowledge
 from repro.obs import get_registry, span
 from repro.lang.source import Location
 from repro.runtime.interpreter import InterpreterOptions
+from repro.runtime.snapshot import SnapshotCache
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # avoid the inject <-> systems/pipeline import cycles
-    from repro.pipeline.cache import InferenceCache, SnapshotCache
+    from repro.pipeline.cache import InferenceCache
     from repro.systems.base import SubjectSystem
 
 
@@ -88,12 +90,11 @@ class Campaign:
     # Shared by the pipeline so ablation sweeps and re-runs skip
     # re-inference; None means infer fresh each time.
     inference_cache: "InferenceCache | None" = None
-    # Shared warm-boot records (`repro.pipeline.cache.SnapshotCache`):
-    # most configs' boot prefix is interpreted once across all of this
-    # campaign's launches (twice when the first run could not capture).
-    # None keeps records harness-private (snapshots still on - the
-    # harness owns that default).
-    snapshot_cache: "SnapshotCache | None" = None
+    # The launch store (`repro.runtime.snapshot.SnapshotCache`): most
+    # configs' boot prefix is interpreted once across all of this
+    # campaign's launches (twice when the first run could not
+    # capture).  The pipeline passes its shared store.
+    snapshot_cache: SnapshotCache = field(default_factory=SnapshotCache)
     # Overrides the harness's interpreter options (engine selection,
     # budgets) - the launch-engine benchmarks use this to pit the
     # tree-walking baseline against the codegen engine on identical

@@ -5,6 +5,12 @@ misconfiguration), launch the target system; if it starts, apply the
 functional tests one by one; record all logs; classify the reaction
 per Table 3.  A reaction is acceptable only if the system *pinpoints*
 the injected parameter by name, value, or config-file line.
+
+Every warm-boot launch takes its config's boot record from one launch
+store (`repro.runtime.snapshot.SnapshotCache`): the one the harness is
+given, or one it creates.  A repeated launch of a config resumes from
+the record's snapshot; every launch still runs its post-boot
+statements.
 """
 
 from __future__ import annotations
@@ -24,11 +30,12 @@ from repro.runtime.snapshot import (
     BootRecord,
     BootStats,
     BoundaryHint,
+    SnapshotCache,
     boot_launch,
+    snapshot_fingerprint,
 )
 
-if TYPE_CHECKING:  # avoid the inject <-> systems/pipeline import cycles
-    from repro.pipeline.cache import SnapshotCache
+if TYPE_CHECKING:  # avoid the inject <-> systems import cycle
     from repro.systems.base import SubjectSystem
 
 
@@ -70,23 +77,16 @@ class InjectionHarness:
     engine: str | None = None
     # Warm-boot snapshots (`repro.runtime.snapshot`): per-config boot
     # state replayed across the functional-test launches of one
-    # config.  Enabled by `options.warm_boot` (default on);
-    # `snapshot_cache` shares records across harnesses (campaign +
-    # fleet agreement), otherwise records live privately in this
-    # harness.
-    snapshot_cache: "SnapshotCache | None" = None
+    # config.  Enabled by `options.warm_boot` (default on); every
+    # warm-boot launch takes its record from this launch store - one
+    # shared across harnesses (campaign + fleet agreement) when
+    # given, the harness's own otherwise.
+    snapshot_cache: SnapshotCache = field(default_factory=SnapshotCache)
     # Memo of `options.fingerprint()`: the options are fixed for the
     # harness's lifetime and the digest sits on the per-launch hot
     # path (do not mutate `options` after the first launch).
     _options_fingerprint: str | None = field(
         default=None, init=False, repr=False
-    )
-    _boot_records: dict = field(default_factory=dict, init=False, repr=False)
-    _boot_stats: BootStats = field(
-        default_factory=BootStats, init=False, repr=False
-    )
-    _boundary_hint: BoundaryHint = field(
-        default_factory=BoundaryHint, init=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -123,7 +123,7 @@ class InjectionHarness:
             return run_program(
                 self.system.program(), os_model, argv=argv, options=self.options
             )
-        record, stats, hint = self._boot_record(config_text, argv)
+        record, hint = self._boot_record(config_text, argv)
         return boot_launch(
             self.system.program(),
             lambda: self._make_os(config_text),
@@ -131,7 +131,7 @@ class InjectionHarness:
             self.options,
             record,
             requests=requests,
-            stats=stats,
+            stats=self.snapshot_cache.boot_stats,
             hint=hint,
         )
 
@@ -142,40 +142,27 @@ class InjectionHarness:
 
     def _boot_record(
         self, config_text: str, argv: list[str]
-    ) -> tuple[BootRecord, BootStats, BoundaryHint]:
-        """This config's boot record (plus stats and the system-level
-        boundary hint): shared through the snapshot cache when one is
-        attached, harness-private otherwise (where `argv` is constant
-        by construction, so config text alone keys the record)."""
-        if self.snapshot_cache is not None:
-            if self._options_fingerprint is None:
-                self._options_fingerprint = self.options.fingerprint()
-            key = self.snapshot_cache.key_for(
-                self.system,
-                config_text,
-                self.options,
-                options_fingerprint=self._options_fingerprint,
-                argv=tuple(argv),
-            )
-            return (
-                self.snapshot_cache.record_for(key),
-                self.snapshot_cache.boot_stats,
-                self.snapshot_cache.hint_for(
-                    self.system.name, self._options_fingerprint
-                ),
-            )
-        record = self._boot_records.get(config_text)
-        if record is None:
-            record = self._boot_records[config_text] = BootRecord()
-        return record, self._boot_stats, self._boundary_hint
+    ) -> tuple[BootRecord, BoundaryHint]:
+        """This config's boot record and the system-level boundary
+        hint, from the launch store."""
+        if self._options_fingerprint is None:
+            self._options_fingerprint = self.options.fingerprint()
+        store = self.snapshot_cache
+        key = snapshot_fingerprint(
+            self.system.name,
+            config_text,
+            self._options_fingerprint,
+            argv=tuple(argv),
+        )
+        return (
+            store.record_for(key),
+            store.hint_for(self.system.name, self._options_fingerprint),
+        )
 
     @property
     def boot_stats(self) -> BootStats:
-        """Snapshot-engine counters for this harness's launches (the
-        shared cache's counters when one is attached)."""
-        if self.snapshot_cache is not None:
-            return self.snapshot_cache.boot_stats
-        return self._boot_stats
+        """Snapshot-engine counters of this harness's launch store."""
+        return self.snapshot_cache.boot_stats
 
     def _observed_launch(
         self, config_text: str, requests: list[str] | None

@@ -168,18 +168,6 @@ def _strict_pdoms_of(pdom: dict[str, set[str]], a: str) -> set[str]:
     return pdom.get(a, set()) - {a}
 
 
-def blocks_controlled_by_edge(
-    fn: IRFunction, branch_block: str, edge_label: str
-) -> set[str]:
-    """All blocks that execute only when `branch_block` takes the edge."""
-    cdeps = compute_control_dependence(fn)
-    return {
-        label
-        for label, deps in cdeps.items()
-        if ControlDep(branch_block, edge_label) in deps
-    }
-
-
 @dataclass
 class CfgInfo:
     """Memoized CFG facts for one function."""

@@ -72,12 +72,6 @@ class IRFunction:
         for block in self.blocks.values():
             yield from block.instructions
 
-    def find_block_of(self, inst: Instruction) -> BasicBlock | None:
-        for block in self.blocks.values():
-            if inst in block.instructions:
-                return block
-        return None
-
 
 @dataclass
 class IRModule:

@@ -367,11 +367,3 @@ class CompareInfo:
     op: str
     left: Operand
     right: Operand
-
-    def flipped(self) -> "CompareInfo":
-        flip = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "==": "==", "!=": "!="}
-        return CompareInfo(flip[self.op], self.right, self.left)
-
-    def negated(self) -> "CompareInfo":
-        neg = {"<": ">=", ">": "<=", "<=": ">", ">=": "<", "==": "!=", "!=": "=="}
-        return CompareInfo(neg[self.op], self.left, self.right)

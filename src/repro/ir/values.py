@@ -40,10 +40,6 @@ class Const(Operand):
         return str(self.value)
 
     @property
-    def is_int(self) -> bool:
-        return isinstance(self.value, int) and not isinstance(self.value, bool)
-
-    @property
     def is_string(self) -> bool:
         return isinstance(self.value, str)
 

@@ -21,9 +21,6 @@ class Location:
     def __str__(self) -> str:
         return f"{self.filename}:{self.line}:{self.column}"
 
-    def same_line(self, other: "Location") -> bool:
-        return self.filename == other.filename and self.line == other.line
-
 
 UNKNOWN_LOCATION = Location("<unknown>", 0, 0)
 

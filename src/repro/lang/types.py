@@ -34,18 +34,6 @@ class CType:
         return isinstance(self, BoolType)
 
     @property
-    def is_void(self) -> bool:
-        return isinstance(self, VoidType)
-
-    @property
-    def is_struct(self) -> bool:
-        return isinstance(self, StructType)
-
-    @property
-    def is_array(self) -> bool:
-        return isinstance(self, ArrayType)
-
-    @property
     def is_string(self) -> bool:
         """True for char* / const char*, MiniC's string type."""
         return (
@@ -169,19 +157,6 @@ class StructType(CType):
         return f"struct {self.name}"
 
 
-@dataclass(frozen=True)
-class FunctionType(CType):
-    return_type: CType
-    param_types: tuple[CType, ...]
-    variadic: bool = False
-
-    def __str__(self) -> str:
-        params = ", ".join(str(p) for p in self.param_types)
-        if self.variadic:
-            params = f"{params}, ..." if params else "..."
-        return f"{self.return_type}({params})"
-
-
 @dataclass
 class StructDef:
     """The definition (field list) of a named struct."""
@@ -189,20 +164,11 @@ class StructDef:
     name: str
     fields: list[StructField] = field(default_factory=list)
 
-    def field_names(self) -> list[str]:
-        return [f.name for f in self.fields]
-
     def field_type(self, name: str) -> CType | None:
         for f in self.fields:
             if f.name == name:
                 return f.type
         return None
-
-    def field_index(self, name: str) -> int:
-        for i, f in enumerate(self.fields):
-            if f.name == name:
-                return i
-        return -1
 
 
 # Canonical singletons used throughout the toolchain.
@@ -219,7 +185,3 @@ ULONG = IntType(64, signed=False)
 FLOAT = FloatType(32)
 DOUBLE = FloatType(64)
 STRING = PointerType(CHAR)
-
-
-def integer_for(bits: int, signed: bool = True) -> IntType:
-    return IntType(bits, signed)

@@ -4,8 +4,8 @@ The paper's evaluation (Table 5) sweeps injection campaigns over
 seven subject systems (eight here, with nginx); this package turns
 that sweep into a first-class workload: campaigns fan out across a
 pluggable executor, SPEX inference results are cached by content hash
-so re-runs and ablation sweeps skip re-inference, and whole campaign
-reports are reused when nothing they depend on changed.
+so re-runs and ablation sweeps skip re-inference, and one launch store
+lets a re-run resume every launch from its config's boot record.
 
 Layering: `repro.pipeline` sits above `repro.inject` (the single-
 system primitive) and `repro.systems` (the registry), and below

@@ -5,17 +5,17 @@ Inference dominates nothing (campaigns do), but it is the part that is
 produces the same `SpexReport`.  The pipeline therefore keys inference
 results by a content hash of exactly that triple, so repeated
 campaigns, ablation sweeps and multi-executor parity runs skip
-re-inference entirely.  A second layer caches whole `CampaignReport`s
-keyed by the inference fingerprint plus the generator-rule set, which
-makes a warm pipeline re-run almost free.  The launch store, the
-`SnapshotCache`, works at the opposite end of the stack: it backs the
-launch engine's warm-boot replay (`repro.runtime.snapshot`) with
-per-config boot records keyed by (system, config text, argv,
-interpreter options), shared across harnesses so one config's boot
-prefix is interpreted once - twice when its first run could not
-capture - and every later launch of it resumes from the snapshot.  It
-is the only thing a repeated launch reuses: every launch still runs
-its post-boot statements.
+re-inference entirely.  The launch store, the `SnapshotCache`
+(defined beside the boot records it stores, in
+`repro.runtime.snapshot`), works at the opposite end of the stack: it
+backs the launch engine's warm-boot replay with per-config boot
+records keyed by (system, config text, argv, interpreter options),
+shared across harnesses so one config's boot prefix is interpreted
+once - twice when its first run could not capture - and every later
+launch of it resumes from the snapshot.  It is the only thing a
+repeated launch reuses: every launch still runs its post-boot
+statements, and a pipeline re-run re-executes every campaign against
+these two stores.
 
 Keys are SHA-256 hex digests; a changed source file, annotation block
 or `SpexOptions` knob yields a new key, so stale entries are never
@@ -38,11 +38,7 @@ from typing import Callable, Generic, TypeVar
 
 from repro.core.engine import SpexOptions, SpexReport
 from repro.obs.metrics import get_registry
-from repro.runtime.snapshot import (
-    BootRecord,
-    BootStats,
-    BoundaryHint,
-)
+from repro.runtime.snapshot import SnapshotCache
 
 T = TypeVar("T")
 
@@ -74,8 +70,9 @@ def campaign_fingerprint(spex_key: str, roster: list[str]) -> str:
     """Key of one full campaign: the inference key plus the qualified
     generation-rule roster (`GeneratorRegistry.roster()`).  A changed
     plug-in set - including a same-named plug-in with a different
-    implementing class - must invalidate cached campaign results even
-    when inference is unchanged."""
+    implementing class - yields a new key even when inference is
+    unchanged, so a checkpointed run (whose run key is built from
+    these) never resumes campaigns of another spec."""
     digest = hashlib.sha256()
     digest.update(spex_key.encode("utf-8"))
     for rule in sorted(roster):
@@ -203,110 +200,6 @@ class InferenceCache(ContentCache[SpexReport]):
         return spex_fingerprint(system.sources, system.annotations, options)
 
 
-def snapshot_fingerprint(
-    system_name: str,
-    config_text: str,
-    options_fingerprint: str,
-    argv: tuple[str, ...] = (),
-) -> str:
-    """Key of one warm-boot record (`repro.runtime.snapshot`).
-
-    Covers everything the boot prefix reads: which system boots (its
-    program and OS fixtures are deterministic per name), the rendered
-    config text, the launch argv (main's boot code reads it), and the
-    interpreter knobs - including the engine, so tree and codegen
-    launches never share a snapshot.  The request queue is
-    deliberately absent: boot state is request-independent by the
-    boundary's definition.
-    """
-    digest = hashlib.sha256()
-    digest.update(b"boot\x00")
-    digest.update(system_name.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(config_text.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(str(len(argv)).encode("utf-8"))
-    for arg in argv:
-        digest.update(b"\x00")
-        digest.update(arg.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(options_fingerprint.encode("utf-8"))
-    return digest.hexdigest()
-
-
-class SnapshotCache(ContentCache[BootRecord]):
-    """`BootRecord`s keyed by `snapshot_fingerprint`: the launch store.
-
-    Shared across harnesses (campaign batches, the fleet agreement
-    sampler) so most configs' boot prefix is interpreted once per
-    process: the first run captures at the system's boundary hint.  A
-    config whose first run kept no snapshot boots a second time to
-    capture, and one whose boot never polls boots on every launch (in
-    a full serial audit, 1,075 configs take 1,092 boots).  Records are
-    mutated in place by the snapshot engine;
-    all transitions derive from deterministic runs, so concurrent
-    writers can only race to store equivalent values.  `stats` counts
-    record lookups (`record_for`: a hit when the config already has a
-    record, a miss when the lookup creates it) and `boot_stats` counts
-    the work the records save or cost (resumes/boots/captures).
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.boot_stats = BootStats()
-        self._hints: dict[tuple[str, str], BoundaryHint] = {}
-
-    def key_for(
-        self,
-        system,
-        config_text: str,
-        options,
-        options_fingerprint: str | None = None,
-        argv: tuple[str, ...] = (),
-    ) -> str:
-        """Key of one system config's boot record (duck-typed: any
-        object with a `.name` works; `options` needs `fingerprint()`).
-        Callers on a hot path may pass a precomputed
-        `options_fingerprint` to skip re-hashing unchanged options."""
-        return snapshot_fingerprint(
-            system.name,
-            config_text,
-            options_fingerprint
-            if options_fingerprint is not None
-            else options.fingerprint(),
-            argv=argv,
-        )
-
-    def record_for(self, key: str) -> BootRecord:
-        """The record under `key`, created empty on first use (a
-        miss; every later lookup of `key` is a hit)."""
-        with self._lock:
-            record = self._entries.get(key)
-            if record is None:
-                self.stats.misses += 1
-                record = self._entries[key] = BootRecord()
-            else:
-                self.stats.hits += 1
-            return record
-
-    def hint_for(
-        self, system_name: str, options_fingerprint: str
-    ) -> BoundaryHint:
-        """The speculative boot-boundary hint shared by all configs of
-        one (system, options) pair."""
-        key = (system_name, options_fingerprint)
-        with self._lock:
-            hint = self._hints.get(key)
-            if hint is None:
-                hint = self._hints[key] = BoundaryHint()
-            return hint
-
-    def absorb_boot_stats(self, delta: dict[str, int]) -> None:
-        """Fold a worker process's snapshot-engine counters in."""
-        with self._lock:
-            self.boot_stats.absorb(delta)
-
-
 def checker_fingerprint(
     spex_key: str, default_config: str, dialect_repr: str
 ) -> str:
@@ -324,9 +217,9 @@ def checker_fingerprint(
 
 
 # The store layers a process shard reports home in its envelope; the
-# inference and campaign layers live in the parent only.  "launches"
-# and "snapshots" are two views of one store, the `SnapshotCache`:
-# its record lookups and its boot counters.
+# inference layer lives in the parent only.  "launches" and
+# "snapshots" are two views of one store, the `SnapshotCache`: its
+# record lookups and its boot counters.
 WORKER_LAYERS = ("launches", "snapshots", "checkers")
 
 
@@ -342,7 +235,6 @@ class PipelineCaches:
     """
 
     inference: InferenceCache = field(default_factory=InferenceCache)
-    campaigns: ContentCache = field(default_factory=ContentCache)
     checkers: ContentCache = field(default_factory=ContentCache)
     snapshots: SnapshotCache = field(default_factory=SnapshotCache)
 
@@ -350,8 +242,7 @@ class PipelineCaches:
         """Per-layer counters as plain dicts (what `stats` publishes)."""
         return {
             "inference": self.inference.stats.snapshot(),
-            "campaigns": self.campaigns.stats.snapshot(),
-            "launches": self.snapshots.stats.snapshot(),
+            "launches": self.snapshots.lookup_stats(),
             "checkers": self.checkers.stats.snapshot(),
             "snapshots": self.snapshots.boot_stats.snapshot(),
         }
@@ -371,9 +262,10 @@ class PipelineCaches:
     def absorb(self, stats: dict[str, dict[str, int]]) -> None:
         """Fold a process shard's store deltas (`delta`) in: how what
         worker stores counted reaches the caller's stores."""
-        self.snapshots.absorb_stats(stats.get("launches", {}))
+        self.snapshots.absorb(
+            stats.get("launches", {}), stats.get("snapshots", {})
+        )
         self.checkers.absorb_stats(stats.get("checkers", {}))
-        self.snapshots.absorb_boot_stats(stats.get("snapshots", {}))
 
     def stats(self) -> dict[str, dict[str, int]]:
         """Per-layer counters (`snapshot`), also published as

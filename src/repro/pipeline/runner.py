@@ -3,24 +3,23 @@
 `CampaignPipeline` is the throughput layer over the per-system
 `repro.inject.Campaign` primitive.  One pipeline run:
 
-1. enumerates target systems through the registry's bulk API;
-2. serves whole campaigns from the campaign cache when the content
-   fingerprint (sources + annotations + options + generation rules)
-   is unchanged;
-3. fans the remaining campaigns out over a pluggable executor
-   (serial / thread / process) - the sweep's only fan-out: each
-   campaign tests its own batches in order.  Every executor runs the
-   one by-name shard function `_run_campaign`, through the executor's
-   checkpointed map (`map_checkpointed`), which resumes a killed sweep
-   from its finished campaigns;
-4. shares one `InferenceCache` so ablation sweeps over harness or
+1. enumerates target systems through the registry's bulk API and
+   keys the sweep by their campaign fingerprints (sources +
+   annotations + options + generation rules);
+2. fans the campaigns out over a pluggable executor (serial / thread
+   / process) - the sweep's only fan-out: each campaign tests its own
+   batches in order.  Every executor runs the one by-name shard
+   function `_run_campaign`, through the executor's checkpointed map
+   (`map_checkpointed`), which resumes a killed sweep from its
+   finished campaigns - the one store of whole campaign results;
+3. shares one `InferenceCache` so ablation sweeps over harness or
    generator settings never re-run SPEX inference for an unchanged
    program, and one launch store (`SnapshotCache`) so repeated
    launches of a config resume from its boot snapshot across
    campaigns and re-runs.
 
-A campaign the pipeline must execute again (a parity or timing
-re-run) takes fresh `PipelineCaches` that share only `inference`.
+Every run executes every campaign: a re-run re-infers nothing and
+resumes its launches from the boot records the first run left.
 
 Usage::
 
@@ -28,7 +27,7 @@ Usage::
 
     pipeline = CampaignPipeline(executor="process")
     report = pipeline.run()              # cold: infer + inject everything
-    again = pipeline.run()               # warm: served from the caches
+    again = pipeline.run()               # warm: cached inference and boots
     report.total_vulnerabilities()
     report.vulnerability_sets()          # identical across executors
 """
@@ -61,8 +60,7 @@ class SystemRun:
 
     name: str
     report: CampaignReport
-    duration: float  # seconds spent producing the report; 0 if cached
-    from_cache: bool = False
+    duration: float  # seconds spent producing the report; 0 if restored
     from_checkpoint: bool = False  # restored from a resumable-run store
 
 
@@ -106,9 +104,6 @@ class PipelineReport:
             for run in self.runs
         }
 
-    def cached_count(self) -> int:
-        return sum(1 for run in self.runs if run.from_cache)
-
     def summary_dict(self) -> dict:
         """JSON-able aggregate (for manifests and the CLI footer)."""
         return {
@@ -122,7 +117,6 @@ class PipelineReport:
                     ),
                     "vulnerabilities": run.report.total(),
                     "duration": run.duration,
-                    "from_cache": run.from_cache,
                     "from_checkpoint": run.from_checkpoint,
                 }
                 for run in self.runs
@@ -162,9 +156,8 @@ class CampaignPipeline:
     `executor` is a name ("serial", "thread", "process") or an
     `Executor` instance; `caches` may be shared between pipelines so
     e.g. a parity re-run under a different executor still reuses
-    inference results.  The campaign cache is always consulted; a
-    sweep that must re-execute its campaigns passes fresh
-    `PipelineCaches(inference=shared.inference)`.
+    inference results and boot records.  Every run executes every
+    campaign against those stores.
     """
 
     systems: list[str] | None = None
@@ -203,81 +196,58 @@ class CampaignPipeline:
         get_registry().inc("pipeline.runs")
         started = time.perf_counter()
 
-        runs: dict[str, SystemRun] = {}
-        # (system name, spex key, campaign key) for every target; the
-        # run key content-addresses the sweep, so a checkpoint can only
-        # resume the exact same spec.
-        keyed: list[tuple[str, str, str]] = []
-        for system in systems:
-            spex_key = self.caches.inference.key_for(
-                system, self.spex_options
+        # (system name, spex key) for every target; the run key
+        # content-addresses the sweep by its campaign fingerprints, so
+        # a checkpoint can only resume the exact same spec.
+        keyed = [
+            (
+                system.name,
+                self.caches.inference.key_for(system, self.spex_options),
             )
-            campaign_key = campaign_fingerprint(
-                spex_key, self.generators.roster()
-            )
-            keyed.append((system.name, spex_key, campaign_key))
-        run_key = "pipeline|" + "|".join(
-            sorted(key for _, _, key in keyed)
-        )
-
-        pending: list[tuple[str, str, str]] = []
-        for name, spex_key, campaign_key in keyed:
-            cached = self.caches.campaigns.get(campaign_key)
-            if cached is not None:
-                runs[name] = SystemRun(name, cached, 0.0, from_cache=True)
-            else:
-                pending.append((name, spex_key, campaign_key))
-
-        failed_shards: list[FailedShard] = []
-        if pending:
-            if chosen.envelope:
-                self._check_process_compatible()
-            # A campaign's shard key is its system's name: the run key
-            # already pins every campaign fingerprint.
-            mapped = map_checkpointed(
-                chosen,
-                _run_campaign,
-                [
-                    (
-                        name,
-                        (name, self.spex_options, self.generators, self.engine),
-                    )
-                    for name, _, _ in pending
-                ],
-                SystemRun,
-                label="pipeline",
-                span_name="pipeline.execute",
-                checkpoint=self.checkpoint,
-                run_key=run_key,
-                policy=self.retry_policy,
-                chaos=self.chaos,
-                caches=self.caches,
-            )
-            for (name, spex_key, campaign_key), run, restored in zip(
-                pending, mapped.results, mapped.restored
-            ):
-                if run is None:  # quarantined campaign
-                    continue
-                if restored:
-                    run = dataclasses.replace(
-                        run, duration=0.0, from_checkpoint=True
-                    )
-                self.caches.campaigns.put(campaign_key, run.report)
-                self._warm_inference_cache(spex_key, run.report)
-                runs[name] = run
-            failed_shards = mapped.failures
-
-        ordered = [
-            runs[system.name]
             for system in systems
-            if system.name in runs
         ]
+        roster = self.generators.roster()
+        run_key = "pipeline|" + "|".join(
+            sorted(campaign_fingerprint(key, roster) for _, key in keyed)
+        )
+        if chosen.envelope and keyed:
+            self._check_process_compatible()
+        # A campaign's shard key is its system's name: the run key
+        # already pins every campaign fingerprint.
+        mapped = map_checkpointed(
+            chosen,
+            _run_campaign,
+            [
+                (name, (name, self.spex_options, self.generators, self.engine))
+                for name, _ in keyed
+            ],
+            SystemRun,
+            label="pipeline",
+            span_name="pipeline.execute",
+            checkpoint=self.checkpoint,
+            run_key=run_key,
+            policy=self.retry_policy,
+            chaos=self.chaos,
+            caches=self.caches,
+        )
+        runs: list[SystemRun] = []
+        for (_, spex_key), run, restored in zip(
+            keyed, mapped.results, mapped.restored
+        ):
+            if run is None:  # quarantined campaign
+                continue
+            if restored:
+                run = dataclasses.replace(
+                    run, duration=0.0, from_checkpoint=True
+                )
+            self._warm_inference_cache(spex_key, run.report)
+            runs.append(run)
         return PipelineReport(
-            runs=ordered,
+            runs=runs,
             executor=chosen.name,
             wall_time=time.perf_counter() - started,
             cache_stats=self.caches.stats(),
-            failed_shards=failed_shards,
+            failed_shards=mapped.failures,
         )
 
     def _warm_inference_cache(

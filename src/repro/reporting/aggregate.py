@@ -44,7 +44,7 @@ def render_pipeline_report(report: PipelineReport) -> str:
             totals[i + 1] += n
         row.append(run.report.total())
         totals[-1] += run.report.total()
-        row.append("cache" if run.from_cache else f"{run.duration:.2f}s")
+        row.append(f"{run.duration:.2f}s")
         rows.append(row)
     rows.append(["Total", *totals, ""])
     table = render_table(
@@ -204,16 +204,12 @@ def _pct(fraction: float | None) -> str:
 
 def _footer(report: PipelineReport) -> str:
     inference = report.cache_stats.get("inference", {})
-    campaigns = report.cache_stats.get("campaigns", {})
     launches = report.cache_stats.get("launches", {})
     snapshots = report.cache_stats.get("snapshots", {})
     lines = [
-        f"executor: {report.executor}; wall time: {report.wall_time:.2f}s; "
-        f"{report.cached_count()}/{len(report.runs)} campaigns from cache",
+        f"executor: {report.executor}; wall time: {report.wall_time:.2f}s",
         f"inference cache: {inference.get('hits', 0)} hits / "
         f"{inference.get('misses', 0)} misses; "
-        f"campaign cache: {campaigns.get('hits', 0)} hits / "
-        f"{campaigns.get('misses', 0)} misses; "
         f"launch store: {launches.get('hits', 0)} hits / "
         f"{launches.get('misses', 0)} misses; "
         f"warm boots: {snapshots.get('resumes', 0)} resumes / "

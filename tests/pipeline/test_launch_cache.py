@@ -1,7 +1,8 @@
 """The launch layer of the pipeline caches: one store, the
 `SnapshotCache` boot record per config.  Key sensitivity, record
-lookup accounting, slimmed startup results, and campaign parity with
-and without the store."""
+lookup accounting (a harness given no store accounts in its own),
+slimmed startup results, and campaign parity between a shared store
+and a campaign's own."""
 
 import pytest
 
@@ -9,8 +10,8 @@ from repro.inject.campaign import Campaign
 from repro.inject.harness import InjectionHarness
 from repro.obs import get_registry
 from repro.pipeline import CampaignPipeline
-from repro.pipeline.cache import SnapshotCache, snapshot_fingerprint
 from repro.runtime.interpreter import InterpreterOptions
+from repro.runtime.snapshot import SnapshotCache, snapshot_fingerprint
 from repro.systems import get_system
 
 
@@ -63,8 +64,8 @@ class TestHarnessLaunchCaching:
         second = harness.launch(config)
         # One record, two real launches.
         assert second is not first
-        assert harness.snapshot_cache.stats.misses == 1
-        assert harness.snapshot_cache.stats.hits == 1
+        assert harness.snapshot_cache.misses == 1
+        assert harness.snapshot_cache.hits == 1
         assert len(harness.snapshot_cache) == 1
 
     def test_different_requests_share_one_record(self, harness):
@@ -74,8 +75,8 @@ class TestHarnessLaunchCaching:
         harness.launch(config)
         harness.launch(config, ["PING"])
         harness.launch(config, ["PING", "PING"])
-        assert harness.snapshot_cache.stats.misses == 1
-        assert harness.snapshot_cache.stats.hits == 2
+        assert harness.snapshot_cache.misses == 1
+        assert harness.snapshot_cache.hits == 2
         assert harness.boot_stats.resumes >= 1
 
     def test_cache_keeps_effective_values(self, harness):
@@ -100,27 +101,52 @@ class TestHarnessLaunchCaching:
         assert again.effective_values == startup.effective_values
 
     def test_uncached_harness_reruns_every_launch(self):
-        """Without a store the harness keeps private records and still
-        runs every launch."""
+        """A harness given no store launches through one of its own
+        and still runs every launch."""
         harness = InjectionHarness(get_system("openldap"))
+        store = harness.snapshot_cache
+        assert isinstance(store, SnapshotCache)
         config = harness.system.default_config
         first = harness.launch(config)
         second = harness.launch(config)
         assert second is not first
         assert second.logs == first.logs
-        stats = harness.boot_stats
+        assert (store.misses, store.hits) == (1, 1)
+        stats = store.boot_stats
         assert stats.boots + stats.resumes == 2
+
+    def test_bare_harness_accounts_every_launch_in_its_store(self):
+        """Each launch of a harness built without a store is one
+        lookup in the store it creates, and a repeated baseline pass
+        resumes every launch from the records the first pass left."""
+        harness = InjectionHarness(get_system("openldap"))
+        store = harness.snapshot_cache
+        registry = get_registry()
+
+        def launches() -> int:
+            return registry.snapshot()["counters"].get("launch.requests", 0)
+
+        before = launches()
+        assert harness.baseline_ok()
+        assert launches() - before == store.hits + store.misses
+        misses, boots = store.misses, store.boot_stats.boots
+        lookups = store.hits + store.misses
+        before = launches()
+        assert harness.baseline_ok()
+        assert launches() - before == store.hits + store.misses - lookups
+        assert store.misses == misses
+        assert store.boot_stats.boots == boots
 
     def test_repeated_baseline_served_from_cache(self, harness):
         store = harness.snapshot_cache
         assert harness.baseline_ok()
-        misses = store.stats.misses
+        misses = store.misses
         boots = store.boot_stats.boots
         assert harness.baseline_ok()
         # The second pass finds every record and resumes every launch.
-        assert store.stats.misses == misses
+        assert store.misses == misses
         assert store.boot_stats.boots == boots
-        assert store.stats.hits >= len(harness.system.tests) + 1
+        assert store.hits >= len(harness.system.tests) + 1
 
 
 class TestCampaignLaunchStoreParity:
@@ -134,9 +160,8 @@ class TestCampaignLaunchStoreParity:
 
     @pytest.fixture(scope="class")
     def reference(self, system, spex_report):
-        # The bare-harness loop (harness-private records): the
-        # semantics every store-backed variant must reproduce
-        # bit-identically.
+        # A campaign on a store of its own: the semantics every
+        # shared-store variant must reproduce bit-identically.
         return Campaign(system).run(spex_report)
 
     def _assert_equal_reports(self, report, reference):
@@ -156,19 +181,19 @@ class TestCampaignLaunchStoreParity:
         store = SnapshotCache()
         report = Campaign(system, snapshot_cache=store).run(spex_report)
         self._assert_equal_reports(report, reference)
-        assert store.stats.misses > 0
+        assert store.misses > 0
         assert store.boot_stats.resumes > 0
 
     def test_warm_rerun_is_all_hits(self, system, spex_report, reference):
         store = SnapshotCache()
         Campaign(system, snapshot_cache=store).run(spex_report)
-        cold = store.stats.snapshot()
+        cold = store.lookup_stats()
         rerun = Campaign(system, snapshot_cache=store).run(spex_report)
         self._assert_equal_reports(rerun, reference)
         # Every config already has its record: the rerun's lookups
         # are all hits, one per launch the cold run made.
-        assert store.stats.misses == cold["misses"]
-        assert store.stats.hits - cold["hits"] == (
+        assert store.misses == cold["misses"]
+        assert store.hits - cold["hits"] == (
             cold["hits"] + cold["misses"]
         )
 

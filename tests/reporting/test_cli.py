@@ -6,6 +6,7 @@ out-of-range flag value).
 """
 
 import json
+import re
 
 import pytest
 
@@ -41,7 +42,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Pipeline: misconfiguration campaigns across systems" in out
         assert "apache" in out
-        assert "campaign cache: 1 hits" in out
+        assert "campaign cache" not in out
+        # The second pass re-executes the campaign: inference comes
+        # from the cache and every launch finds its boot record.
+        footer = re.search(
+            r"inference cache: (\d+) hits / (\d+) misses; "
+            r"launch store: (\d+) hits / (\d+) misses",
+            out,
+        )
+        assert footer is not None
+        inference_hits, _, launch_hits, launch_misses = map(
+            int, footer.groups()
+        )
+        assert inference_hits >= 1
+        assert launch_hits > launch_misses > 0
 
     def test_pipeline_unknown_system_errors(self, capsys):
         assert main(["pipeline", "--systems", "nope"]) == 2

@@ -300,7 +300,7 @@ class TestHarnessIntegration:
         assert stats.boots <= 2
 
     def test_shared_snapshot_cache_across_harnesses(self):
-        from repro.pipeline.cache import SnapshotCache
+        from repro.runtime.snapshot import SnapshotCache
 
         system = get_system("vsftpd")
         cache = SnapshotCache()

@@ -4,7 +4,8 @@ perfbench's traced mode wraps entry points by name (module globals and
 class attributes) and reads `PipelineCaches.stats()` sections by key.
 A rename or a dropped section in `src/` breaks it only when someone
 runs it; this test installs every wrapper and computes every per-layer
-metric in a fresh interpreter, so such a break fails tier-1 instead.
+metric in a fresh interpreter, from the cache stats of a real pipeline
+run, so such a break fails tier-1 instead.
 """
 
 import json
@@ -25,7 +26,7 @@ import rep
 import tracing
 from repro.inject.harness import InjectionHarness
 from repro.obs import get_registry
-from repro.pipeline.cache import PipelineCaches
+from repro.pipeline import CampaignPipeline
 from repro.systems.registry import get_system
 
 program = tracing.Recorder()
@@ -40,8 +41,9 @@ harness = InjectionHarness(system)
 for requests in (None, None, None):
     harness.launch(system.default_config, requests)
 
+report = CampaignPipeline(systems=["openldap"]).run()
 layers = rep.layer_metrics(
-    {{}}, {{}}, get_registry().snapshot(), PipelineCaches().stats()
+    {{}}, {{}}, get_registry().snapshot(), report.cache_stats
 )
 print(json.dumps({{"layers": sorted(layers), "spans": sorted(program.summary())}}))
 """
