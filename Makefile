@@ -9,7 +9,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # this.
 export PYTHONHASHSEED := 0
 
-.PHONY: test test-fast lint engine-gate bench perfbench chaos fleet-bench obs-bench trace-demo docs-check quickstart pipeline fleet serve all
+.PHONY: test test-fast lint engine-gate infer-gate bench perfbench chaos fleet-bench obs-bench trace-demo docs-check quickstart pipeline fleet serve all
 
 all: test docs-check
 
@@ -35,6 +35,13 @@ lint:
 # snapshot restores share by reference (option tables, file nodes).
 engine-gate:
 	$(PYTHON) -m pytest -q tests/runtime/test_engine_parity.py tests/runtime/test_engine_fuzz.py tests/runtime/test_codegen_engine.py tests/runtime/test_boot_snapshots.py tests/runtime/test_snapshot_sharing.py
+
+# The inference exactness contract: the eight systems' pinned
+# constraint digests, hash-seed determinism, the worklist taint fixpoint
+# against the round loop it replaced, the regex scanner against
+# `next_token`, and the mapping toolkits' pre-pass facts.
+infer-gate:
+	$(PYTHON) -m pytest -q tests/systems/test_system_digests.py tests/analysis/test_hash_seed_determinism.py tests/analysis/test_worklist_parity.py tests/lang/test_lexer.py tests/core/test_mapping.py
 
 # Benchmark suite only, with the regenerated tables printed.
 bench:

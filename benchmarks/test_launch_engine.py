@@ -150,7 +150,7 @@ def _warm_throughput(system, engine, legacy_restore=False, passes=25):
     _launch_pass(harness, system)  # capture: takes the snapshot
     if legacy_restore:
         argv = [system.name, system.config_path]
-        record, _ = harness._boot_record(system.default_config, argv)
+        record = harness.boot_record(system.default_config, argv)
         record.snapshot = _LegacySnapshot(
             boundary=record.snapshot.boundary,
             blob=pickle.dumps(

@@ -15,6 +15,11 @@ Design notes (mirroring paper §2.2 and §4.3):
   parameters accumulates *all* targets, so dereferences attribute
   facts to every candidate parameter.  This reproduces the paper's
   mis-attribution inaccuracy on alias-heavy code (OpenLDAP, §4.3).
+* **Worklist fixpoint**: every function is a *root* analysed with its
+  seeded parameters.  The first pass analyses each root; later passes
+  re-analyse, in module order, only the roots whose recorded inputs
+  changed (see `TaintEngine.run`), with exactly the events, labels and
+  parameters a full re-analysis of every root would produce.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from repro.ir.instructions import (
     Call,
     CallIndirect,
     Cast,
-    Jump,
     LoadDeref,
     LoadField,
     LoadIndex,
@@ -57,7 +61,6 @@ from repro.ir.instructions import (
     StoreIndex,
     SwitchInst,
     UnOp,
-    Unreachable,
 )
 from repro.ir.values import Const, FuncRef, Operand, Temp, Variable
 from repro.knowledge import ApiKnowledge, default_knowledge
@@ -92,6 +95,24 @@ def merge_labels(dst: LabelMap, src: LabelMap, extra_hops: int = 0) -> bool:
             dst[name] = new_hops
             changed = True
     return changed
+
+
+@dataclass
+class _RootRun:
+    """What one root analysis depended on: the global label keys,
+    label subtrees and pointer-target keys it read (a global write
+    reads its target first), the summaries it reused from earlier
+    roots of its pass and the ones it computed itself.  Summaries
+    computed for the root count as the root's own reads."""
+
+    label_start: int  # position in the engine's label-change log
+    ptr_start: int  # position in the engine's pointer-change log
+    reads: set[LocKey] = field(default_factory=set)
+    subtrees: set[tuple[str, tuple[str, ...]]] = field(default_factory=set)
+    ptr_reads: set[LocKey] = field(default_factory=set)
+    hits: dict[object, Summary] = field(default_factory=dict)
+    computed: dict[object, Summary] = field(default_factory=dict)
+    capped: bool = False  # some block loop stopped at its iteration cap
 
 
 @dataclass
@@ -138,27 +159,62 @@ class TaintEngine:
         self.summaries: dict[object, Summary] = {}
         self.in_progress: set[object] = set()
         self.parameters: set[str] = {s.param for s in seeds}
+        # Every change of a global label / pointer-target set, in order;
+        # a root run remembers where both logs stood when it began.
+        self._label_log: list[LocKey] = []
+        self._ptr_log: list[LocKey] = []
+        self._run: _RootRun | None = None
+        # Work done by `run`: passes over the roots, root analyses and
+        # summaries carried into a pass by the clean roots that own them.
+        self.passes = 0
+        self.analyses = 0
+        self.reused_summaries = 0
 
     # -- public API ---------------------------------------------------------
 
     def run(self) -> AnalysisResult:
+        """Analyse every root to a fixpoint of events and global labels.
+
+        A pass walks the roots in module order.  The first analyses
+        each; later ones skip a root whose last analysis is still
+        *clean*: no global it read changed after its analysis began,
+        every summary it reused is still the one its pass holds, none
+        it computed has been computed earlier in this pass, and no
+        block loop stopped at its cap.  Analysing a clean root again
+        would read the same inputs and so add no event and change no
+        label; its summaries stand in for the ones that re-analysis
+        would compute, so every later root meets the summaries, and
+        call chains, a full pass would give it.  The run stops when a
+        pass adds no event and changes no global label (a pass with no
+        stale root is such a pass) or after `max_rounds` passes.
+        """
         for seed in self.global_seeds:
             loc = ("global", seed.var, seed.path)
             self.global_labels.setdefault(loc, {})[seed.param] = 0
 
-        for _round in range(self.options.max_rounds):
+        roots = [
+            (fn, self._root_assignment(fn))
+            for fn in self.module.functions.values()
+        ]
+        runs: list[_RootRun | None] = [None] * len(roots)
+        for _pass in range(self.options.max_rounds):
+            self.passes += 1
             self.summaries = {}
-            self.in_progress = set()
             before_events = len(self.events)
-            before_globals = {k: dict(v) for k, v in self.global_labels.items()}
-            for fn in self.module.functions.values():
-                assignment = self._root_assignment(fn)
-                analysis = _FunctionAnalysis(self, fn, assignment, chain=())
-                analysis.run()
+            before_labels = len(self._label_log)
+            for i, (fn, assignment) in enumerate(roots):
+                last = runs[i]
+                if last is not None and not self._stale(last):
+                    self.summaries.update(last.hits)
+                    self.summaries.update(last.computed)
+                    self.reused_summaries += len(last.computed)
+                    continue
+                runs[i] = self._analyse_root(fn, assignment)
             if len(self.events) == before_events and (
-                before_globals == self.global_labels
+                len(self._label_log) == before_labels
             ):
                 break
+        self._run = None
         return AnalysisResult(
             module=self.module,
             events=self.events,
@@ -167,6 +223,35 @@ class TaintEngine:
         )
 
     # -- internals ------------------------------------------------------------
+
+    def _analyse_root(
+        self, fn: IRFunction, assignment: dict[tuple[str, tuple], LabelMap]
+    ) -> _RootRun:
+        run = _RootRun(len(self._label_log), len(self._ptr_log))
+        self._run = run
+        self.analyses += 1
+        _FunctionAnalysis(self, fn, assignment, chain=()).run()
+        return run
+
+    def _stale(self, run: _RootRun) -> bool:
+        if run.capped:
+            return True
+        for key in self._label_log[run.label_start :]:
+            if key in run.reads:
+                return True
+            if run.subtrees:
+                _, name, path = key
+                for i in range(len(path) + 1):
+                    if (name, path[:i]) in run.subtrees:
+                        return True
+        for key in self._ptr_log[run.ptr_start :]:
+            if key in run.ptr_reads:
+                return True
+        summaries = self.summaries
+        for key, summary in run.hits.items():
+            if summaries.get(key) is not summary:
+                return True
+        return any(key in summaries for key in run.computed)
 
     def _root_assignment(self, fn: IRFunction) -> dict[tuple[str, tuple], LabelMap]:
         assignment: dict[tuple[str, tuple], LabelMap] = {}
@@ -198,8 +283,12 @@ class TaintEngine:
                 )
             ),
         )
-        if key in self.summaries:
-            return self.summaries[key]
+        run = self._run
+        summary = self.summaries.get(key)
+        if summary is not None:
+            if key not in run.computed:
+                run.hits[key] = summary
+            return summary
         if key in self.in_progress:
             return _EMPTY_SUMMARY
         self.in_progress.add(key)
@@ -209,6 +298,7 @@ class TaintEngine:
         finally:
             self.in_progress.discard(key)
         self.summaries[key] = summary
+        run.computed[key] = summary
         return summary
 
     def labels_under(self, prefix: LocKey) -> dict[tuple[str, ...], LabelMap]:
@@ -218,6 +308,7 @@ class TaintEngine:
         out: dict[tuple[str, ...], LabelMap] = {}
         if scope != "global":
             return out
+        self._run.subtrees.add((name, path))
         for (g_scope, g_name, g_path), labels in self.global_labels.items():
             if g_scope == scope and g_name == name and g_path[: len(path)] == path:
                 out[g_path[len(path) :]] = labels
@@ -250,18 +341,29 @@ class _FunctionAnalysis:
         }
         for (name, path), labels in assignment.items():
             merge_labels(self.local_labels.setdefault((name, path), {}), labels)
+        run = engine._run
+        self.reads = run.reads
+        self.ptr_reads = run.ptr_reads
 
     # -- label helpers ---------------------------------------------------------
 
     def _loc_labels(self, scope: str, name: str, path: tuple[str, ...]) -> LabelMap:
         """Union of labels at the location and its path prefixes."""
         out: LabelMap = {}
+        if scope == "global":
+            global_labels = self.engine.global_labels
+            for i in range(len(path) + 1):
+                key = ("global", name, path[:i])
+                self.reads.add(key)
+                found = global_labels.get(key)
+                if found:
+                    merge_labels(out, found)
+            return out
+        local_labels = self.local_labels
         for i in range(len(path) + 1):
-            prefix = path[:i]
-            if scope == "global":
-                merge_labels(out, self.engine.global_labels.get(("global", name, prefix), {}))
-            else:
-                merge_labels(out, self.local_labels.get((name, prefix), {}))
+            found = local_labels.get((name, path[:i]))
+            if found:
+                merge_labels(out, found)
         return out
 
     def _write_loc(
@@ -271,12 +373,17 @@ class _FunctionAnalysis:
         if not labels:
             return
         if scope == "global":
-            target = self.engine.global_labels.setdefault(("global", name, path), {})
-        else:
-            target = self.local_labels.setdefault((name, path), {})
-            if name in self.pointer_params:
-                writes = self.summary.param_writes.setdefault((name, path), {})
-                merge_labels(writes, labels, extra_hops)
+            key = ("global", name, path)
+            self.reads.add(key)
+            target = self.engine.global_labels.setdefault(key, {})
+            if merge_labels(target, labels, extra_hops):
+                self.changed = True
+                self.engine._label_log.append(key)
+            return
+        target = self.local_labels.setdefault((name, path), {})
+        if name in self.pointer_params:
+            writes = self.summary.param_writes.setdefault((name, path), {})
+            merge_labels(writes, labels, extra_hops)
         if merge_labels(target, labels, extra_hops):
             self.changed = True
 
@@ -307,12 +414,11 @@ class _FunctionAnalysis:
         if isinstance(op, Temp):
             return self.temp_ptr.get(op.id, frozenset())
         if isinstance(op, Variable):
-            scope = self._var_scope(op)
-            if scope == "global":
-                return frozenset(
-                    self.engine.global_ptr.get(("global", op.name, ()), set())
-                )
-            return frozenset(self.var_ptr.get((op.name, ()), set()))
+            if op.kind == "global":
+                key = ("global", op.name, ())
+                self.ptr_reads.add(key)
+                return frozenset(self.engine.global_ptr.get(key, ()))
+            return frozenset(self.var_ptr.get((op.name, ()), ()))
         return frozenset()
 
     def _set_temp(self, temp: Temp, labels: LabelMap) -> None:
@@ -327,56 +433,40 @@ class _FunctionAnalysis:
     # -- main loop --------------------------------------------------------------
 
     def run(self) -> Summary:
+        handlers = _HANDLERS
+        blocks = [
+            (block.label, block.instructions) for block in self.fn.block_order()
+        ]
         for _ in range(self.engine.options.max_block_iterations):
             self.changed = False
-            for block in self.fn.block_order():
-                for inst in block.instructions:
-                    self._visit(block.label, inst)
+            for label, instructions in blocks:
+                for inst in instructions:
+                    handler = handlers.get(type(inst))
+                    if handler is not None:
+                        handler(self, label, inst)
             if not self.changed:
                 break
+        else:
+            self.engine._run.capped = True
         return self.summary
 
-    def _visit(self, block: str, inst) -> None:
-        if isinstance(inst, Assign):
-            self._visit_assign(block, inst)
-        elif isinstance(inst, BinOp):
-            self._visit_binop(block, inst)
-        elif isinstance(inst, UnOp):
-            self._set_temp(inst.dest, self._labels_of(inst.operand))
-        elif isinstance(inst, Cast):
-            self._visit_cast(block, inst)
-        elif isinstance(inst, LoadField):
-            self._visit_load_field(block, inst)
-        elif isinstance(inst, StoreField):
-            self._visit_store_field(block, inst)
-        elif isinstance(inst, LoadIndex):
-            self._set_temp(inst.dest, self._labels_of(inst.base))
-        elif isinstance(inst, StoreIndex):
-            self._visit_store_index(block, inst)
-        elif isinstance(inst, AddrOf):
-            scope = self._var_scope(inst.var)
-            self.temp_ptr[inst.dest.id] = frozenset({(scope, inst.var.name, inst.path)})
-        elif isinstance(inst, LoadDeref):
-            self._visit_load_deref(block, inst)
-        elif isinstance(inst, StoreDeref):
-            self._visit_store_deref(block, inst)
-        elif isinstance(inst, Call):
-            self._visit_call(block, inst)
-        elif isinstance(inst, CallIndirect):
-            self._visit_call_indirect(block, inst)
-        elif isinstance(inst, Branch):
-            self._visit_branch(block, inst)
-        elif isinstance(inst, SwitchInst):
-            self._visit_switch(block, inst)
-        elif isinstance(inst, Ret):
-            if inst.value is not None:
-                labels = self._labels_of(inst.value)
-                if merge_labels(self.summary.return_labels, labels):
-                    self.changed = True
-        elif isinstance(inst, (Jump, Unreachable)):
-            pass
-
     # -- per-instruction handlers ----------------------------------------------
+
+    def _visit_unop(self, block: str, inst: UnOp) -> None:
+        self._set_temp(inst.dest, self._labels_of(inst.operand))
+
+    def _visit_load_index(self, block: str, inst: LoadIndex) -> None:
+        self._set_temp(inst.dest, self._labels_of(inst.base))
+
+    def _visit_addr_of(self, block: str, inst: AddrOf) -> None:
+        scope = self._var_scope(inst.var)
+        self.temp_ptr[inst.dest.id] = frozenset({(scope, inst.var.name, inst.path)})
+
+    def _visit_ret(self, block: str, inst: Ret) -> None:
+        if inst.value is not None:
+            labels = self._labels_of(inst.value)
+            if merge_labels(self.summary.return_labels, labels):
+                self.changed = True
 
     def _visit_assign(self, block: str, inst: Assign) -> None:
         labels = self._labels_of(inst.src)
@@ -419,6 +509,7 @@ class _FunctionAnalysis:
             self._write_loc(scope, inst.dest.name, (), labels, extra_hops=1)
             if ptr:
                 if scope == "global":
+                    self.ptr_reads.add(loc)
                     store = self.engine.global_ptr.setdefault(loc, set())
                 else:
                     store = self.var_ptr.setdefault((inst.dest.name, ()), set())
@@ -426,6 +517,8 @@ class _FunctionAnalysis:
                 store.update(ptr)
                 if len(store) != before:
                     self.changed = True
+                    if scope == "global":
+                        self.engine._ptr_log.append(loc)
 
     def _visit_binop(self, block: str, inst: BinOp) -> None:
         left = self._labels_of(inst.left)
@@ -825,3 +918,24 @@ class _FunctionAnalysis:
                 chain=self.chain,
             )
         )
+
+
+# Instruction type -> handler; `Jump` and `Unreachable` carry no data.
+_HANDLERS = {
+    Assign: _FunctionAnalysis._visit_assign,
+    BinOp: _FunctionAnalysis._visit_binop,
+    UnOp: _FunctionAnalysis._visit_unop,
+    Cast: _FunctionAnalysis._visit_cast,
+    LoadField: _FunctionAnalysis._visit_load_field,
+    StoreField: _FunctionAnalysis._visit_store_field,
+    LoadIndex: _FunctionAnalysis._visit_load_index,
+    StoreIndex: _FunctionAnalysis._visit_store_index,
+    AddrOf: _FunctionAnalysis._visit_addr_of,
+    LoadDeref: _FunctionAnalysis._visit_load_deref,
+    StoreDeref: _FunctionAnalysis._visit_store_deref,
+    Call: _FunctionAnalysis._visit_call,
+    CallIndirect: _FunctionAnalysis._visit_call_indirect,
+    Branch: _FunctionAnalysis._visit_branch,
+    SwitchInst: _FunctionAnalysis._visit_switch,
+    Ret: _FunctionAnalysis._visit_ret,
+}

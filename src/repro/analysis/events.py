@@ -41,6 +41,8 @@ class Labels:
 
     @classmethod
     def of(cls, mapping: dict[str, int]) -> "Labels":
+        if not mapping:
+            return _NO_LABELS
         return cls(tuple(sorted(mapping.items())))
 
     def to_dict(self) -> dict[str, int]:
@@ -54,6 +56,9 @@ class Labels:
 
     def __bool__(self) -> bool:
         return bool(self.entries)
+
+
+_NO_LABELS = Labels()
 
 
 @dataclass(frozen=True)
@@ -189,22 +194,28 @@ class UsageEvent(Event):
 
 @dataclass
 class EventLog:
-    """Deduplicating accumulator for events."""
+    """Deduplicating accumulator for events, in first-seen order, with
+    a per-class index so `of_type` does not scan the whole log."""
 
     events: dict[object, Event] = field(default_factory=dict)
+    _by_class: dict[type, list[Event]] = field(default_factory=dict, repr=False)
 
     def add(self, event: Event) -> bool:
-        key = event
-        if key in self.events:
+        events = self.events
+        size = len(events)
+        # One hash per event: frozen events hash every field each time.
+        events.setdefault(event, event)
+        if len(events) == size:
             return False
-        self.events[key] = event
+        self._by_class.setdefault(type(event), []).append(event)
         return True
 
     def all(self) -> list[Event]:
         return list(self.events.values())
 
     def of_type(self, cls) -> list:
-        return [e for e in self.events.values() if isinstance(e, cls)]
+        """Events of one concrete event class, in first-seen order."""
+        return list(self._by_class.get(cls, ()))
 
     def __len__(self) -> int:
         return len(self.events)

@@ -30,6 +30,7 @@ from repro.ir import build_ir
 from repro.ir.function import IRModule
 from repro.knowledge import ApiKnowledge, default_knowledge
 from repro.lang.program import Program
+from repro.obs import span
 
 
 @dataclass
@@ -144,8 +145,10 @@ class SpexEngine:
             self.loa = 0
 
     def run(self) -> SpexReport:
-        module = build_ir(self.program)
-        mapping = extract_mappings(module, self.annotations, self.knowledge)
+        with span("spex.ir"):
+            module = build_ir(self.program)
+        with span("spex.mapping"):
+            mapping = extract_mappings(module, self.annotations, self.knowledge)
         engine = TaintEngine(
             module,
             mapping.seeds,
@@ -153,33 +156,44 @@ class SpexEngine:
             knowledge=self.knowledge,
             options=self.options.taint,
         )
-        analysis = engine.run()
+        with span("spex.taint") as record:
+            analysis = engine.run()
+            if record is not None:
+                record.attrs.update(
+                    passes=engine.passes,
+                    analyses=engine.analyses,
+                    reused_summaries=engine.reused_summaries,
+                )
 
         constraints = ConstraintSet(system=self.program.name)
-        if self.options.enable_ranges:
+        options = self.options
+        if options.enable_ranges:
             # Constraints the mapping toolkits produced directly:
             # GUC-table min/max columns and comparison-region enum
             # ladders (the raw value token is only visible there).
             for constraint in mapping.direct_constraints:
                 constraints.add(constraint)
-        if self.options.enable_types:
-            infer_basic_types(
-                analysis, constraints, mapping.declared_types, self.knowledge
-            )
-            infer_semantic_types(analysis, constraints, self.knowledge)
-        if self.options.enable_ranges:
-            infer_numeric_ranges(analysis, constraints, self.knowledge)
-            infer_enum_ranges(analysis, constraints, self.knowledge)
-        if self.options.enable_control_deps:
-            infer_control_deps(
-                analysis, constraints, self.options.maybelief_threshold
-            )
-        if self.options.enable_value_rels:
-            infer_value_relationships(
-                analysis, constraints, self.options.value_rel_transit_hops
-            )
-        if self.options.enable_access_controls:
-            infer_access_controls(analysis, constraints, self.knowledge)
+        # (span kind, enabled, pass, arguments after analysis+constraints)
+        passes = (
+            ("basic", options.enable_types, infer_basic_types,
+             (mapping.declared_types, self.knowledge)),
+            ("semantic", options.enable_types, infer_semantic_types,
+             (self.knowledge,)),
+            ("numeric_range", options.enable_ranges, infer_numeric_ranges,
+             (self.knowledge,)),
+            ("enum_range", options.enable_ranges, infer_enum_ranges,
+             (self.knowledge,)),
+            ("ctrl_dep", options.enable_control_deps, infer_control_deps,
+             (options.maybelief_threshold,)),
+            ("value_rel", options.enable_value_rels, infer_value_relationships,
+             (options.value_rel_transit_hops,)),
+            ("access", options.enable_access_controls, infer_access_controls,
+             (self.knowledge,)),
+        )
+        for kind, enabled, infer, extra in passes:
+            if enabled:
+                with span(f"spex.infer.{kind}"):
+                    infer(analysis, constraints, *extra)
 
         parameters = {
             p for p in analysis.parameters if not p.startswith("__SPEX_")

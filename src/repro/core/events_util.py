@@ -1,7 +1,8 @@
 """Shared event-selection helpers for the inference passes.
 
-The dataflow engine runs in rounds; an event site can appear several
-times with monotonically growing label sets.  Inference passes want
+The dataflow engine runs in passes over its roots, and each analysis
+iterates its blocks; an event site can appear several times with
+monotonically growing label sets.  Inference passes want
 one canonical event per site with the richest labels.
 """
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis import (
+    AnalysisResult,
     BranchCondEvent,
     GetterSpec,
     GlobalSeed,
@@ -32,8 +33,8 @@ from repro.core.annotations import (
     StructAnnotation,
 )
 from repro.ir.cfg import CfgInfo
-from repro.ir.function import IRModule
-from repro.ir.values import FuncRef
+from repro.ir.function import IRFunction, IRModule
+from repro.ir.values import FuncRef, Variable
 from repro.knowledge import ApiKnowledge
 from repro.lang import types as ct
 from repro.lang.ast_nodes import Identifier, InitList, Member, StringLiteral, Unary
@@ -69,10 +70,13 @@ def extract_mappings(
     knowledge: ApiKnowledge | None = None,
 ) -> MappingResult:
     result = MappingResult()
+    # Applier name -> its value-token pre-pass: tables that share an
+    # applier (mysql's int_vars and str_vars) share one taint run.
+    applier_runs: dict[str, AnalysisResult] = {}
     for ann in annotations:
         result.conventions.add(ann.convention)
         if isinstance(ann, StructAnnotation):
-            _extract_struct(module, ann, result)
+            _extract_struct(module, ann, result, applier_runs)
         elif isinstance(ann, ParserAnnotation):
             _extract_comparison(module, ann, result, knowledge)
         elif isinstance(ann, GetterAnnotation):
@@ -85,7 +89,10 @@ def extract_mappings(
 # -- structure-based ---------------------------------------------------------
 
 
-def _extract_struct(module: IRModule, ann: StructAnnotation, result: MappingResult):
+def _extract_struct(
+    module: IRModule, ann: StructAnnotation, result: MappingResult,
+    applier_runs: dict[str, AnalysisResult],
+):
     init = module.global_inits.get(ann.table)
     if init is None or not isinstance(init, InitList):
         raise MappingError(f"@STRUCT table {ann.table!r} has no initializer list")
@@ -118,32 +125,36 @@ def _extract_struct(module: IRModule, ann: StructAnnotation, result: MappingResu
             result.seeds.append(seed)
             result.declared_types[param] = _seed_type(module, seed)
         _lift_table_range(ann, row, param, result)
-    _table_unsafe_parse(module, ann, table_params, result)
-    _table_value_facts(module, ann, table_params, result)
+    appliers = _table_appliers(module, ann.table)
+    _table_unsafe_parse(appliers, table_params, result)
+    _table_value_facts(module, appliers, table_params, result, applier_runs)
 
 
 _NUMERIC_UNSAFE = ("atoi", "atol", "atof", "sscanf")
 
 
+def _table_appliers(module: IRModule, table: str) -> list[IRFunction]:
+    """The functions that read the mapping table: generic appliers
+    that parse every mapped value the same way."""
+    return [
+        fn
+        for fn in module.functions.values()
+        if any(
+            isinstance(op, Variable) and op.name == table
+            for inst in fn.instructions()
+            for op in inst.uses()
+        )
+    ]
+
+
 def _table_unsafe_parse(
-    module: IRModule, ann: StructAnnotation, table_params: list[str],
-    result: MappingResult,
+    appliers: list[IRFunction], table_params: list[str], result: MappingResult,
 ) -> None:
     """Generic table appliers parse every mapped value through the
     same conversion call; an unsafe numeric API there affects all the
     table's numeric parameters (VSFTP's atoi, Table 8)."""
     from repro.ir.instructions import Call as IrCall
-    from repro.ir.values import Variable as IrVariable
 
-    applier_fns = []
-    for fn in module.functions.values():
-        for inst in fn.instructions():
-            if any(
-                isinstance(op, IrVariable) and op.name == ann.table
-                for op in inst.uses()
-            ):
-                applier_fns.append(fn)
-                break
     numeric_params = [
         p
         for p in table_params
@@ -151,7 +162,7 @@ def _table_unsafe_parse(
         and (_strip_ptr(t).is_integer or _strip_ptr(t).is_float)
         and not t.is_string
     ]
-    for fn in applier_fns:
+    for fn in appliers:
         for inst in fn.instructions():
             if isinstance(inst, IrCall) and inst.callee in _NUMERIC_UNSAFE:
                 for param in numeric_params:
@@ -163,8 +174,8 @@ def _strip_ptr(typ: ct.CType) -> ct.CType:
 
 
 def _table_value_facts(
-    module: IRModule, ann: StructAnnotation, table_params: list[str],
-    result: MappingResult,
+    module: IRModule, appliers: list[IRFunction], table_params: list[str],
+    result: MappingResult, applier_runs: dict[str, AnalysisResult],
 ) -> None:
     """Case-sensitivity of table-applier value parsing.
 
@@ -172,18 +183,7 @@ def _table_value_facts(
     compares the raw token for every parameter of its table; the
     sensitivity of those compares is shared by all of them
     (Table 6's per-system distributions)."""
-    from repro.ir.values import Variable as IrVariable
-
-    applier_fns = []
-    for fn in module.functions.values():
-        for inst in fn.instructions():
-            if any(
-                isinstance(op, IrVariable) and op.name == ann.table
-                for op in inst.uses()
-            ):
-                applier_fns.append(fn)
-                break
-    for fn in applier_fns:
+    for fn in appliers:
         string_params = [
             p.name
             for p in fn.params
@@ -191,8 +191,12 @@ def _table_value_facts(
         ]
         if not string_params:
             continue
-        seeds = [ParamSeed(_VAL_SENTINEL, fn.name, name) for name in string_params]
-        pre = TaintEngine(module, seeds).run()
+        pre = applier_runs.get(fn.name)
+        if pre is None:
+            seeds = [
+                ParamSeed(_VAL_SENTINEL, fn.name, name) for name in string_params
+            ]
+            pre = applier_runs[fn.name] = TaintEngine(module, seeds).run()
         sensitive = None
         for event in pre.events_of(StringCompareEvent):
             if _VAL_SENTINEL not in event.labels.names():
@@ -411,16 +415,20 @@ def _extract_comparison(
             pre, cfg, branches, param, region, value_compares,
             const_stores, set(targets), result,
         )
-        _region_unsafe_parse(pre, param, region, result)
+        _region_unsafe_parse(pre, fn_name, param, region, result)
 
 
-def _region_unsafe_parse(pre, param: str, region: set[str], result) -> None:
+def _region_unsafe_parse(
+    pre, fn_name: str, param: str, region: set[str], result
+) -> None:
     """Unsafe conversions of the value token inside one dispatch
-    region belong to that region's parameter (Squid's sscanf %i)."""
+    region belong to that region's parameter (Squid's sscanf %i).
+    Block labels repeat across functions, so only the parser's own
+    events are matched against its region."""
     from repro.analysis.events import CallArgEvent
 
     for event in pre.events_of(CallArgEvent):
-        if event.block not in region:
+        if event.function != fn_name or event.block not in region:
             continue
         if _VAL_SENTINEL not in event.labels.names():
             continue

@@ -113,16 +113,19 @@ class Campaign:
         return self.inference_cache.get_or_compute(key, self._infer)
 
     def _infer(self) -> SpexReport:
-        knowledge = default_knowledge()
-        if self.system.custom_knowledge:
-            knowledge = knowledge.extend(self.system.custom_knowledge)
-        engine = SpexEngine(
-            self.system.program(),
-            self.system.annotations,
-            knowledge=knowledge,
-            options=self.spex_options,
-        )
-        return engine.run()
+        with span("spex.run", system=self.system.name):
+            knowledge = default_knowledge()
+            if self.system.custom_knowledge:
+                knowledge = knowledge.extend(self.system.custom_knowledge)
+            with span("spex.parse"):
+                program = self.system.program()
+            engine = SpexEngine(
+                program,
+                self.system.annotations,
+                knowledge=knowledge,
+                options=self.spex_options,
+            )
+            return engine.run()
 
     def generate(self, spex_report: SpexReport):
         """All misconfigurations of this campaign, batched per

@@ -29,7 +29,6 @@ from repro.runtime.process import ProcessResult, ProcessStatus, run_program
 from repro.runtime.snapshot import (
     BootRecord,
     BootStats,
-    BoundaryHint,
     SnapshotCache,
     boot_launch,
     snapshot_fingerprint,
@@ -123,7 +122,7 @@ class InjectionHarness:
             return run_program(
                 self.system.program(), os_model, argv=argv, options=self.options
             )
-        record, hint = self._boot_record(config_text, argv)
+        record = self.boot_record(config_text, argv)
         return boot_launch(
             self.system.program(),
             lambda: self._make_os(config_text),
@@ -132,7 +131,9 @@ class InjectionHarness:
             record,
             requests=requests,
             stats=self.snapshot_cache.boot_stats,
-            hint=hint,
+            hint=self.snapshot_cache.hint_for(
+                self.system.name, self._options_fingerprint
+            ),
         )
 
     def _make_os(self, config_text: str):
@@ -140,24 +141,19 @@ class InjectionHarness:
         self.system.install_config(os_model, config_text)
         return os_model
 
-    def _boot_record(
-        self, config_text: str, argv: list[str]
-    ) -> tuple[BootRecord, BoundaryHint]:
-        """This config's boot record and the system-level boundary
-        hint, from the launch store."""
+    def boot_record(self, config_text: str, argv: list[str]) -> BootRecord:
+        """This config's boot record in the launch store.  A lookup
+        like any launch's: the record is created, and counted a miss,
+        when the config has none yet."""
         if self._options_fingerprint is None:
             self._options_fingerprint = self.options.fingerprint()
-        store = self.snapshot_cache
         key = snapshot_fingerprint(
             self.system.name,
             config_text,
             self._options_fingerprint,
             argv=tuple(argv),
         )
-        return (
-            store.record_for(key),
-            store.hint_for(self.system.name, self._options_fingerprint),
-        )
+        return self.snapshot_cache.record_for(key)
 
     @property
     def boot_stats(self) -> BootStats:

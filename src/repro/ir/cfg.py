@@ -131,15 +131,19 @@ class ControlDep:
     edge_label: str
 
 
-def compute_control_dependence(fn: IRFunction) -> dict[str, set[ControlDep]]:
+def compute_control_dependence(
+    fn: IRFunction, pdom: dict[str, set[str]] | None = None
+) -> dict[str, set[ControlDep]]:
     """For each block, the set of controlling (branch, edge) pairs.
 
     Edge (A -> B): every block on the postdominator-tree path from B up
     to but excluding ipdom(A) is control-dependent on A via that edge.
+    `pdom` is `compute_postdominators(fn)` when the caller has it.
     """
     blocks = reachable_blocks(fn)
     block_set = set(blocks)
-    pdom = compute_postdominators(fn)
+    if pdom is None:
+        pdom = compute_postdominators(fn)
     result: dict[str, set[ControlDep]] = {b: set() for b in blocks}
 
     for a in blocks:
@@ -154,8 +158,10 @@ def compute_control_dependence(fn: IRFunction) -> dict[str, set[ControlDep]]:
             # All nodes that postdominate b but do not strictly
             # postdominate a are control-dependent on edge (a, b); this
             # includes a itself for loop back-edges.
+            below_b = _pdoms_of(pdom, b)
+            strictly_below_a = _strict_pdoms_of(pdom, a)
             for node in blocks:
-                if node in _pdoms_of(pdom, b) and node not in _strict_pdoms_of(pdom, a):
+                if node in below_b and node not in strictly_below_a:
                     result[node].add(ControlDep(a, b))
     return result
 
@@ -179,11 +185,12 @@ class CfgInfo:
 
     @classmethod
     def for_function(cls, fn: IRFunction) -> "CfgInfo":
+        postdominators = compute_postdominators(fn)
         return cls(
             fn=fn,
             dominators=compute_dominators(fn),
-            postdominators=compute_postdominators(fn),
-            control_deps=compute_control_dependence(fn),
+            postdominators=postdominators,
+            control_deps=compute_control_dependence(fn, postdominators),
         )
 
     def controlled_by(self, branch_block: str, edge_label: str) -> set[str]:

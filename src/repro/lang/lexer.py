@@ -4,9 +4,18 @@ Supports C-style line and block comments, decimal/hex/octal integers
 with optional unsigned/long suffixes, floats, character and string
 literals with the common escapes, and the full C operator set used by
 the parser.
+
+`Lexer.tokens` scans the common tokens - trivia, identifiers, plain
+decimal integers, escape-free strings and operators - with one
+compiled regular expression, and hands every other position to the
+character-stepping `Lexer.next_token`, which owns escapes, character
+literals, hex/octal/float numbers and every `LexError`.  Both yield the
+same tokens and locations.
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.lang.errors import LexError
 from repro.lang.source import Location, SourceFile
@@ -75,6 +84,35 @@ _OPERATORS: list[tuple[str, TokenKind]] = [
     ("^", TokenKind.CARET),
     ("~", TokenKind.TILDE),
 ]
+_OPERATOR_KINDS = dict(_OPERATORS)
+
+# What may not follow a regex-scanned identifier: a longer identifier
+# or a non-ASCII character (`str.isalnum` and `str.isdigit` accept
+# some).  An integer may not be followed by those, nor by the suffix,
+# fraction or exponent `_lex_number` would read.
+_IDENT_END = r"(?![0-9A-Za-z_]|[^\x00-\x7f])"
+_INT_END = r"(?![0-9A-Za-z_.]|[^\x00-\x7f])"
+
+
+def _operator_pattern(text: str) -> str:
+    if text == "/":
+        return "/(?![/*])"  # `//` and `/*` open comments, never an operator
+    if text == ".":
+        return r"\.(?![0-9]|[^\x00-\x7f])"  # `.5` is a number
+    return re.escape(text)
+
+
+# Groups, in `lastindex` order: trivia, identifier, decimal integer,
+# escape-free string, operator (longest match first, as in _OPERATORS).
+_TOKEN_RE = re.compile(
+    r"((?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/|#[^\n]*)+)"
+    rf"|([A-Za-z_][A-Za-z0-9_]*{_IDENT_END})"
+    rf"|((?:[1-9][0-9]*|0){_INT_END})"
+    r'|("[^"\\\n]*")'
+    "|(" + "|".join(_operator_pattern(text) for text, _ in _OPERATORS) + ")",
+    re.DOTALL,
+)
+_TRIVIA, _IDENT, _INT, _STRING = 1, 2, 3, 4
 
 
 class Lexer:
@@ -134,12 +172,48 @@ class Lexer:
                 return
 
     def tokens(self) -> list[Token]:
+        text = self.text
+        filename = self.source.name
+        end = len(text)
+        pos, line = self.pos, self.line
+        line_start = pos - self.col + 1
+        match = _TOKEN_RE.match
         result = []
-        while True:
-            token = self.next_token()
+        while pos < end:
+            m = match(text, pos)
+            if m is None:
+                self.pos, self.line, self.col = pos, line, pos - line_start + 1
+                token = self.next_token()
+                result.append(token)
+                if token.kind is TokenKind.EOF:
+                    return result
+                pos, line = self.pos, self.line
+                line_start = pos - self.col + 1
+                continue
+            group = m.lastindex
+            stop = m.end()
+            if group == _TRIVIA:
+                newlines = text.count("\n", pos, stop)
+                if newlines:
+                    line += newlines
+                    line_start = text.rindex("\n", pos, stop) + 1
+                pos = stop
+                continue
+            word = text[pos:stop]
+            loc = Location(filename, line, pos - line_start + 1)
+            if group == _IDENT:
+                token = Token(KEYWORDS.get(word, TokenKind.IDENT), word, loc)
+            elif group == _INT:
+                token = Token(TokenKind.INT_LIT, word, loc, value=int(word))
+            elif group == _STRING:
+                token = Token(TokenKind.STRING_LIT, word, loc, value=word[1:-1])
+            else:
+                token = Token(_OPERATOR_KINDS[word], word, loc)
             result.append(token)
-            if token.kind is TokenKind.EOF:
-                return result
+            pos = stop
+        self.pos, self.line, self.col = pos, line, pos - line_start + 1
+        result.append(Token(TokenKind.EOF, "", self._location()))
+        return result
 
     def next_token(self) -> Token:
         self._skip_trivia()

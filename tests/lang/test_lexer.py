@@ -1,10 +1,18 @@
 """Unit tests for the MiniC lexer."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.lang.errors import LexError
-from repro.lang.lexer import tokenize
-from repro.lang.tokens import TokenKind
+from repro.lang.lexer import Lexer, tokenize
+from repro.lang.source import SourceFile
+from repro.lang.tokens import Token, TokenKind
+from repro.systems.registry import get_system, system_names
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "runtime"))
+from test_engine_fuzz import ProgramGenerator  # noqa: E402
 
 
 def kinds(text):
@@ -133,3 +141,60 @@ class TestTrivia:
         assert toks[0].location.column == 1
         assert toks[1].location.line == 2
         assert toks[1].location.column == 3
+
+
+def stepped(text: str) -> list[Token]:
+    """The character-stepping path alone: `next_token` until EOF."""
+    lexer = Lexer(SourceFile("t.c", text))
+    out = [lexer.next_token()]
+    while out[-1].kind is not TokenKind.EOF:
+        out.append(lexer.next_token())
+    return out
+
+
+def scanned(text: str) -> list[Token]:
+    return Lexer(SourceFile("t.c", text)).tokens()
+
+
+class TestScannerParity:
+    """`tokens()` scans common tokens with one regex and must yield
+    exactly what stepping `next_token` yields, locations included."""
+
+    def test_system_sources_and_generated_programs(self):
+        texts = [
+            text
+            for name in system_names()
+            for _, text in dict(get_system(name).sources).items()
+        ]
+        texts += [ProgramGenerator(seed).program().source() for seed in range(50)]
+        for text in texts:
+            assert scanned(text) == stepped(text)
+
+    @pytest.mark.parametrize("text", [
+        "a/b a/=b a/*c*/b x//y\nz",
+        ".5 1. 1.5e3 a.b a...b 0 00 017 0x1F 10UL 1f 1e3 2.5e-1",
+        'x = "plain"; y = "esc\\n"; c = \'q\';',
+        "int é = ٣; café_2",
+        "# define X\n\t\r\n  a",
+        "",
+    ])
+    def test_tricky_spellings(self, text):
+        assert scanned(text) == stepped(text)
+
+    @pytest.mark.parametrize("text", [
+        "int a;\n  b /* never closed",
+        'x = 1;\ny = "oops',
+        'x = "bad \\q escape";',
+        "s = '\\x';",
+        "c = '';",
+        "c = 'ab';",
+        "a = b @ c;",
+        "a\n\n   $",
+    ])
+    def test_lex_errors_keep_message_and_location(self, text):
+        with pytest.raises(LexError) as expected:
+            stepped(text)
+        with pytest.raises(LexError) as got:
+            scanned(text)
+        assert got.value.message == expected.value.message
+        assert got.value.location == expected.value.location

@@ -10,7 +10,7 @@ import pytest
 
 from repro.checker.fleet import run_fleet
 from repro.inject.campaign import Campaign
-from repro.obs import get_registry, metrics_delta, set_enabled
+from repro.obs import Tracer, get_registry, metrics_delta, set_enabled, set_tracer
 from repro.obs.profile import default_profiler
 from repro.pipeline import CampaignPipeline
 from repro.systems import get_system
@@ -37,6 +37,42 @@ class TestCampaignTelemetry:
             if name.startswith("launch.")
         }
         assert phases  # boot, replay and/or steps
+
+class TestInferenceSpans:
+    def test_traced_run_spex_yields_the_phase_tree(self):
+        spans = []
+        previous = set_tracer(Tracer(sink=spans.append))
+        try:
+            Campaign(get_system("openldap")).run_spex()
+        finally:
+            set_tracer(previous)
+        (root,) = [s for s in spans if s.parent_id is None]
+        assert (root.name, root.attrs) == ("spex.run", {"system": "openldap"})
+        children = sorted(
+            (s for s in spans if s.parent_id == root.span_id),
+            key=lambda s: s.start,
+        )
+        assert [s.name for s in children] == [
+            "spex.parse",
+            "spex.ir",
+            "spex.mapping",
+            "spex.taint",
+            "spex.infer.basic",
+            "spex.infer.semantic",
+            "spex.infer.numeric_range",
+            "spex.infer.enum_range",
+            "spex.infer.ctrl_dep",
+            "spex.infer.value_rel",
+            "spex.infer.access",
+        ]
+        assert len(spans) == 1 + len(children)
+        taint = children[3].attrs
+        assert set(taint) == {"passes", "analyses", "reused_summaries"}
+        functions = len(get_system("openldap").program().functions)
+        assert taint["passes"] >= 2  # the last pass confirms the fixpoint
+        assert taint["analyses"] >= functions  # the first pass analyses all
+        assert taint["reused_summaries"] > 0  # clean roots carry theirs on
+
 
 def _fan_out(case: str, executor: str):
     """Run one process fan-out under `executor`: what it computed and
