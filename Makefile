@@ -9,7 +9,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # this.
 export PYTHONHASHSEED := 0
 
-.PHONY: test test-fast lint engine-gate infer-gate bench perfbench chaos fleet-bench obs-bench trace-demo docs-check quickstart pipeline fleet serve all
+.PHONY: test test-fast lint engine-gate infer-gate store-gate bench perfbench chaos fleet-bench obs-bench trace-demo docs-check quickstart pipeline fleet serve all
 
 all: test docs-check
 
@@ -42,6 +42,13 @@ engine-gate:
 # `next_token`, and the mapping toolkits' pre-pass facts.
 infer-gate:
 	$(PYTHON) -m pytest -q tests/systems/test_system_digests.py tests/analysis/test_hash_seed_determinism.py tests/analysis/test_worklist_parity.py tests/lang/test_lexer.py tests/core/test_mapping.py
+
+# The store contract: one `ContentCache` per store with exact hit/miss
+# counts under contention, the worker delta/absorb fold, key
+# sensitivity of every `content_key` builder, the counters perfbench
+# reads, and the serve goldens' cache-stats shape.
+store-gate:
+	$(PYTHON) -m pytest -q tests/pipeline/test_cache.py tests/pipeline/test_cache_concurrency.py tests/pipeline/test_launch_cache.py tests/tools/test_perfbench_contract.py tests/serve/test_golden_schemas.py
 
 # Benchmark suite only, with the regenerated tables printed.
 bench:

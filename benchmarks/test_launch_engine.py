@@ -10,27 +10,21 @@ sweeps time the injection loop, not SPEX.
 
 import pickle
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
 from conftest import emit
 
 from repro.inject.campaign import Campaign
-from repro.inject.harness import InjectionHarness
+from repro.inject.harness import HARNESS_OPTIONS, InjectionHarness
 from repro.pipeline.cache import PipelineCaches
-from repro.runtime.interpreter import InterpreterOptions
 from repro.runtime.snapshot import BootSnapshot, SnapshotCache
 from repro.systems.registry import get_system, iter_systems
 
-# The harness's default budgets, pinned so both engines run identical
+# The harness's default budgets, so both engines run identical
 # interpreter options apart from the engine/warm-boot knobs.
-TREE_BASELINE = InterpreterOptions(
-    max_steps=400_000,
-    max_virtual_seconds=120.0,
-    engine="tree",
-    warm_boot=False,
-)
+TREE_BASELINE = replace(HARNESS_OPTIONS, engine="tree", warm_boot=False)
 
 SPEEDUP_FLOOR = 3.0
 
@@ -145,7 +139,9 @@ def _launch_pass(harness, system):
 
 
 def _warm_throughput(system, engine, legacy_restore=False, passes=25):
-    harness = InjectionHarness(system, engine=engine)
+    harness = InjectionHarness(
+        system, options=replace(HARNESS_OPTIONS, engine=engine)
+    )
     _launch_pass(harness, system)  # probe: learns the boot boundary
     _launch_pass(harness, system)  # capture: takes the snapshot
     if legacy_restore:

@@ -28,7 +28,6 @@ Usage::
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -46,6 +45,7 @@ from repro.core.engine import SpexReport
 from repro.checker.compile import _parse_number
 from repro.inject.ar import ConfigAR
 from repro.inject.generators import Misconfiguration, default_generators
+from repro.store import content_key
 from repro.study.cases import case_corpus
 from repro.systems.base import SubjectSystem
 
@@ -157,14 +157,12 @@ def pool_digest(pool: dict[str, list[Misconfiguration]]) -> str:
     that regenerate the pool verify it against the parent's digest, so
     a divergent re-inference (spawn start method, different hash seed)
     fails loudly instead of planting different mistakes."""
-    digest = hashlib.sha256()
-    for kind in sorted(pool):
-        digest.update(kind.encode("utf-8"))
-        for misconf in pool[kind]:
-            digest.update(b"\x00")
-            digest.update(repr((misconf.settings, misconf.rule)).encode())
-        digest.update(b"\x01")
-    return digest.hexdigest()
+    return content_key(
+        *(
+            repr((kind, [(m.settings, m.rule) for m in pool[kind]]))
+            for kind in sorted(pool)
+        )
+    )
 
 
 def generate_config(

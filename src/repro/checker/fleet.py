@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.accuracy import PrecisionRecall, precision_recall
 from repro.core.engine import SpexOptions
@@ -53,6 +53,7 @@ from repro.checker.corpus import (
 from repro.checker.validate import validate_config
 from repro.obs import get_registry, span
 from repro.resilience import CheckpointStore, FailedShard, RetryPolicy
+from repro.runtime.interpreter import InterpreterOptions
 
 DEFAULT_CHUNK_SIZE = 256
 
@@ -310,6 +311,11 @@ def run_fleet(
     wall_time = time.perf_counter() - started
     agreement = None
     if agreement_sample > 0:
+        from repro.inject.harness import HARNESS_OPTIONS
+
+        harness_options = HARNESS_OPTIONS
+        if engine is not None:
+            harness_options = replace(HARNESS_OPTIONS, engine=engine)
         with span("fleet.agreement", sample=agreement_sample):
             agreement = ground_truth_agreement(
                 contexts,
@@ -318,7 +324,7 @@ def run_fleet(
                 mistake_rate,
                 agreement_sample,
                 caches,
-                engine=engine,
+                harness_options,
             )
     return FleetReport(
         results=results,
@@ -423,7 +429,7 @@ def ground_truth_agreement(
     mistake_rate: float,
     sample_size: int,
     caches,
-    engine: str | None = None,
+    harness_options: InterpreterOptions,
 ) -> AgreementReport:
     """Re-test a seeded sample of flagged configs under the injection
     harness.  A flag is *confirmed* when the interpreter observably
@@ -431,7 +437,7 @@ def ground_truth_agreement(
     termination, functional failure, silent violation/ignorance) or a
     pinpointing rejection; it is *refuted* only when the system accepts
     the config with no observable effect, meaning the checker cried
-    wolf."""
+    wolf.  The sampled harnesses run under `harness_options`."""
     from repro.inject.harness import InjectionHarness
 
     candidates: list[tuple[str, ConfigOutcome]] = []
@@ -464,8 +470,8 @@ def ground_truth_agreement(
         if harness is None:
             harness = harnesses[name] = InjectionHarness(
                 context.system,
+                options=harness_options,
                 snapshot_cache=caches.snapshots,
-                engine=engine,
             )
         verdict = harness.test_misconfiguration(config.mistake)
         misbehaved = (

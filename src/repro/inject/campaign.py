@@ -96,15 +96,11 @@ class Campaign:
     # capture).  The pipeline passes its shared store.
     snapshot_cache: SnapshotCache = field(default_factory=SnapshotCache)
     # Overrides the harness's interpreter options (engine selection,
-    # budgets) - the launch-engine benchmarks use this to pit the
-    # tree-walking baseline against the codegen engine on identical
-    # campaigns.  None keeps the harness default.  It pickles, but the
-    # pipeline does not forward it to its campaigns - use `engine`.
+    # budgets): the pipeline forwards its engine choice here, and the
+    # launch-engine benchmarks pit the tree-walking baseline against
+    # the codegen engine on identical campaigns.  None keeps the
+    # harness default (`HARNESS_OPTIONS`).
     harness_options: InterpreterOptions | None = None
-    # Launch-engine override as a plain string ("tree" | "codegen");
-    # the pipeline forwards it to every campaign, under every
-    # executor.
-    engine: str | None = None
 
     def run_spex(self) -> SpexReport:
         if self.inference_cache is None:
@@ -192,10 +188,7 @@ class Campaign:
 
     def _harness(self) -> InjectionHarness:
         """The in-process harness, wired to this campaign's caches."""
-        kwargs = {
-            "snapshot_cache": self.snapshot_cache,
-            "engine": self.engine,
-        }
+        kwargs = {"snapshot_cache": self.snapshot_cache}
         if self.harness_options is not None:
             kwargs["options"] = self.harness_options
         return InjectionHarness(self.system, **kwargs)

@@ -15,7 +15,7 @@ statements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from typing import TYPE_CHECKING
 
@@ -56,24 +56,22 @@ class InjectionVerdict:
         return self.reaction.is_vulnerability
 
 
+#: The harness's interpreter budgets.  Entry points that take a
+#: launch-engine name turn it into ``replace(HARNESS_OPTIONS,
+#: engine=...)`` once and hand harnesses the options.
+HARNESS_OPTIONS = InterpreterOptions(
+    max_steps=400_000, max_virtual_seconds=120.0
+)
+
+
 @dataclass
 class InjectionHarness:
     system: "SubjectSystem"
     options: InterpreterOptions = field(
-        default_factory=lambda: InterpreterOptions(
-            max_steps=400_000, max_virtual_seconds=120.0
-        )
+        default_factory=lambda: HARNESS_OPTIONS
     )
     stop_at_first_failure: bool = True
     sort_shortest_first: bool = True
-    # Launch-engine override ("tree" | "codegen").  When set,
-    # `options` is replaced post-init with a copy carrying this engine
-    # (validated like any `InterpreterOptions.engine`), so the knob
-    # travels through the options fingerprint and every cache key
-    # automatically.  A picklable string (unlike a whole
-    # `InterpreterOptions`), so `Campaign`/process executors can
-    # forward it to workers.
-    engine: str | None = None
     # Warm-boot snapshots (`repro.runtime.snapshot`): per-config boot
     # state replayed across the functional-test launches of one
     # config.  Enabled by `options.warm_boot` (default on); every
@@ -87,10 +85,6 @@ class InjectionHarness:
     _options_fingerprint: str | None = field(
         default=None, init=False, repr=False
     )
-
-    def __post_init__(self) -> None:
-        if self.engine is not None and self.engine != self.options.engine:
-            self.options = replace(self.options, engine=self.engine)
 
     # -- low-level runs ------------------------------------------------------
 

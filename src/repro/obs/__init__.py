@@ -6,13 +6,14 @@ zero-dependency layer:
 
 * :mod:`repro.obs.metrics` — a process-local :class:`MetricsRegistry`
   of named counters, gauges and fixed-bucket histograms with the same
-  thread-safe ``snapshot()`` / delta / ``absorb()`` protocol the
-  pipeline's ``CacheStats`` already uses, so process-executor workers
-  fold their metrics into the parent exactly like cache deltas.
+  thread-safe ``snapshot()`` / delta / ``absorb()`` protocol every
+  store's counters use (``repro.store.Counters``), so process-executor
+  workers fold their metrics into the parent exactly like store deltas.
 * :mod:`repro.obs.trace` — hierarchical spans with monotonic timings,
-  parent ids and an NDJSON exporter.  The clock is injected so traces
-  stay deterministic in tests; the default tracer is disabled and the
-  disabled path costs one attribute check.
+  parent ids taken per context (each thread and asyncio task nests
+  only its own spans) and an NDJSON exporter.  The clock is injected
+  so traces stay deterministic in tests; the default tracer is
+  disabled and the disabled path costs one attribute check.
 * :mod:`repro.obs.profile` — :class:`LaunchProfiler`, the sampled
   (every Nth launch, never per-statement) boot/replay/step-budget
   profiling hook the launch engine calls into.

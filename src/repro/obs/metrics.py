@@ -1,13 +1,14 @@
 """Process-local metrics: counters, gauges, fixed-bucket histograms.
 
-The registry mirrors the pipeline cache-stats protocol exactly:
-``snapshot()`` returns plain nested dicts, ``metrics_delta(before,
-after)`` subtracts two snapshots, and ``absorb(delta)`` folds a delta
-in.  Process-executor workers snapshot at task start, do their work,
-and ship ``metrics_delta(before, registry.snapshot())`` back over the
-pickle boundary; the parent absorbs it — the same fold the launch and
-boot caches already perform, so thread workers (which share the
-registry) never double-count.
+The registry mirrors the store counters' protocol
+(``repro.store.Counters``) exactly: ``snapshot()`` returns plain
+nested dicts, ``metrics_delta(before, after)`` subtracts two
+snapshots, and ``absorb(delta)`` folds a delta in.  Process-executor
+workers snapshot at task start, do their work, and ship
+``metrics_delta(before, registry.snapshot())`` back over the pickle
+boundary; the parent absorbs it — the same fold every store's
+counters take through ``PipelineCaches.absorb``, so thread workers
+(which share the registry) never double-count.
 
 Histograms are *fixed-bucket*: the bucket edges are chosen at first
 ``observe`` and become part of the histogram's identity.  Two
@@ -162,11 +163,11 @@ def metrics_delta(before: dict, after: dict) -> dict:
     """What happened between two snapshots, as an absorbable delta.
 
     Counters and histograms subtract element-wise (keys only ever
-    grow, mirroring ``CacheStats`` deltas).  Gauges are point-in-time
-    *process-local* state — a forked worker inherits the parent's
-    values, so shipping them back would overwrite fresher parent state
-    with stale copies; deltas therefore never carry gauges (the
-    reporting layer re-publishes them at read time).
+    grow, mirroring the store counters' deltas).  Gauges are
+    point-in-time *process-local* state — a forked worker inherits the
+    parent's values, so shipping them back would overwrite fresher
+    parent state with stale copies; deltas therefore never carry
+    gauges (the reporting layer re-publishes them at read time).
     """
     counters = {
         name: value - before.get("counters", {}).get(name, 0)

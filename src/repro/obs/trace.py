@@ -1,7 +1,9 @@
 """Hierarchical spans with injected clocks and NDJSON export.
 
 A :class:`Tracer` hands out spans through ``with tracer.span("name",
-key=value):``.  Parent links come from a per-thread stack, ids from a
+key=value):``.  Parent links come from the innermost open span of the
+current context (a per-tracer ``ContextVar``: each thread, and each
+asyncio task - one serve request - has its own), ids from a
 process-wide counter, and timestamps from the tracer's *injected*
 clock — tests pass a fake monotonic counter so exported traces are
 byte-deterministic; production uses ``time.perf_counter``.
@@ -22,6 +24,7 @@ import json
 import threading
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 
@@ -73,7 +76,9 @@ class Tracer:
         self.clock = clock
         self._lock = threading.Lock()
         self._last_id = 0
-        self._local = threading.local()
+        self._current: ContextVar[Span | None] = ContextVar(
+            "repro.obs.trace.current", default=None
+        )
 
     @property
     def enabled(self) -> bool:
@@ -85,30 +90,26 @@ class Tracer:
             return self._last_id
 
     def current_span(self) -> Span | None:
-        stack = getattr(self._local, "stack", None)
-        return stack[-1] if stack else None
+        return self._current.get()
 
     @contextmanager
     def span(self, name: str, **attrs):
         if self.sink is None:
             yield None
             return
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        parent = stack[-1].span_id if stack else None
+        parent = self._current.get()
         record = Span(
             name=name,
             span_id=self._next_id(),
-            parent_id=parent,
+            parent_id=None if parent is None else parent.span_id,
             start=self.clock(),
             attrs=attrs,
         )
-        stack.append(record)
+        token = self._current.set(record)
         try:
             yield record
         finally:
-            stack.pop()
+            self._current.reset(token)
             record.end = self.clock()
             self.sink(record)
 

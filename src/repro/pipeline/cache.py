@@ -17,9 +17,12 @@ repeated launch reuses: every launch still runs its post-boot
 statements, and a pipeline re-run re-executes every campaign against
 these two stores.
 
-Keys are SHA-256 hex digests; a changed source file, annotation block
-or `SpexOptions` knob yields a new key, so stale entries are never
-served (they are merely unreferenced).
+Every store here is a `repro.store.ContentCache` and every key a
+`repro.store.content_key`; a changed source file, annotation block or
+`SpexOptions` knob yields a new key, so stale entries are never served
+(they are merely unreferenced).  `ContentCache` and `CacheStats` live
+in that leaf module, which the launch store imports too, and are
+re-exported here.
 
 Usage::
 
@@ -31,16 +34,12 @@ Usage::
 
 from __future__ import annotations
 
-import hashlib
-import threading
 from dataclasses import dataclass, field
-from typing import Callable, Generic, TypeVar
 
 from repro.core.engine import SpexOptions, SpexReport
 from repro.obs.metrics import get_registry
 from repro.runtime.snapshot import SnapshotCache
-
-T = TypeVar("T")
+from repro.store import CacheStats, ContentCache, Counters, content_key
 
 
 def spex_fingerprint(
@@ -54,16 +53,11 @@ def spex_fingerprint(
     (name and text, order-independent), the mapping annotations, and
     the full option set via `SpexOptions.fingerprint()`.
     """
-    digest = hashlib.sha256()
-    for filename in sorted(sources):
-        digest.update(filename.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(sources[filename].encode("utf-8"))
-        digest.update(b"\x00")
-    digest.update(annotations.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update((options or SpexOptions()).fingerprint().encode("utf-8"))
-    return digest.hexdigest()
+    return content_key(
+        *(part for name in sorted(sources) for part in (name, sources[name])),
+        annotations,
+        (options or SpexOptions()).fingerprint(),
+    )
 
 
 def campaign_fingerprint(spex_key: str, roster: list[str]) -> str:
@@ -73,122 +67,7 @@ def campaign_fingerprint(spex_key: str, roster: list[str]) -> str:
     implementing class - yields a new key even when inference is
     unchanged, so a checkpointed run (whose run key is built from
     these) never resumes campaigns of another spec."""
-    digest = hashlib.sha256()
-    digest.update(spex_key.encode("utf-8"))
-    for rule in sorted(roster):
-        digest.update(b"\x00")
-        digest.update(rule.encode("utf-8"))
-    return digest.hexdigest()
-
-
-@dataclass
-class CacheStats:
-    hits: int = 0
-    misses: int = 0
-    invalidations: int = 0
-    peeks: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "peeks": self.peeks,
-        }
-
-    def absorb(self, delta: dict[str, int]) -> None:
-        """Fold a snapshot-shaped delta in (how counters observed in a
-        worker process reach the parent's stats)."""
-        self.hits += delta.get("hits", 0)
-        self.misses += delta.get("misses", 0)
-        self.invalidations += delta.get("invalidations", 0)
-        self.peeks += delta.get("peeks", 0)
-
-
-class ContentCache(Generic[T]):
-    """A thread-safe content-addressed store with hit/miss counters.
-
-    Values are immutable-by-convention: callers must not mutate a
-    cached object after `put`, because later `get`s return the same
-    instance (executor-parity tests rely on this determinism).
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[str, T] = {}
-        self._lock = threading.Lock()
-        self.stats = CacheStats()
-
-    def __len__(self) -> int:
-        # Taken under the lock: len()/containment race with worker
-        # threads mutating `_entries` (dict resizing mid-read raises
-        # RuntimeError under free-threaded builds and returns torn
-        # observations everywhere else).
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def get(self, key: str) -> T | None:
-        with self._lock:
-            value = self._entries.get(key)
-            if value is None:
-                self.stats.misses += 1
-            else:
-                self.stats.hits += 1
-            return value
-
-    def peek(self, key: str) -> T | None:
-        """Read without touching the hit/miss counters - for
-        bookkeeping reads of entries some earlier call populated (the
-        counters exist to measure *work avoided*, not lookups).  Peeks
-        get their own counter so warm-path reads (the serve tier, the
-        fleet's context probe) stay visible in the metrics registry
-        without polluting the work-avoided signal."""
-        with self._lock:
-            self.stats.peeks += 1
-            return self._entries.get(key)
-
-    def put(self, key: str, value: T) -> T:
-        with self._lock:
-            self._entries[key] = value
-            return value
-
-    def get_or_compute(self, key: str, factory: Callable[[], T]) -> T:
-        """Return the cached value, computing and storing it on miss.
-
-        The factory runs outside the lock: inference takes orders of
-        magnitude longer than a dict probe, and two threads racing on
-        the same key at worst duplicate one pure computation.
-        """
-        with self._lock:
-            if key in self._entries:
-                self.stats.hits += 1
-                return self._entries[key]
-            self.stats.misses += 1
-        value = factory()
-        with self._lock:
-            return self._entries.setdefault(key, value)
-
-    def absorb_stats(self, delta: dict[str, int]) -> None:
-        """Fold a worker process's counter delta in, under the lock
-        (concurrent campaigns absorb into one shared cache)."""
-        with self._lock:
-            self.stats.absorb(delta)
-
-    def invalidate(self, key: str) -> bool:
-        """Drop one entry; returns whether it existed."""
-        with self._lock:
-            existed = self._entries.pop(key, None) is not None
-            if existed:
-                self.stats.invalidations += 1
-            return existed
-
-    def clear(self) -> None:
-        with self._lock:
-            self.stats.invalidations += len(self._entries)
-            self._entries.clear()
+    return content_key(spex_key, *sorted(roster))
 
 
 class InferenceCache(ContentCache[SpexReport]):
@@ -207,13 +86,7 @@ def checker_fingerprint(
     the inference fingerprint plus everything else compilation reads -
     the vendor template (calibration baseline and cross-parameter
     defaults) and the config dialect."""
-    digest = hashlib.sha256()
-    digest.update(spex_key.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(default_config.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(dialect_repr.encode("utf-8"))
-    return digest.hexdigest()
+    return content_key(spex_key, default_config, dialect_repr)
 
 
 # The store layers a process shard reports home in its envelope; the
@@ -238,23 +111,30 @@ class PipelineCaches:
     checkers: ContentCache = field(default_factory=ContentCache)
     snapshots: SnapshotCache = field(default_factory=SnapshotCache)
 
+    def _sections(self) -> dict[str, Counters]:
+        """Every published section and the counters behind it."""
+        return {
+            "inference": self.inference.stats,
+            "launches": self.snapshots.stats,
+            "checkers": self.checkers.stats,
+            "snapshots": self.snapshots.boot_stats,
+        }
+
     def snapshot(self) -> dict[str, dict[str, int]]:
         """Per-layer counters as plain dicts (what `stats` publishes)."""
         return {
-            "inference": self.inference.stats.snapshot(),
-            "launches": self.snapshots.lookup_stats(),
-            "checkers": self.checkers.stats.snapshot(),
-            "snapshots": self.snapshots.boot_stats.snapshot(),
+            layer: counters.snapshot()
+            for layer, counters in self._sections().items()
         }
 
     def delta(self, before: dict) -> dict[str, dict[str, int]]:
         """What the worker-shipped layers counted since `before` (a
         `snapshot`): the ``stats`` of a process shard's envelope."""
-        after = self.snapshot()
+        sections = self._sections()
         return {
             layer: {
                 name: value - before[layer][name]
-                for name, value in after[layer].items()
+                for name, value in sections[layer].snapshot().items()
             }
             for layer in WORKER_LAYERS
         }
@@ -262,10 +142,9 @@ class PipelineCaches:
     def absorb(self, stats: dict[str, dict[str, int]]) -> None:
         """Fold a process shard's store deltas (`delta`) in: how what
         worker stores counted reaches the caller's stores."""
-        self.snapshots.absorb(
-            stats.get("launches", {}), stats.get("snapshots", {})
-        )
-        self.checkers.absorb_stats(stats.get("checkers", {}))
+        sections = self._sections()
+        for layer in WORKER_LAYERS:
+            sections[layer].absorb(stats.get(layer, {}))
 
     def stats(self) -> dict[str, dict[str, int]]:
         """Per-layer counters (`snapshot`), also published as

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from repro.core import SpexOptions
 from repro.inject.campaign import Campaign, CampaignReport, Vulnerability
 from repro.inject.generators import GeneratorRegistry, default_generators
+from repro.inject.harness import HARNESS_OPTIONS
 from repro.inject.reactions import ReactionCategory
 from repro.obs import get_registry, span
 from repro.pipeline.cache import PipelineCaches, campaign_fingerprint
@@ -51,6 +52,7 @@ from repro.pipeline.executor import (
     worker_caches,
 )
 from repro.resilience import CheckpointStore, FailedShard, RetryPolicy
+from repro.runtime.interpreter import InterpreterOptions
 from repro.systems.registry import get_system, iter_systems, system_names
 
 
@@ -129,12 +131,12 @@ class PipelineReport:
 
 
 def _run_campaign(
-    task: tuple[str, SpexOptions, GeneratorRegistry, str | None]
+    task: tuple[str, SpexOptions, GeneratorRegistry, InterpreterOptions]
 ) -> SystemRun:
     """The pipeline's one shard function, under every executor: run
     one system's campaign by name (a `SubjectSystem` never crosses a
     pickle boundary) on the shard's stores (`worker_caches()`)."""
-    name, spex_options, generators, engine = task
+    name, spex_options, generators, harness_options = task
     started = time.perf_counter()
     caches = worker_caches()
     report = Campaign(
@@ -143,7 +145,7 @@ def _run_campaign(
         spex_options=spex_options,
         inference_cache=caches.inference,
         snapshot_cache=caches.snapshots,
-        engine=engine,
+        harness_options=harness_options,
     ).run()
     return SystemRun(name, report, time.perf_counter() - started)
 
@@ -167,8 +169,8 @@ class CampaignPipeline:
     max_workers: int | None = None
     caches: PipelineCaches = field(default_factory=PipelineCaches)
     # Launch-engine override for every campaign of the sweep ("tree" |
-    # "codegen"); a plain string, so it survives the process-executor
-    # pickle boundary.  None keeps the default.
+    # "codegen"); each run turns it into the campaigns' harness
+    # options once.  None keeps the default.
     engine: str | None = None
     # Resilience (see docs/ROBUSTNESS.md).  `retry_policy` supervises
     # campaign tasks: worker crashes and watchdog timeouts re-enqueue
@@ -212,15 +214,18 @@ class CampaignPipeline:
         )
         if chosen.envelope and keyed:
             self._check_process_compatible()
+        harness_options = HARNESS_OPTIONS
+        if self.engine is not None:
+            harness_options = dataclasses.replace(
+                HARNESS_OPTIONS, engine=self.engine
+            )
+        shared = (self.spex_options, self.generators, harness_options)
         # A campaign's shard key is its system's name: the run key
         # already pins every campaign fingerprint.
         mapped = map_checkpointed(
             chosen,
             _run_campaign,
-            [
-                (name, (name, self.spex_options, self.generators, self.engine))
-                for name, _ in keyed
-            ],
+            [(name, (name, *shared)) for name, _ in keyed],
             SystemRun,
             label="pipeline",
             span_name="pipeline.execute",

@@ -140,8 +140,8 @@ class InterpreterOptions:
 
         Two option sets with the same fingerprint run a program
         identically, so the fingerprint is the options component of
-        the boot-record key (`repro.pipeline.cache`).  `asdict`
-        recurses, so new knobs automatically invalidate old entries.
+        the boot-record key (`repro.runtime.snapshot`).  `asdict`
+        recurses, so new knobs automatically yield new keys.
         """
         payload = json.dumps(asdict(self), sort_keys=True, default=repr)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()

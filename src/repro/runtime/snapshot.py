@@ -68,8 +68,6 @@ that is for each snapshot.
 from __future__ import annotations
 
 import copy
-import hashlib
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -114,6 +112,7 @@ from repro.runtime.values import (
     coerce,
     zero_value,
 )
+from repro.store import ContentCache, Counters, content_key
 
 from repro.lang import types as ct
 
@@ -681,24 +680,12 @@ class StateBundleCopier:
 
 
 @dataclass
-class BootStats:
+class BootStats(Counters):
     """Work accounting for one snapshot store."""
 
     resumes: int = 0  # launches served from a warm snapshot
     boots: int = 0  # full boots (probe or capture runs)
     captures: int = 0  # snapshots taken
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "resumes": self.resumes,
-            "boots": self.boots,
-            "captures": self.captures,
-        }
-
-    def absorb(self, delta: dict[str, int]) -> None:
-        self.resumes += delta.get("resumes", 0)
-        self.boots += delta.get("boots", 0)
-        self.captures += delta.get("captures", 0)
 
 
 @dataclass
@@ -754,22 +741,12 @@ def snapshot_fingerprint(
     deliberately absent: boot state is request-independent by the
     boundary's definition.
     """
-    digest = hashlib.sha256()
-    digest.update(b"boot\x00")
-    digest.update(system_name.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(config_text.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(str(len(argv)).encode("utf-8"))
-    for arg in argv:
-        digest.update(b"\x00")
-        digest.update(arg.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(options_fingerprint.encode("utf-8"))
-    return digest.hexdigest()
+    return content_key(
+        "boot", system_name, config_text, *argv, options_fingerprint
+    )
 
 
-class SnapshotCache:
+class SnapshotCache(ContentCache[BootRecord]):
     """`BootRecord`s keyed by `snapshot_fingerprint`: the launch store.
 
     Every harness launches through one.  Shared across harnesses
@@ -781,35 +758,19 @@ class SnapshotCache:
     1,075 configs take 1,092 boots).  Records are mutated in place by
     the snapshot engine; all transitions derive from deterministic
     runs, so concurrent writers can only race to store equivalent
-    values.  `hits`/`misses` count record lookups (`record_for`: a hit
-    when the config already has a record, a miss when the lookup
-    creates it) and `boot_stats` counts the work the records save or
-    cost (resumes/boots/captures).
+    values.  `stats` counts record lookups (`record_for`: a miss when
+    the lookup creates the record, a hit otherwise) and `boot_stats`
+    the work the records save or cost (resumes/boots/captures).
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._records: dict[str, BootRecord] = {}
+        super().__init__()
         self._hints: dict[tuple[str, str], BoundaryHint] = {}
-        self.hits = 0
-        self.misses = 0
         self.boot_stats = BootStats()
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
     def record_for(self, key: str) -> BootRecord:
-        """The record under `key`, created empty on first use (a
-        miss; every later lookup of `key` is a hit)."""
-        with self._lock:
-            record = self._records.get(key)
-            if record is None:
-                self.misses += 1
-                record = self._records[key] = BootRecord()
-            else:
-                self.hits += 1
-            return record
+        """The record under `key`, created empty on first use."""
+        return self.get_or_compute(key, BootRecord)
 
     def hint_for(
         self, system_name: str, options_fingerprint: str
@@ -822,25 +783,6 @@ class SnapshotCache:
             if hint is None:
                 hint = self._hints[key] = BoundaryHint()
             return hint
-
-    def lookup_stats(self) -> dict[str, int]:
-        """Record lookups in a content cache's counter shape (a record
-        is never invalidated, and every lookup is counted)."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "invalidations": 0,
-                "peeks": 0,
-            }
-
-    def absorb(self, lookups: dict[str, int], boots: dict[str, int]) -> None:
-        """Fold a worker process's deltas in: `lookups` shaped like
-        `lookup_stats`, `boots` like `BootStats.snapshot`."""
-        with self._lock:
-            self.hits += lookups.get("hits", 0)
-            self.misses += lookups.get("misses", 0)
-            self.boot_stats.absorb(boots)
 
 
 def boot_launch(

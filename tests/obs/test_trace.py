@@ -6,6 +6,7 @@ time.  The process-wide tracer is swapped with `set_tracer` and always
 restored.
 """
 
+import asyncio
 import json
 import threading
 from io import StringIO
@@ -99,6 +100,34 @@ class TestSpans:
         # The other thread's span must NOT claim the main thread's
         # open span as its parent.
         assert seen["parent"] is None
+
+    def test_interleaved_coroutines_each_get_their_own_root(self):
+        """Concurrent requests share one event-loop thread: each
+        asyncio task must still nest only its own spans, and leave
+        with its own span current."""
+        tracer, spans = collecting_tracer()
+        seen = {}
+
+        async def request(name):
+            with tracer.span(name) as root:
+                await asyncio.sleep(0)  # let the other request open
+                with tracer.span(f"{name}.child") as child:
+                    await asyncio.sleep(0)
+                    seen[name] = (root, child, tracer.current_span())
+                await asyncio.sleep(0)
+                assert tracer.current_span() is root
+
+        async def main():
+            await asyncio.gather(request("a"), request("b"))
+
+        asyncio.run(main())
+        for name in ("a", "b"):
+            root, child, current = seen[name]
+            assert root.parent_id is None
+            assert child.parent_id == root.span_id
+            assert current is child
+        assert len(spans) == 4
+        assert tracer.current_span() is None
 
 
 class TestNdjsonExport:

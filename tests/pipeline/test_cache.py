@@ -1,9 +1,14 @@
-"""Inference-cache semantics: hits, misses, invalidation, and key
-sensitivity to every component of the content fingerprint."""
+"""Store semantics: hits, misses, the counter fold a worker's delta
+takes home, and key sensitivity to every component of the content
+fingerprint."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.core import SpexOptions
 from repro.inject.campaign import Campaign
@@ -13,6 +18,8 @@ from repro.pipeline import (
     campaign_fingerprint,
     spex_fingerprint,
 )
+from repro.pipeline.cache import WORKER_LAYERS
+from repro.store import content_key
 from repro.systems import get_system
 
 SOURCES = {"a.c": "int main() { return 0; }\n"}
@@ -52,12 +59,30 @@ class TestSpexFingerprint:
             SOURCES, ANNOTATIONS, SpexOptions()
         ) != spex_fingerprint(SOURCES, ANNOTATIONS, ablated)
 
+    def test_source_and_annotation_boundary_is_part_of_the_key(self):
+        assert spex_fingerprint({"a.c": "xy"}, "") != spex_fingerprint(
+            {"a.c": "x"}, "y"
+        )
+
     def test_nested_taint_options_change_key(self):
         deeper = SpexOptions()
         deeper.taint.max_rounds += 1
         assert spex_fingerprint(
             SOURCES, ANNOTATIONS, SpexOptions()
         ) != spex_fingerprint(SOURCES, ANNOTATIONS, deeper)
+
+
+class TestContentKey:
+    def test_parts_are_length_prefixed(self):
+        assert content_key("ab", "c") != content_key("a", "bc")
+        assert content_key("a") != content_key("a", "")
+        assert content_key() != content_key("")
+
+    def test_stable_hex(self):
+        key = content_key("a", "b")
+        assert key == content_key("a", "b")
+        assert len(key) == 64
+        int(key, 16)  # raises if not hex
 
 
 class TestCampaignFingerprint:
@@ -119,27 +144,6 @@ class TestInferenceCache:
         assert not report.constraints.control_deps()
         assert len(cache) == 2
 
-    def test_invalidate_forces_recompute(self):
-        cache = InferenceCache()
-        system = get_system("apache")
-        campaign = Campaign(system, inference_cache=cache)
-        first = campaign.run_spex()
-        key = cache.key_for(system, campaign.spex_options)
-        assert cache.invalidate(key)
-        assert not cache.invalidate(key)  # already gone
-        second = campaign.run_spex()
-        assert second is not first
-        assert cache.stats.invalidations == 1
-        assert cache.stats.misses == 2
-
-    def test_clear_counts_invalidations(self):
-        cache = InferenceCache()
-        cache.put("k1", object())
-        cache.put("k2", object())
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats.invalidations == 2
-
 
 class TestReportSerialization:
     def test_summary_dict_is_json_able(self):
@@ -181,8 +185,8 @@ class TestSnapshotCache:
         cache = SnapshotCache()
         for key in ("k1", "k1", "k2", "k1", "k2"):
             cache.record_for(key)
-        assert (cache.hits, cache.misses) == (3, 2)
-        assert cache.hits + cache.misses == 5
+        assert (cache.stats.hits, cache.stats.misses) == (3, 2)
+        assert len(cache) == 2
         # The pipeline reports record lookups as its "launches" layer.
         caches = PipelineCaches(snapshots=cache)
         assert caches.stats()["launches"]["hits"] == 3
@@ -198,20 +202,15 @@ class TestSnapshotCache:
         assert hint.index is None
 
     def test_boot_stats_absorb(self):
-        from repro.runtime.snapshot import SnapshotCache
-
-        cache = SnapshotCache()
-        cache.absorb(
-            {"hits": 4, "misses": 1},
-            {"resumes": 3, "boots": 2, "captures": 1},
+        caches = PipelineCaches()
+        caches.absorb(
+            {
+                "launches": {"hits": 4, "misses": 1},
+                "snapshots": {"resumes": 3, "boots": 2, "captures": 1},
+            }
         )
-        assert cache.lookup_stats() == {
-            "hits": 4,
-            "misses": 1,
-            "invalidations": 0,
-            "peeks": 0,
-        }
-        assert cache.boot_stats.snapshot() == {
+        assert caches.snapshots.stats.snapshot() == {"hits": 4, "misses": 1}
+        assert caches.snapshots.boot_stats.snapshot() == {
             "resumes": 3,
             "boots": 2,
             "captures": 1,
@@ -228,22 +227,87 @@ class TestPipelineCaches:
             "checkers",
             "snapshots",
         }
-        assert stats["inference"] == {
-            "hits": 0,
-            "misses": 0,
-            "invalidations": 0,
-            "peeks": 0,
-        }
+        assert stats["inference"] == {"hits": 0, "misses": 0}
         assert stats["snapshots"] == {
             "resumes": 0,
             "boots": 0,
             "captures": 0,
         }
 
+    def test_delta_then_absorb_reproduces_every_section(self):
+        """A worker's `delta` folded into a fresh parent by `absorb`
+        gives the parent exactly the worker's counts, section by
+        section."""
+        worker = PipelineCaches()
+        worker.checkers.get_or_compute("pre-existing", object)
+        before = worker.snapshot()
+        for key in ("k1", "k1", "k2"):
+            worker.checkers.get_or_compute(key, object)
+            worker.snapshots.record_for(key)
+        worker.checkers.get("absent")
+        boots = worker.snapshots.boot_stats
+        boots.boots, boots.captures, boots.resumes = 2, 1, 5
+        delta = worker.delta(before)
+        assert set(delta) == set(WORKER_LAYERS)
+        parent = PipelineCaches()
+        parent.absorb(delta)
+        after = worker.snapshot()
+        for layer in WORKER_LAYERS:
+            expected = {
+                name: value - before[layer][name]
+                for name, value in after[layer].items()
+            }
+            assert parent.snapshot()[layer] == expected
+        assert parent.snapshot()["checkers"] == {"hits": 1, "misses": 3}
+        assert parent.snapshot()["inference"] == {"hits": 0, "misses": 0}
+
     def test_options_fingerprint_is_hex(self):
         fingerprint = SpexOptions().fingerprint()
         assert len(fingerprint) == 64
         int(fingerprint, 16)  # raises if not hex
+
+
+def _runtime_imports(path: Path) -> set[str]:
+    """Modules `path` imports when it runs (``if TYPE_CHECKING:``
+    blocks excluded)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    typing_only = {
+        id(child)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If)
+        and isinstance(node.test, ast.Name)
+        and node.test.id == "TYPE_CHECKING"
+        for stmt in node.body
+        for child in ast.walk(stmt)
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in typing_only:
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+class TestStoreLayering:
+    ROOT = Path(repro.__file__).parent
+
+    def test_runtime_and_inject_never_import_the_pipeline(self):
+        offenders = [
+            (str(path.relative_to(self.ROOT)), module)
+            for package in ("runtime", "inject")
+            for path in sorted((self.ROOT / package).rglob("*.py"))
+            for module in _runtime_imports(path)
+            if module == "repro.pipeline"
+            or module.startswith("repro.pipeline.")
+        ]
+        assert offenders == []
+
+    def test_store_is_a_leaf(self):
+        imports = _runtime_imports(self.ROOT / "store.py")
+        assert not any(module.startswith("repro") for module in imports)
 
 
 if __name__ == "__main__":

@@ -3,17 +3,18 @@
 The serve tier (and before it, thread-executor campaigns) hammers one
 shared `PipelineCaches` from many threads at once; these tests pin
 down the locking contracts that the service's correctness rests on:
-counters never tear, `__len__`/`__contains__` take the lock (the PR 2
-fix), `get_or_compute` never hands two callers different values for
-one key, and `SnapshotCache`'s record/hint registries return one
-instance per key no matter how many threads race on first use.
+counters never tear, `__len__`/`__contains__` take the lock,
+`get_or_compute` never hands two callers different values for one key
+and counts exactly one miss per entry it creates, and
+`SnapshotCache`'s record/hint registries return one instance per key
+no matter how many threads race on first use.
 """
 
 import sys
 import threading
 import time
 
-from repro.pipeline.cache import CacheStats, ContentCache, PipelineCaches
+from repro.pipeline.cache import ContentCache, PipelineCaches
 from repro.runtime.snapshot import SnapshotCache
 
 THREADS = 8
@@ -72,10 +73,28 @@ class TestContentCacheContention:
         _hammer(worker)
         stats = cache.stats
         assert stats.hits + stats.misses == operations
-        assert stats.misses >= 16  # at least one miss per key
+        assert stats.misses == 16  # one miss per key created
         assert len(cache) == 16
 
-    def test_get_put_invalidate_storm(self):
+    def test_racing_factories_count_one_miss_per_key(self):
+        """Factories run outside the lock, so racing callers build
+        duplicates; only the caller whose value is kept counts a
+        miss, every discarded racer a hit."""
+        cache = ContentCache()
+        builds = []
+        inside = threading.Barrier(THREADS)
+
+        def factory():
+            builds.append(1)
+            inside.wait(timeout=30)  # every racer is in its factory
+            return object()
+
+        _hammer(lambda index: cache.get_or_compute("k", factory))
+        assert len(builds) == THREADS
+        assert (cache.stats.misses, cache.stats.hits) == (1, THREADS - 1)
+        assert len(cache) == 1
+
+    def test_get_put_storm(self):
         cache = ContentCache()
 
         def worker(index):
@@ -83,36 +102,34 @@ class TestContentCacheContention:
                 key = f"k{(index + round_) % 8}"
                 cache.put(key, (index, round_))
                 cache.get(key)
-                if round_ % 16 == 0:
-                    cache.invalidate(key)
 
         _hammer(worker)
         stats = cache.stats
-        assert stats.hits + stats.misses == THREADS * ROUNDS
-        assert stats.invalidations > 0
-        assert len(cache) <= 8
+        assert (stats.hits, stats.misses) == (THREADS * ROUNDS, 0)
+        assert len(cache) == 8
 
     def test_len_and_contains_under_writer_churn(self):
-        """The PR 2 fix: len()/containment lock against concurrent
-        dict mutation instead of reading a resizing dict."""
+        """len()/containment lock against concurrent dict mutation
+        instead of reading a resizing dict; with no deletions, the
+        count a reader sees never falls."""
         cache = ContentCache()
         stop = threading.Event()
 
         def writer():
             i = 0
-            while not stop.is_set():
-                cache.put(f"w{i % 512}", i)
-                if i % 64 == 0:
-                    cache.clear()
+            while not stop.is_set() and i < 100_000:
+                cache.put(f"w{i}", i)
                 i += 1
 
         churn = threading.Thread(target=writer)
         churn.start()
         try:
             deadline = time.monotonic() + 0.5
+            last = 0
             while time.monotonic() < deadline:
                 count = len(cache)
-                assert 0 <= count <= 512
+                assert last <= count <= 100_000
+                last = count
                 assert isinstance("w0" in cache, bool)
         finally:
             stop.set()
@@ -123,7 +140,7 @@ class TestContentCacheContention:
 
         def worker(index):
             for _ in range(ROUNDS):
-                cache.absorb_stats({"hits": 1, "misses": 2})
+                cache.stats.absorb({"hits": 1, "misses": 2})
 
         _hammer(worker)
         assert cache.stats.hits == THREADS * ROUNDS
@@ -160,8 +177,8 @@ class TestSnapshotCacheContention:
         assert len(cache) == 8
         # One miss per key (the lookup that created the record), a hit
         # for every other lookup.
-        assert cache.misses == 8
-        assert cache.hits + cache.misses == THREADS * ROUNDS
+        assert cache.stats.misses == 8
+        assert cache.stats.hits + cache.stats.misses == THREADS * ROUNDS
 
     def test_hint_for_returns_one_hint_per_key(self):
         cache = SnapshotCache()
@@ -178,17 +195,26 @@ class TestSnapshotCacheContention:
         assert len(seen) == 4
 
     def test_absorb_boot_stats_sums_exactly(self):
-        cache = SnapshotCache()
+        caches = PipelineCaches()
 
         def worker(index):
-            for _ in range(ROUNDS):
-                cache.absorb({"hits": 2}, {"boots": 1, "resumes": 3})
+            for round_ in range(ROUNDS):
+                caches.snapshots.record_for(f"boot{round_ % 8}")
+                caches.absorb(
+                    {
+                        "launches": {"hits": 2},
+                        "snapshots": {"boots": 1, "resumes": 3},
+                    }
+                )
 
         _hammer(worker)
+        cache = caches.snapshots
         snapshot = cache.boot_stats.snapshot()
         assert snapshot["boots"] == THREADS * ROUNDS
         assert snapshot["resumes"] == 3 * THREADS * ROUNDS
-        assert cache.hits == 2 * THREADS * ROUNDS
+        # Absorbed deltas and the store's own lookups never tear.
+        assert cache.stats.misses == 8
+        assert cache.stats.hits == 3 * THREADS * ROUNDS - 8
 
 
 class TestPipelineCachesContention:

@@ -64,8 +64,8 @@ class TestHarnessLaunchCaching:
         second = harness.launch(config)
         # One record, two real launches.
         assert second is not first
-        assert harness.snapshot_cache.misses == 1
-        assert harness.snapshot_cache.hits == 1
+        assert harness.snapshot_cache.stats.misses == 1
+        assert harness.snapshot_cache.stats.hits == 1
         assert len(harness.snapshot_cache) == 1
 
     def test_different_requests_share_one_record(self, harness):
@@ -75,8 +75,8 @@ class TestHarnessLaunchCaching:
         harness.launch(config)
         harness.launch(config, ["PING"])
         harness.launch(config, ["PING", "PING"])
-        assert harness.snapshot_cache.misses == 1
-        assert harness.snapshot_cache.hits == 2
+        assert harness.snapshot_cache.stats.misses == 1
+        assert harness.snapshot_cache.stats.hits == 2
         assert harness.boot_stats.resumes >= 1
 
     def test_cache_keeps_effective_values(self, harness):
@@ -111,7 +111,7 @@ class TestHarnessLaunchCaching:
         second = harness.launch(config)
         assert second is not first
         assert second.logs == first.logs
-        assert (store.misses, store.hits) == (1, 1)
+        assert (store.stats.misses, store.stats.hits) == (1, 1)
         stats = store.boot_stats
         assert stats.boots + stats.resumes == 2
 
@@ -128,25 +128,27 @@ class TestHarnessLaunchCaching:
 
         before = launches()
         assert harness.baseline_ok()
-        assert launches() - before == store.hits + store.misses
-        misses, boots = store.misses, store.boot_stats.boots
-        lookups = store.hits + store.misses
+        assert launches() - before == store.stats.hits + store.stats.misses
+        misses, boots = store.stats.misses, store.boot_stats.boots
+        lookups = store.stats.hits + store.stats.misses
         before = launches()
         assert harness.baseline_ok()
-        assert launches() - before == store.hits + store.misses - lookups
-        assert store.misses == misses
+        assert launches() - before == (
+            store.stats.hits + store.stats.misses - lookups
+        )
+        assert store.stats.misses == misses
         assert store.boot_stats.boots == boots
 
     def test_repeated_baseline_served_from_cache(self, harness):
         store = harness.snapshot_cache
         assert harness.baseline_ok()
-        misses = store.misses
+        misses = store.stats.misses
         boots = store.boot_stats.boots
         assert harness.baseline_ok()
         # The second pass finds every record and resumes every launch.
-        assert store.misses == misses
+        assert store.stats.misses == misses
         assert store.boot_stats.boots == boots
-        assert store.hits >= len(harness.system.tests) + 1
+        assert store.stats.hits >= len(harness.system.tests) + 1
 
 
 class TestCampaignLaunchStoreParity:
@@ -181,19 +183,19 @@ class TestCampaignLaunchStoreParity:
         store = SnapshotCache()
         report = Campaign(system, snapshot_cache=store).run(spex_report)
         self._assert_equal_reports(report, reference)
-        assert store.misses > 0
+        assert store.stats.misses > 0
         assert store.boot_stats.resumes > 0
 
     def test_warm_rerun_is_all_hits(self, system, spex_report, reference):
         store = SnapshotCache()
         Campaign(system, snapshot_cache=store).run(spex_report)
-        cold = store.lookup_stats()
+        cold = store.stats.snapshot()
         rerun = Campaign(system, snapshot_cache=store).run(spex_report)
         self._assert_equal_reports(rerun, reference)
         # Every config already has its record: the rerun's lookups
         # are all hits, one per launch the cold run made.
-        assert store.misses == cold["misses"]
-        assert store.hits - cold["hits"] == (
+        assert store.stats.misses == cold["misses"]
+        assert store.stats.hits - cold["hits"] == (
             cold["hits"] + cold["misses"]
         )
 

@@ -164,13 +164,19 @@ class TestEngineSelection:
             InterpreterOptions(engine=engine)
 
     def test_harness_override_is_validated(self):
-        from repro.inject.harness import InjectionHarness
+        from dataclasses import replace
+
+        from repro.inject.harness import HARNESS_OPTIONS, InjectionHarness
+        from repro.pipeline import CampaignPipeline
 
         system = get_system("vsftpd")
         with pytest.raises(ValueError, match="codgen"):
-            InjectionHarness(system, engine="codgen")
-        harness = InjectionHarness(system, engine="tree")
+            CampaignPipeline(systems=["vsftpd"], engine="codgen").run()
+        harness = InjectionHarness(
+            system, options=replace(HARNESS_OPTIONS, engine="tree")
+        )
         assert harness.options.engine == "tree"
+        assert harness.options.max_steps == HARNESS_OPTIONS.max_steps
 
 
 class TestCraftedSemantics:

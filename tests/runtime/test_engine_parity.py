@@ -12,6 +12,8 @@ from a boot snapshot must be bit-identical to a cold launch of the
 same config, on every engine.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.lang.program import Program
@@ -343,14 +345,16 @@ class TestWarmBootParity:
     """
 
     def test_warm_equals_cold_on_every_engine(self, name):
-        from repro.inject.harness import InjectionHarness
+        from repro.inject.harness import HARNESS_OPTIONS, InjectionHarness
 
         system = get_system(name)
         config = system.default_config
         requests = system.tests[0].requests if system.tests else None
         per_engine = []
         for engine in ENGINES:
-            harness = InjectionHarness(system, engine=engine)
+            harness = InjectionHarness(
+                system, options=replace(HARNESS_OPTIONS, engine=engine)
+            )
             assert harness.options.warm_boot
             probe = harness.launch(config)  # cold: learns the boundary
             capture = harness.launch(config)  # cold: captures snapshot

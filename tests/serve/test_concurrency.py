@@ -10,6 +10,7 @@ concurrent path must be an optimization, never a semantic fork.
 import asyncio
 import json
 
+from repro.obs import Tracer, set_tracer
 from repro.serve import ServeClient
 from repro.systems.registry import iter_systems
 
@@ -114,6 +115,33 @@ class TestInProcessConcurrency:
 
         serial, concurrent = run(main())
         assert serial == concurrent
+
+    def test_gathered_checks_trace_as_separate_roots(self, make_service):
+        """Each interleaved request's `serve.check` span is a root of
+        its own, never a child of another request's open span."""
+        spans = []
+        previous = set_tracer(Tracer(sink=spans.append))
+
+        async def main():
+            service = make_service(systems=["mysql"])
+            await service.start()
+            try:
+                await asyncio.gather(
+                    *(
+                        service.check_config("mysql", BAD_MYSQL)
+                        for _ in range(8)
+                    )
+                )
+            finally:
+                await service.close()
+
+        try:
+            run(main())
+        finally:
+            set_tracer(previous)
+        checks = [s for s in spans if s.name == "serve.check"]
+        assert len(checks) == 8
+        assert [s.parent_id for s in checks] == [None] * 8
 
     def test_concurrent_same_identity_revisions_are_a_permutation(
         self, make_service
