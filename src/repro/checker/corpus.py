@@ -155,8 +155,8 @@ def corpus_pool(
 def pool_digest(pool: dict[str, list[Misconfiguration]]) -> str:
     """Content hash of the plantable-mistake roster.  Worker processes
     that regenerate the pool verify it against the parent's digest, so
-    a divergent re-inference (spawn start method, different hash seed)
-    fails loudly instead of planting different mistakes."""
+    a divergent re-inference (different sources or options) fails
+    loudly instead of planting different mistakes."""
     return content_key(
         *(
             repr((kind, [(m.settings, m.rule) for m in pool[kind]]))

@@ -171,12 +171,6 @@ class FleetReport:
             total = total + result.scores
         return total
 
-    def result_for(self, name: str) -> SystemFleetResult:
-        for result in self.results:
-            if result.name == name:
-                return result
-        raise KeyError(name)
-
     def summary_dict(self) -> dict:
         return {
             "executor": self.executor,
@@ -556,8 +550,7 @@ def _validate_chunk(task) -> ChunkResult:
         raise RuntimeError(
             f"worker rebuilt a divergent mistake pool for {name}: the "
             "plantable misconfigurations do not match what the parent "
-            "sampled from (re-inference is sensitive to the interpreter "
-            "hash seed; use a fork start method or set PYTHONHASHSEED)"
+            "sampled from (the worker's sources or options differ)"
         )
     registry = get_registry()
     registry.inc("fleet.chunks")

@@ -266,19 +266,6 @@ class ConstraintSet:
     def value_rels(self) -> list[ValueRelConstraint]:
         return [c for c in self.constraints if isinstance(c, ValueRelConstraint)]
 
-    def access_controls(self) -> list[AccessControlConstraint]:
-        return [
-            c
-            for c in self.constraints
-            if isinstance(c, AccessControlConstraint)
-        ]
-
-    def count_by_kind(self) -> dict[ConstraintKind, int]:
-        out: dict[ConstraintKind, int] = {}
-        for c in self.constraints:
-            out[c.kind] = out.get(c.kind, 0) + 1
-        return out
-
     def __len__(self) -> int:
         return len(self.constraints)
 

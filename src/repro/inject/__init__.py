@@ -11,7 +11,6 @@ from repro.inject.generators import (
     GeneratorRegistry,
     Misconfiguration,
     default_generators,
-    generate_misconfigurations,
 )
 from repro.inject.reactions import Reaction, ReactionCategory
 from repro.inject.harness import InjectionHarness, InjectionVerdict
@@ -32,5 +31,4 @@ __all__ = [
     "ReactionCategory",
     "Vulnerability",
     "default_generators",
-    "generate_misconfigurations",
 ]

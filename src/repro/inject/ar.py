@@ -116,13 +116,6 @@ class ConfigAR:
         lineno = (self.entries[-1].lineno + 1) if self.entries else 1
         self.entries.append(ConfigEntry(name, value, lineno))
 
-    def remove(self, name: str) -> bool:
-        for i, entry in enumerate(self.entries):
-            if entry.name == name:
-                del self.entries[i]
-                return True
-        return False
-
     def line_of(self, name: str) -> int | None:
         for entry in self.entries:
             if entry.name == name:

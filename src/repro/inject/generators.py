@@ -17,14 +17,14 @@ Value relat.   settings violating the relationship
 Usage - generate misconfigurations for one system and group them into
 per-parameter batches for the harness::
 
-    from repro.inject.generators import default_generators
+    from repro.inject.generators import batch_by_param, default_generators
     from repro.systems import get_system
 
     system = get_system("apache")
     constraints = ...  # a SpexReport's ConstraintSet
     registry = default_generators()
     flat = registry.generate(constraints, system.template_ar())
-    batches = registry.generate_batches(constraints, system.template_ar())
+    batches = batch_by_param(flat)
     # every batch covers exactly one primary parameter:
     assert all(m.primary_param == b.param for b in batches for m in b)
 
@@ -614,16 +614,6 @@ class GeneratorRegistry:
                     out.append(misconf)
         return out
 
-    def generate_batches(
-        self, constraints, template: ConfigAR
-    ) -> list[MisconfigurationBatch]:
-        """Generate and group by primary parameter in one step."""
-        return batch_by_param(self.generate(constraints, template))
-
-    def rule_names(self) -> list[str]:
-        """The installed rule names, in plug-in order."""
-        return [plugin.rule_name for plugin in self.plugins]
-
     def roster(self) -> list[str]:
         """Qualified plug-in identities (rule name plus implementing
         class).  This is the registry's fingerprint component: two
@@ -646,11 +636,6 @@ def default_generators() -> GeneratorRegistry:
     registry.add(ValueRelViolationPlugin())
     registry.add(AccessControlViolationPlugin())
     return registry
-
-
-def generate_misconfigurations(constraints, template: ConfigAR):
-    """Convenience: run the default plug-ins over a constraint set."""
-    return default_generators().generate(constraints, template)
 
 
 def _negate_str(op: str) -> str:

@@ -14,19 +14,14 @@ Layout:
 * :mod:`repro.ir.function`     - IRFunction / BasicBlock containers
 * :mod:`repro.ir.builder`      - AST -> IR lowering
 * :mod:`repro.ir.cfg`          - dominators, postdominators, control deps
-* :mod:`repro.ir.callgraph`    - direct-call graph
-* :mod:`repro.ir.printer`      - textual IR for debugging
 """
 
 from repro.ir.builder import build_ir
 from repro.ir.function import BasicBlock, IRFunction, IRModule
-from repro.ir.printer import format_function, format_module
 
 __all__ = [
     "BasicBlock",
     "IRFunction",
     "IRModule",
     "build_ir",
-    "format_function",
-    "format_module",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ir.function import BasicBlock, IRFunction
+from repro.ir.function import IRFunction
 from repro.ir.instructions import Branch, SwitchInst
 
 _VIRTUAL_EXIT = "__exit__"
@@ -57,21 +57,6 @@ def compute_dominators(fn: IRFunction) -> dict[str, set[str]]:
                 dom[b] = new
                 changed = True
     return dom
-
-
-def immediate_dominators(fn: IRFunction) -> dict[str, str | None]:
-    dom = compute_dominators(fn)
-    idom: dict[str, str | None] = {}
-    for b, dominators in dom.items():
-        strict = dominators - {b}
-        idom[b] = None
-        # The immediate dominator is the strict dominator dominated by
-        # all other strict dominators.
-        for cand in strict:
-            if all(cand in dom[other] or other == cand for other in strict):
-                idom[b] = cand
-                break
-    return idom
 
 
 def compute_postdominators(fn: IRFunction) -> dict[str, set[str]]:
@@ -214,9 +199,6 @@ class CfgInfo:
                     region.add(label)
                     changed = True
         return region
-
-    def controlling_branches(self, label: str) -> set[ControlDep]:
-        return self.control_deps.get(label, set())
 
     def transitive_controlling(self, label: str) -> set[ControlDep]:
         """All branches controlling `label`, through any nesting depth

@@ -14,7 +14,7 @@ is a first-class fact:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.lang import types as ct
 from repro.lang.source import Location
@@ -28,10 +28,6 @@ class Instruction:
 
     def uses(self) -> list[Operand]:
         """Operands read by this instruction."""
-        return []
-
-    def defs(self) -> list[Operand]:
-        """Operands written by this instruction."""
         return []
 
 
@@ -56,9 +52,6 @@ class Assign(Instruction):
     def uses(self):
         return [self.src]
 
-    def defs(self):
-        return [self.dest]
-
     def __str__(self):
         return f"{self.dest} = {self.src}"
 
@@ -73,9 +66,6 @@ class BinOp(Instruction):
 
     def uses(self):
         return [self.left, self.right]
-
-    def defs(self):
-        return [self.dest]
 
     @property
     def is_comparison(self) -> bool:
@@ -95,9 +85,6 @@ class UnOp(Instruction):
     def uses(self):
         return [self.operand]
 
-    def defs(self):
-        return [self.dest]
-
     def __str__(self):
         return f"{self.dest} = {self.op}{self.operand}"
 
@@ -112,9 +99,6 @@ class Cast(Instruction):
 
     def uses(self):
         return [self.src]
-
-    def defs(self):
-        return [self.dest]
 
     def __str__(self):
         return f"{self.dest} = ({self.type}) {self.src}"
@@ -134,9 +118,6 @@ class LoadField(Instruction):
 
     def uses(self):
         return [self.base]
-
-    def defs(self):
-        return [self.dest]
 
     def __str__(self):
         return f"{self.dest} = {self.base}.{'.'.join(self.path)}"
@@ -165,9 +146,6 @@ class LoadIndex(Instruction):
 
     def uses(self):
         return [self.base, self.index]
-
-    def defs(self):
-        return [self.dest]
 
     def __str__(self):
         return f"{self.dest} = {self.base}[{self.index}]"
@@ -202,9 +180,6 @@ class AddrOf(Instruction):
     def uses(self):
         return [self.var]
 
-    def defs(self):
-        return [self.dest]
-
     def __str__(self):
         suffix = "." + ".".join(self.path) if self.path else ""
         return f"{self.dest} = &{self.var}{suffix}"
@@ -218,9 +193,6 @@ class LoadDeref(Instruction):
 
     def uses(self):
         return [self.ptr]
-
-    def defs(self):
-        return [self.dest]
 
     def __str__(self):
         return f"{self.dest} = *{self.ptr}"
@@ -252,9 +224,6 @@ class Call(Instruction):
     def uses(self):
         return list(self.args)
 
-    def defs(self):
-        return [self.dest] if self.dest is not None else []
-
     def __str__(self):
         args = ", ".join(str(a) for a in self.args)
         prefix = f"{self.dest} = " if self.dest is not None else ""
@@ -272,9 +241,6 @@ class CallIndirect(Instruction):
 
     def uses(self):
         return [self.func, *self.args]
-
-    def defs(self):
-        return [self.dest] if self.dest is not None else []
 
     def __str__(self):
         args = ", ".join(str(a) for a in self.args)

@@ -76,12 +76,6 @@ class ApiKnowledge:
     def __contains__(self, name: str) -> bool:
         return name in self.specs
 
-    def comparisons(self) -> list[ApiSpec]:
-        return [s for s in self.specs.values() if s.comparison]
-
-    def unsafe_transforms(self) -> list[str]:
-        return sorted(s.name for s in self.specs.values() if s.unsafe_transform)
-
 
 def _std_specs() -> list[ApiSpec]:
     i32, i64 = ct.INT, ct.LONG

@@ -77,10 +77,3 @@ TIME_UNITS = (
     Unit.MINUTES,
     Unit.HOURS,
 )
-
-
-def scale_between(src: Unit, dst: Unit) -> float:
-    """Conversion factor src -> dst (same dimension)."""
-    if src.dimension != dst.dimension:
-        raise ValueError(f"incompatible units {src} and {dst}")
-    return src.scale / dst.scale

@@ -13,7 +13,7 @@ from repro.core.constraints import (
     ValueRelConstraint,
 )
 from repro.core.engine import SpexReport
-from repro.knowledge import ApiKnowledge, SemanticType, Unit, default_knowledge
+from repro.knowledge import ApiKnowledge, Unit, default_knowledge
 
 
 # -- case sensitivity (Table 6) -----------------------------------------------
@@ -79,13 +79,6 @@ class UnitFinding:
     )
     # parameters whose *names* carry their unit (§5.2 mitigation)
     unit_named: list[str] = field(default_factory=list)
-
-    def inconsistent_dimensions(self) -> list[str]:
-        return [
-            dim
-            for dim, units in self.by_dimension.items()
-            if len(units) > 1
-        ]
 
     def distribution(self, dimension: str) -> dict[Unit, int]:
         return {

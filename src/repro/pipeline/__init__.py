@@ -34,7 +34,6 @@ from repro.pipeline.runner import (
     CampaignPipeline,
     PipelineReport,
     SystemRun,
-    run_pipeline,
 )
 
 __all__ = [
@@ -53,6 +52,5 @@ __all__ = [
     "checker_fingerprint",
     "executor_names",
     "resolve_executor",
-    "run_pipeline",
     "spex_fingerprint",
 ]

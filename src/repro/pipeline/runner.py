@@ -79,12 +79,6 @@ class PipelineReport:
     # are simply absent from `runs`).
     failed_shards: list[FailedShard] = field(default_factory=list)
 
-    def report_for(self, name: str) -> CampaignReport:
-        for run in self.runs:
-            if run.name == name:
-                return run.report
-        raise KeyError(name)
-
     def total_misconfigurations(self) -> int:
         return sum(r.report.misconfigurations_tested for r in self.runs)
 
@@ -277,21 +271,9 @@ class CampaignPipeline:
             )
 
 
-def run_pipeline(
-    systems: list[str] | None = None,
-    executor: str | Executor = "serial",
-    **kwargs,
-) -> PipelineReport:
-    """One-shot convenience over `CampaignPipeline`."""
-    return CampaignPipeline(
-        systems=systems, executor=executor, **kwargs
-    ).run()
-
-
 __all__ = [
     "CampaignPipeline",
     "PipelineReport",
     "SystemRun",
-    "run_pipeline",
     "system_names",
 ]

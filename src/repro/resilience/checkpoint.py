@@ -81,13 +81,6 @@ class CheckpointStore:
             return None
         return payload
 
-    def shard_count(self, run_key: str) -> int:
-        """How many shards this run has checkpointed."""
-        run_dir = self._run_dir(run_key)
-        if not run_dir.is_dir():
-            return 0
-        return sum(1 for p in run_dir.iterdir() if p.suffix == ".ckpt")
-
     def clear(self, run_key: str) -> None:
         """Drop every checkpoint of one run (idempotent)."""
         run_dir = self._run_dir(run_key)

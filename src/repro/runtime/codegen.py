@@ -51,7 +51,7 @@ module functions, reached through the generated module's namespace.
 Generated source is deterministic: the same program text always
 produces the same module text (constants are referenced by interned
 `_K<n>` names handed to `exec` via the namespace, numbered in
-first-encounter order).  `generate_source` exposes the text for the
+first-encounter order).  `CodegenPlan.source` keeps the text for the
 determinism tests and for human inspection.
 
 This is the only module in the tree allowed to call `exec` (the
@@ -189,12 +189,6 @@ def codegen_plan_for(program: Program) -> CodegenPlan:
                 plan = compile_codegen(program)
                 program._codegen_plan = plan
     return plan
-
-
-def generate_source(program: Program) -> str:
-    """The generated module text alone (deterministic per program)."""
-    source, _consts, _step_names = _emit_module(program)
-    return source
 
 
 def compile_codegen(program: Program) -> CodegenPlan:

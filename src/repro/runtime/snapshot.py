@@ -702,10 +702,6 @@ class BootRecord:
     boundary: int | None = None
     snapshot: BootSnapshot | None = None
 
-    @property
-    def can_resume(self) -> bool:
-        return self.snapshot is not None
-
 
 class BoundaryHint:
     """Speculative per-(system, options) boot boundary.

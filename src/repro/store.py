@@ -62,7 +62,7 @@ class Counters:
 @dataclass
 class CacheStats(Counters):
     """Lookups of one `ContentCache`: a miss for each entry a lookup
-    creates (or, for `get`, finds absent), a hit for every other."""
+    creates, a hit for every other."""
 
     hits: int = 0
     misses: int = 0
@@ -94,15 +94,6 @@ class ContentCache(Generic[T]):
     def __contains__(self, key: str) -> bool:
         with self._lock:
             return key in self._entries
-
-    def get(self, key: str) -> T | None:
-        with self._lock:
-            value = self._entries.get(key)
-            if value is None:
-                self.stats.misses += 1
-            else:
-                self.stats.hits += 1
-            return value
 
     def peek(self, key: str) -> T | None:
         """Read without touching the counters - for bookkeeping reads

@@ -259,13 +259,6 @@ class SubjectSystem:
             self._program = Program.from_sources(self.sources, name=self.name)
         return self._program
 
-    def invalidate_memos(self) -> None:
-        """Drop derived state (the parsed program) so the next
-        `program()` call re-reads `sources`.  The registry calls this
-        from `clear_instance_cache()` so instances that escaped into
-        caller hands before the clear cannot serve stale parses."""
-        self._program = None
-
     def template_ar(self) -> ConfigAR:
         return ConfigAR.parse(self.default_config, self.dialect)
 

@@ -79,19 +79,3 @@ def load_all() -> dict[str, SubjectSystem]:
 
 def all_systems() -> list[SubjectSystem]:
     return list(iter_systems())
-
-
-def clear_instance_cache() -> None:
-    """Drop memoized instances (builders stay registered).  Tests use
-    this to get pristine `SubjectSystem` objects.
-
-    Contract: the clear also invalidates the derived-state memos
-    (`SubjectSystem.program()`) on every instance handed out so far.
-    Callers holding a reference across a clear keep a *usable* object
-    - its next `program()` call re-parses current `sources` - rather
-    than a stale parse from before whatever mutation motivated the
-    clear.  `template_ar()` is unmemoized by design and needs no
-    invalidation."""
-    for system in _CACHE.values():
-        system.invalidate_memos()
-    _CACHE.clear()

@@ -169,7 +169,11 @@ class TestShardRebuild:
         fold = fleet._SystemFold()
         for chunk in rebuilt:
             fold.absorb(chunk)
-        expected = serial_report.result_for(self.NAME).summary_dict()
+        (expected,) = [
+            result.summary_dict()
+            for result in serial_report.results
+            if result.name == self.NAME
+        ]
         got = fold.result(self.NAME, False).summary_dict()
         for row in (expected, got):
             row.pop("duration")

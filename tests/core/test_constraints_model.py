@@ -71,8 +71,8 @@ class TestConstraintSet:
         assert len(cs.ranges()) == 1
         assert len(cs.control_deps()) == 1
         assert {c.param for c in cs.for_param("a")} == {"a"}
-        counts = cs.count_by_kind()
-        assert counts[ConstraintKind.BASIC_TYPE] == 1
+        kinds = [c.kind for c in cs]
+        assert kinds.count(ConstraintKind.BASIC_TYPE) == 1
         assert cs.parameters == {"a", "b"}
 
 

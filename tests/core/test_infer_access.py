@@ -54,10 +54,18 @@ def run_spex(source, annotations=ANNOTATIONS, options=None):
     return SpexEngine(program, annotations, options=options).run()
 
 
+def access_controls(report):
+    return [
+        c
+        for c in report.constraints
+        if isinstance(c, AccessControlConstraint)
+    ]
+
+
 def by_identity(report):
     return {
         (c.param, c.operation, c.user_param)
-        for c in report.constraints.access_controls()
+        for c in access_controls(report)
     }
 
 
@@ -94,7 +102,7 @@ class TestInference:
         report = run_spex(PAIRED_SOURCE)
         modes = [
             c
-            for c in report.constraints.access_controls()
+            for c in access_controls(report)
             if c.operation == "mode"
         ]
         assert [c.param for c in modes] == ["store_mode"]
@@ -128,7 +136,7 @@ class TestInference:
     def test_pass_can_be_disabled(self):
         options = SpexOptions(enable_access_controls=False)
         report = run_spex(PAIRED_SOURCE, options=options)
-        assert report.constraints.access_controls() == []
+        assert access_controls(report) == []
         assert report.constraint_counts()["access_control"] == 0
 
     def test_counts_surface_in_report(self):

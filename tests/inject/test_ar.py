@@ -42,12 +42,6 @@ class TestKeyValueDialect:
         assert ar.line_of("a") == 2
         assert ar.line_of("b") == 3
 
-    def test_remove(self):
-        ar = ConfigAR.parse("a=1\nb=2\n", KeyValueDialect("="))
-        assert ar.remove("a")
-        assert ar.get("a") is None
-        assert not ar.remove("a")
-
 
 class TestDirectiveDialect:
     def test_parse_directive_lines(self):

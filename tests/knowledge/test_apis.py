@@ -3,7 +3,6 @@
 import pytest
 
 from repro.knowledge import ApiSpec, ArgFact, SemanticType, Unit, default_knowledge
-from repro.knowledge.semantic import scale_between
 
 
 class TestDefaultKnowledge:
@@ -29,7 +28,7 @@ class TestDefaultKnowledge:
 
     def test_unsafe_vs_safe_transforms(self):
         kb = default_knowledge()
-        unsafe = set(kb.unsafe_transforms())
+        unsafe = {name for name, spec in kb.specs.items() if spec.unsafe_transform}
         assert {"atoi", "atol", "atof", "sscanf", "sprintf"} <= unsafe
         assert "strtol" not in unsafe
         assert kb.get("strtol").safe_transform
@@ -65,10 +64,8 @@ class TestUnits:
         assert Unit.MILLISECONDS.dimension == "time"
 
     def test_scale_between(self):
-        assert scale_between(Unit.KILOBYTES, Unit.BYTES) == 1024
-        assert scale_between(Unit.HOURS, Unit.SECONDS) == 3600
-        assert scale_between(Unit.MICROSECONDS, Unit.MILLISECONDS) == pytest.approx(1e-3)
-
-    def test_incompatible_dimensions_raise(self):
-        with pytest.raises(ValueError):
-            scale_between(Unit.BYTES, Unit.SECONDS)
+        # The conversion factor between two units of one dimension is
+        # the ratio of their scales (what unit inference matches on).
+        assert Unit.KILOBYTES.scale / Unit.BYTES.scale == 1024
+        assert Unit.HOURS.scale / Unit.SECONDS.scale == 3600
+        assert Unit.MICROSECONDS.scale / Unit.MILLISECONDS.scale == pytest.approx(1e-3)

@@ -112,7 +112,9 @@ class TestCampaignFingerprint:
         stock = default_generators()
         modified = default_generators()
         modified.plugins[0] = Variant()
-        assert stock.rule_names() == modified.rule_names()
+        assert [plugin.rule_name for plugin in stock.plugins] == [
+            plugin.rule_name for plugin in modified.plugins
+        ]
         assert stock.roster() != modified.roster()
         key = spex_fingerprint(SOURCES, ANNOTATIONS)
         assert campaign_fingerprint(
@@ -244,7 +246,7 @@ class TestPipelineCaches:
         for key in ("k1", "k1", "k2"):
             worker.checkers.get_or_compute(key, object)
             worker.snapshots.record_for(key)
-        worker.checkers.get("absent")
+        worker.checkers.get_or_compute("absent", object)
         boots = worker.snapshots.boot_stats
         boots.boots, boots.captures, boots.resumes = 2, 1, 5
         delta = worker.delta(before)

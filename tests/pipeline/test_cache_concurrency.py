@@ -101,7 +101,7 @@ class TestContentCacheContention:
             for round_ in range(ROUNDS):
                 key = f"k{(index + round_) % 8}"
                 cache.put(key, (index, round_))
-                cache.get(key)
+                cache.get_or_compute(key, object)  # present: a hit
 
         _hammer(worker)
         stats = cache.stats
@@ -250,7 +250,7 @@ class TestPipelineCachesContention:
         for misses in (1, 5):
             caches = PipelineCaches()
             for index in range(misses):
-                caches.checkers.get(f"absent{index}")
+                caches.checkers.get_or_compute(f"absent{index}", object)
             pair.append(caches)
         wrong = [0, 0]
         finished = [False, False]

@@ -14,7 +14,6 @@ from repro.pipeline import (
 )
 from repro.systems import get_system
 from repro.systems.registry import (
-    clear_instance_cache,
     is_registered,
     iter_systems,
     load_all,
@@ -76,31 +75,6 @@ class TestRegistryBulkApi:
         assert is_registered("nginx")
         assert not is_registered("lighttpd")
 
-    def test_clear_instance_cache(self):
-        before = get_system("apache")
-        clear_instance_cache()
-        after = get_system("apache")
-        assert after is not before
-        assert after.name == before.name
-
-    def test_clear_invalidates_memos_on_held_instances(self):
-        # Regression: clear_instance_cache() used to drop only the
-        # registry's name->instance map, leaving the program() memo
-        # alive on instances callers already held - a later sources
-        # mutation (the reason one clears) kept serving the stale
-        # parse.  The contract now is that the clear also invalidates
-        # derived memos on every instance handed out so far.
-        held = load_all()["vsftpd"]
-        stale = held.program()
-        assert held.program() is stale  # memoized while cached
-        clear_instance_cache()
-        fresh = held.program()
-        assert fresh is not stale  # re-parsed, not served from memo
-        # The held object stays fully usable: the re-parse reflects
-        # its (unchanged) sources, so derived facts agree.
-        assert fresh.count_code_lines() == stale.count_code_lines()
-        assert load_all()["vsftpd"] is not held
-
 
 class TestPipelineParity:
     @pytest.fixture(scope="class")
@@ -124,7 +98,9 @@ class TestPipelineParity:
     def test_single_system_campaign_is_thin_wrapper(self, serial_report):
         """A direct Campaign run and a one-system pipeline run agree."""
         direct = Campaign(get_system("apache")).run()
-        via_pipeline = serial_report.report_for("apache")
+        (via_pipeline,) = [
+            run.report for run in serial_report.runs if run.name == "apache"
+        ]
         assert set(direct.vulnerabilities) == set(
             via_pipeline.vulnerabilities
         )
@@ -169,8 +145,7 @@ class TestPipelineCaching:
         )
         summary = report.summary_dict()
         assert [s["name"] for s in summary["systems"]] == SUBSET
-        with pytest.raises(KeyError):
-            report.report_for("mysql")
+        assert "mysql" not in [run.name for run in report.runs]
 
 
 class TestProcessExecutorGuards:

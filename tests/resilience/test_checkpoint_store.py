@@ -45,15 +45,6 @@ class TestContentAddressing:
         store.save("run", "mysql:0:32", b"a")
         assert store.load("run", "mysql:32:32") is None
 
-    def test_shard_count(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        assert store.shard_count("run") == 0
-        store.save("run", "a", b"1")
-        store.save("run", "b", b"2")
-        store.save("other", "a", b"3")
-        assert store.shard_count("run") == 2
-        assert store.shard_count("other") == 1
-
 
 class TestCorruptionReadsAsMissing:
     def _shard_file(self, tmp_path, store):
@@ -128,4 +119,4 @@ class TestClear:
         store.save("run", "s", b"1")
         store.clear("run")
         store.clear("run")
-        assert store.shard_count("run") == 0
+        assert not list(tmp_path.rglob("*.ckpt"))

@@ -16,7 +16,6 @@ from repro.runtime.codegen import (
     CodegenPlan,
     codegen_plan_for,
     compile_codegen,
-    generate_source,
 )
 from repro.runtime.builtins import REGISTRY
 from repro.runtime.interpreter import (
@@ -72,13 +71,15 @@ class TestGeneratedSource:
             switch (total) { case 15: return 1; default: return total; }
         }
         """
-        first = generate_source(_program(source))
-        second = generate_source(_program(source))
+        first = compile_codegen(_program(source)).source
+        second = compile_codegen(_program(source)).source
         assert first == second
 
     def test_generation_is_repeatable_on_one_program(self):
         program = get_system("vsftpd").program()
-        assert generate_source(program) == generate_source(program)
+        assert (
+            compile_codegen(program).source == compile_codegen(program).source
+        )
 
     def test_compiled_plan_shape(self):
         program = _program(
@@ -97,14 +98,14 @@ class TestLoweringTimeFacts:
 
     @pytest.mark.parametrize("name", system_names())
     def test_builtin_calls_are_bound(self, name):
-        source = generate_source(get_system(name).program())
+        source = compile_codegen(get_system(name).program()).source
         assert "_call_builtin(" not in source
 
     def test_never_declared_global_loads_skip_the_locals(self):
-        source = generate_source(_program(
+        source = compile_codegen(_program(
             "int limit = 7;\n"
             "int main() { return limit; }"
-        ))
+        )).source
         body = source[source.index("def _fn_main"):]
         assert "rt.globals.get('limit', _M)" in body
         assert "L.get" not in body
@@ -284,7 +285,7 @@ class TestCodegenSnapshots:
         stats = BootStats()
         probe = self._boot(system, record, stats)
         capture = self._boot(system, record, stats)
-        assert record.can_resume
+        assert record.snapshot is not None
         resumed = self._boot(system, record, stats)
         assert stats.resumes == 1
         for launch in (capture, resumed):
@@ -301,7 +302,7 @@ class TestCodegenSnapshots:
         stats = BootStats()
         self._boot(system, record, stats)
         self._boot(system, record, stats)
-        assert record.can_resume
+        assert record.snapshot is not None
         requests = system.tests[0].requests
         warm = self._boot(system, record, stats, requests=requests)
         cold_record = BootRecord()
@@ -318,7 +319,7 @@ class TestCodegenSnapshots:
         stats = BootStats()
         self._boot(system, record, stats)
         self._boot(system, record, stats)
-        assert record.can_resume
+        assert record.snapshot is not None
         first = self._boot(system, record, stats)
         second = self._boot(system, record, stats)
         assert first.steps == second.steps
@@ -394,7 +395,7 @@ class TestCopyStateBundle:
                 system.program(), make_os, argv,
                 InterpreterOptions(max_steps=400_000), record,
             )
-        assert record.can_resume
+        assert record.snapshot is not None
         constants = constant_globals(system.program())
         bundles.append((record.snapshot.copier, constants))
         assert record.snapshot.copier.state is record.snapshot.slim_state
@@ -487,7 +488,7 @@ class TestCopyOnWriteResumes:
         # after the snapshot was taken.
         self._launch(program, record, ["set"], stats)
         self._launch(program, record, ["set", "memset"], stats)
-        assert record.can_resume
+        assert record.snapshot is not None
         expected = {
             "get": ["0 5 0 0"],
             "set": ["0 5 7 0"],

@@ -479,6 +479,162 @@ class TestSilentException:
             )
 
 
+class TestTestOnlyApi:
+    """The whole-repo rule, run on a miniature repository."""
+
+    def _flagged(self, tmp_path: Path, files: dict[str, str]) -> dict:
+        """``{dotted name: message}`` of every finding in a repo made of
+        ``files`` (repo-relative path -> source)."""
+        from lint import find_test_only_api
+
+        for rel, text in files.items():
+            path = tmp_path / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+        out = {}
+        for path, _, code, message in find_test_only_api(tmp_path, {}):
+            assert code == "test-only-api"
+            assert not path.is_absolute()
+            out[message.split("`")[1]] = message
+        return out
+
+    def test_function_only_a_test_calls_flagged(self, tmp_path):
+        flagged = self._flagged(tmp_path, {
+            "src/repro/mod.py": "def helper():\n    return 1\n",
+            "tests/test_mod.py": (
+                "from repro.mod import helper\nassert helper() == 1\n"
+            ),
+        })
+        assert list(flagged) == ["mod.helper"]
+        assert flagged["mod.helper"].startswith("only tests reference")
+
+    def test_method_only_a_test_calls_flagged(self, tmp_path):
+        flagged = self._flagged(tmp_path, {
+            "src/repro/mod.py": (
+                "class Box:\n"
+                "    def used(self):\n"
+                "        return 1\n"
+                "    def probe(self):\n"
+                "        return 2\n"
+            ),
+            "src/repro/user.py": (
+                "from repro.mod import Box\nvalue = Box().used()\n"
+            ),
+            "tests/test_mod.py": "def test_probe(box):\n    box.probe()\n",
+        })
+        assert list(flagged) == ["mod.Box.probe"]
+
+    def test_unreferenced_definition_flagged(self, tmp_path):
+        flagged = self._flagged(tmp_path, {
+            "src/repro/mod.py": "class Orphan:\n    pass\n",
+        })
+        assert flagged["mod.Orphan"].startswith("nothing references")
+
+    def test_attribute_reference_from_src_passes(self, tmp_path):
+        flagged = self._flagged(tmp_path, {
+            "src/repro/mod.py": "def helper():\n    return 1\n",
+            "src/repro/user.py": (
+                "import repro.mod as m\nvalue = m.helper()\n"
+            ),
+        })
+        assert flagged == {}
+
+    def test_string_constant_reference_passes(self, tmp_path):
+        # perfbench wraps library functions by name.
+        flagged = self._flagged(tmp_path, {
+            "src/repro/mod.py": "def helper():\n    return 1\n",
+            "perfbench/tracing.py": (
+                "import repro.mod as owner\n"
+                "patch(recorder, owner, \"helper\", \"layer\")\n"
+            ),
+        })
+        assert flagged == {}
+
+    def test_executed_doc_block_reference_passes(self, tmp_path):
+        from docs_check import DOC_FILES
+
+        flagged = self._flagged(tmp_path, {
+            "src/repro/mod.py": "def helper():\n    return 1\n",
+            DOC_FILES[0]: (
+                "Prose naming unused_word.\n\n"
+                "```python\nfrom repro.mod import helper\n```\n"
+            ),
+        })
+        assert flagged == {}
+
+    def test_private_and_dunder_names_pass(self, tmp_path):
+        flagged = self._flagged(tmp_path, {
+            "src/repro/mod.py": (
+                "def _private():\n"
+                "    return 1\n"
+                "class _Hidden:\n"
+                "    def _inner(self):\n"
+                "        return 2\n"
+                "class Shown:\n"
+                "    def __repr__(self):\n"
+                "        return 'Shown'\n"
+            ),
+            "src/repro/user.py": "from repro.mod import Shown\n",
+        })
+        assert flagged == {}
+
+    def test_package_reexport_is_not_a_use(self, tmp_path):
+        flagged = self._flagged(tmp_path, {
+            "src/repro/pkg/__init__.py": (
+                "from repro.pkg.mod import helper\n"
+                "__all__ = [\"helper\"]\n"
+            ),
+            "src/repro/pkg/mod.py": "def helper():\n    return 1\n",
+        })
+        assert list(flagged) == ["pkg.mod.helper"]
+
+    def test_self_reference_is_not_a_use(self, tmp_path):
+        flagged = self._flagged(tmp_path, {
+            "src/repro/mod.py": (
+                "def countdown(n):\n"
+                "    return n and countdown(n - 1)\n"
+                "class Node:\n"
+                "    @classmethod\n"
+                "    def leaf(cls):\n"
+                "        return Node()\n"
+            ),
+            "src/repro/user.py": "value = factory.leaf()\n",
+        })
+        assert list(flagged) == ["mod.countdown", "mod.Node"]
+
+    def test_colliding_name_counts_as_used(self, tmp_path):
+        # Matching is by name: a call to one `run` keeps every `run`.
+        flagged = self._flagged(tmp_path, {
+            "src/repro/mod.py": (
+                "class Outer:\n"
+                "    def run(self):\n"
+                "        return self.inner.run()\n"
+                "class Inner:\n"
+                "    def run(self):\n"
+                "        return 1\n"
+            ),
+            "src/repro/user.py": "from repro.mod import Inner, Outer\n",
+        })
+        assert list(flagged) == ["mod.Outer.run"]
+
+    def test_allowlist_tracks_reality(self):
+        # Every entry names a real definition that the rule would flag
+        # without its entry, and carries its reason; nothing else on
+        # the repo needs one.
+        from lint import TEST_ONLY_ALLOWLIST, find_test_only_api
+
+        assert set(TEST_ONLY_ALLOWLIST) == {
+            "obs.trace.Tracer.current_span",
+            "lang.lexer.tokenize",
+            "lang.parser.parse_source",
+        }
+        assert all(reason.strip() for reason in TEST_ONLY_ALLOWLIST.values())
+        unlisted = find_test_only_api(REPO_ROOT, {})
+        assert {m.split("`")[1] for *_, m in unlisted} == set(
+            TEST_ONLY_ALLOWLIST
+        )
+
+
 class TestExistingDetectors:
     def test_dead_branch_same_return(self):
         source = (
@@ -505,12 +661,19 @@ class TestExistingDetectors:
         assert _codes("assert (1, 'msg')\n") == ["assert-tuple"]
 
     def test_repo_is_clean(self):
-        # The gate `make lint` enforces, in miniature: the shipped
-        # sources must be free of every detector's findings.
-        from lint import iter_python_files, run_builtin
+        # The gate `make lint` enforces: every linted file is free of
+        # every per-file detector's findings, and the whole-repo rule
+        # reports nothing.
+        from lint import (
+            DEFAULT_PATHS,
+            find_test_only_api,
+            iter_python_files,
+            run_builtin,
+        )
 
         files = iter_python_files(
-            [str(REPO_ROOT / "src"), str(REPO_ROOT / "tools")]
+            [str(REPO_ROOT / name) for name in DEFAULT_PATHS]
         )
         assert files
         assert run_builtin(files) == 0
+        assert find_test_only_api(REPO_ROOT) == []

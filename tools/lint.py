@@ -71,6 +71,22 @@ have actually bitten this codebase:
   pass``) stay legal: naming the type is the author proving they
   know what they are ignoring.  The allowlist is empty on purpose.
 
+* ``test-only-api`` - a whole-repo rule: a public (no leading ``_``)
+  module-level function or class under ``src/repro/``, or a method of
+  a module-level class there, whose name nothing outside ``tests/``
+  references.  A reference is a name, an attribute, an import alias
+  or an identifier-shaped string constant (perfbench patches by name,
+  ``patch(owner, "attr")``) in ``src/``, ``tools/``, ``perfbench/``,
+  ``benchmarks/``, ``examples/`` or ``setup.py``, or a word in a code
+  block ``tools/docs_check.py`` executes.  The definition's own body,
+  ``__all__`` entries and ``src/repro/**/__init__.py`` re-exports do
+  not count.  Matching is by name only, so a colliding name (``get``,
+  ``run``) counts as used: the rule can miss a dead definition but
+  never flags a live one.  Code that only tests call is code nobody
+  uses that still has to be maintained; delete it, or name it in
+  ``TEST_ONLY_ALLOWLIST`` with the reason it stays.  The rule runs
+  with the default paths only (it needs the whole tree).
+
 When ruff or pyflakes *is* installed, ``--external`` additionally runs
 it (ruff restricted to F-codes) for broader coverage; absence of both
 is never an error, so the default `make test` path stays hermetic.
@@ -87,12 +103,16 @@ from __future__ import annotations
 
 import argparse
 import ast
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+from docs_check import DOC_FILES, extract_python_blocks
+
 DEFAULT_PATHS = ["src", "tools", "benchmarks", "tests", "examples"]
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def iter_python_files(paths: list[str]) -> list[Path]:
@@ -576,6 +596,170 @@ def _find_silent_exceptions(
     return findings
 
 
+# Public definitions under src/repro/ that nothing outside tests/
+# references and that stay on purpose, keyed by their dotted name below
+# src/repro/ (a dotted key is no identifier, so listing a name here is
+# not itself a reference to it).  Every entry carries its reason.
+TEST_ONLY_ALLOWLIST = {
+    "obs.trace.Tracer.current_span": (
+        "the obs read API: the open span, for operators and tests"
+    ),
+    "lang.lexer.tokenize": (
+        "front-end string entry point the lexer tests drive"
+    ),
+    "lang.parser.parse_source": (
+        "front-end string entry point the parser tests drive"
+    ),
+}
+
+# Where a reference to a library definition counts: everything that
+# ships or runs beside the library, but not the tests.
+REFERENCE_ROOTS = [
+    "src", "tools", "perfbench", "benchmarks", "examples", "setup.py",
+]
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _public_definitions(module: str, tree: ast.Module):
+    """``(dotted name, node)`` of every public module-level function or
+    class and every public method of a module-level class."""
+    for node in tree.body:
+        if not isinstance(node, _DEFS):
+            continue
+        if not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, _FUNCTIONS) and not (
+                    member.name.startswith("_")
+                ):
+                    yield f"{module}.{node.name}.{member.name}", member
+
+
+def _assigns_all(node: ast.AST) -> bool:
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+
+
+class _References:
+    """Every name a set of files references.
+
+    A reference inside the body of a definition of the same name is
+    kept with that definition's place (file, line): it does not count
+    for that definition (recursion, a class naming itself) but still
+    counts for any other definition that shares the name.
+    """
+
+    def __init__(self) -> None:
+        self.free: set[str] = set()
+        self.owned: dict[str, list[set[tuple[Path, int]]]] = {}
+
+    def add(self, name: str, owners: set[tuple[Path, int]] = frozenset()):
+        if owners:
+            self.owned.setdefault(name, []).append(owners)
+        else:
+            self.free.add(name)
+
+    def uses(self, path: Path, node: ast.AST) -> bool:
+        place = (path, node.lineno)
+        return node.name in self.free or any(
+            place not in owners for owners in self.owned.get(node.name, ())
+        )
+
+    def scan(self, path: Path, tree: ast.AST, *, count_imports=True):
+        def note(name: str, enclosing: tuple[ast.AST, ...]) -> None:
+            self.add(
+                name,
+                {(path, n.lineno) for n in enclosing if n.name == name},
+            )
+
+        def visit(node: ast.AST, enclosing: tuple[ast.AST, ...]) -> None:
+            if isinstance(node, ast.Name):
+                note(node.id, enclosing)
+            elif isinstance(node, ast.Attribute):
+                note(node.attr, enclosing)
+            elif isinstance(node, ast.alias):
+                for name in (*node.name.split("."), node.asname):
+                    if name:
+                        note(name, enclosing)
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and node.value.isidentifier()
+            ):
+                note(node.value, enclosing)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                if not count_imports:
+                    return  # a package __init__ re-export is no use
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                if _assigns_all(node):
+                    return  # naming a definition in __all__ is no use
+            if isinstance(node, _DEFS):
+                inner = (*enclosing, node)
+                for child in ast.iter_child_nodes(node):
+                    visit(child, inner if child in node.body else enclosing)
+                return
+            for child in ast.iter_child_nodes(node):
+                visit(child, enclosing)
+
+        visit(tree, ())
+
+
+def _parse_all(root: Path, names: list[str]):
+    for path in iter_python_files([str(root / name) for name in names]):
+        if path.exists():
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def find_test_only_api(
+    root: Path, allowlist: dict[str, str] | None = None
+) -> list[tuple[Path, int, str, str]]:
+    """The ``test-only-api`` findings for the repository at ``root``
+    (``TEST_ONLY_ALLOWLIST`` unless ``allowlist`` is given)."""
+    allowlist = TEST_ONLY_ALLOWLIST if allowlist is None else allowlist
+    library = root / "src" / "repro"
+    used, tested = _References(), _References()
+    for path, tree in _parse_all(root, REFERENCE_ROOTS):
+        reexports = path.name == "__init__.py" and library in path.parents
+        used.scan(path, tree, count_imports=not reexports)
+    for name in DOC_FILES:
+        doc = root / name
+        if doc.exists():
+            text = doc.read_text(encoding="utf-8")
+            for _, code in extract_python_blocks(text):
+                for word in _WORD.findall(code):
+                    used.add(word)
+    for path, tree in _parse_all(root, ["tests"]):
+        tested.scan(path, tree)
+
+    findings = []
+    for path, tree in _parse_all(root, ["src/repro"]):
+        rel = path.relative_to(library).with_suffix("")
+        parts = rel.parts[:-1] if rel.name == "__init__" else rel.parts
+        for dotted, node in _public_definitions(".".join(parts), tree):
+            if dotted in allowlist or used.uses(path, node):
+                continue
+            who = (
+                "only tests reference"
+                if tested.uses(path, node)
+                else "nothing references"
+            )
+            findings.append(
+                (
+                    path.relative_to(root),
+                    node.lineno,
+                    "test-only-api",
+                    f"{who} `{dotted}` outside its own body; "
+                    "delete it, or name it in TEST_ONLY_ALLOWLIST with "
+                    "the reason it stays",
+                )
+            )
+    return findings
+
+
 _MUTABLE_CONSTRUCTORS = {"list", "dict", "set", "bytearray"}
 
 
@@ -606,6 +790,13 @@ def run_builtin(files: list[Path]) -> int:
     return failures
 
 
+def run_repo_rules(root: Path) -> int:
+    findings = find_test_only_api(root)
+    for found_path, line, code, message in findings:
+        print(f"{found_path}:{line}: {code}: {message}")
+    return len(findings)
+
+
 def run_external(paths: list[str]) -> int:
     """Run ruff (F-codes) or pyflakes when available; 0 when neither
     is installed - the built-in checks remain the hermetic baseline."""
@@ -621,7 +812,7 @@ def run_external(paths: list[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("paths", nargs="*", default=DEFAULT_PATHS)
+    parser.add_argument("paths", nargs="*")
     parser.add_argument(
         "--external",
         action="store_true",
@@ -634,6 +825,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"lint: no python files under {paths}", file=sys.stderr)
         return 2
     failures = run_builtin(files)
+    if not options.paths:
+        failures += run_repo_rules(REPO_ROOT)
     status = 1 if failures else 0
     if options.external:
         status = max(status, 1 if run_external(paths) else 0)
