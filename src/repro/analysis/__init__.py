@@ -14,7 +14,7 @@ string-compare dispatches) - which the inference passes in
 """
 
 from repro.analysis.seeds import GetterSpec, GlobalSeed, ParamSeed, Seed
-from repro.analysis.engine import AnalysisResult, TaintEngine, TaintOptions
+from repro.analysis.engine import AnalysisResult, TaintEngine
 from repro.analysis.events import (
     BranchCondEvent,
     ScaleEvent,
@@ -42,6 +42,5 @@ __all__ = [
     "StringCompareEvent",
     "SwitchCaseEvent",
     "TaintEngine",
-    "TaintOptions",
     "UsageEvent",
 ]

@@ -69,11 +69,11 @@ LocKey = tuple[str, str, tuple[str, ...]]  # (scope, name, path)
 LabelMap = dict[str, int]  # param -> copy hops
 
 
-@dataclass
-class TaintOptions:
-    max_rounds: int = 4
-    max_chain: int = 3
-    max_block_iterations: int = 4
+#: Bounds of the fixpoint: whole-module passes, call-chain context
+#: length and sweeps over one function's blocks.
+MAX_ROUNDS = 4
+MAX_CHAIN = 3
+MAX_BLOCK_ITERATIONS = 4
 
 
 @dataclass
@@ -145,10 +145,8 @@ class TaintEngine:
         seeds: list,
         getters: list[GetterSpec] | None = None,
         knowledge: ApiKnowledge | None = None,
-        options: TaintOptions | None = None,
     ):
         self.module = module
-        self.options = options or TaintOptions()
         self.knowledge = knowledge or default_knowledge()
         self.global_seeds = [s for s in seeds if isinstance(s, GlobalSeed)]
         self.param_seeds = [s for s in seeds if isinstance(s, ParamSeed)]
@@ -186,7 +184,7 @@ class TaintEngine:
         would compute, so every later root meets the summaries, and
         call chains, a full pass would give it.  The run stops when a
         pass adds no event and changes no global label (a pass with no
-        stale root is such a pass) or after `max_rounds` passes.
+        stale root is such a pass) or after `MAX_ROUNDS` passes.
         """
         for seed in self.global_seeds:
             loc = ("global", seed.var, seed.path)
@@ -197,7 +195,7 @@ class TaintEngine:
             for fn in self.module.functions.values()
         ]
         runs: list[_RootRun | None] = [None] * len(roots)
-        for _pass in range(self.options.max_rounds):
+        for _pass in range(MAX_ROUNDS):
             self.passes += 1
             self.summaries = {}
             before_events = len(self.events)
@@ -327,7 +325,7 @@ class _FunctionAnalysis:
     ):
         self.engine = engine
         self.fn = fn
-        self.chain = chain[-engine.options.max_chain :]
+        self.chain = chain[-MAX_CHAIN:]
         self.local_labels: dict[tuple[str, tuple[str, ...]], LabelMap] = {}
         self.temp_labels: dict[int, LabelMap] = {}
         self.temp_ptr: dict[int, frozenset[LocKey]] = {}
@@ -437,7 +435,7 @@ class _FunctionAnalysis:
         blocks = [
             (block.label, block.instructions) for block in self.fn.block_order()
         ]
-        for _ in range(self.engine.options.max_block_iterations):
+        for _ in range(MAX_BLOCK_ITERATIONS):
             self.changed = False
             for label, instructions in blocks:
                 for inst in instructions:

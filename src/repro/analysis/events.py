@@ -210,9 +210,6 @@ class EventLog:
         self._by_class.setdefault(type(event), []).append(event)
         return True
 
-    def all(self) -> list[Event]:
-        return list(self.events.values())
-
     def of_type(self, cls) -> list:
         """Events of one concrete event class, in first-seen order."""
         return list(self._by_class.get(cls, ()))

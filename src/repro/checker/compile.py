@@ -172,10 +172,6 @@ class CompiledChecker:
     suppressed: frozenset[tuple[str, str]] = frozenset()
     calibration: tuple[Diagnostic, ...] = ()
 
-    def check(self, config_text: str):
-        """Convenience alias for `validate_config(self, text)`."""
-        return validate_config(self, config_text)
-
 
 def compile_checker(
     spex_report: SpexReport,

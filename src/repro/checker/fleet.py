@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.accuracy import PrecisionRecall, precision_recall
 from repro.core.engine import SpexOptions
@@ -53,7 +53,6 @@ from repro.checker.corpus import (
 from repro.checker.validate import validate_config
 from repro.obs import get_registry, span
 from repro.resilience import CheckpointStore, FailedShard, RetryPolicy
-from repro.runtime.interpreter import InterpreterOptions
 
 DEFAULT_CHUNK_SIZE = 256
 
@@ -216,7 +215,6 @@ def run_fleet(
     spex_options: SpexOptions | None = None,
     caches=None,
     agreement_sample: int = 0,
-    engine: str | None = None,
     retry_policy: RetryPolicy | None = None,
     chaos=None,
     checkpoint: CheckpointStore | None = None,
@@ -305,11 +303,6 @@ def run_fleet(
     wall_time = time.perf_counter() - started
     agreement = None
     if agreement_sample > 0:
-        from repro.inject.harness import HARNESS_OPTIONS
-
-        harness_options = HARNESS_OPTIONS
-        if engine is not None:
-            harness_options = replace(HARNESS_OPTIONS, engine=engine)
         with span("fleet.agreement", sample=agreement_sample):
             agreement = ground_truth_agreement(
                 contexts,
@@ -318,7 +311,6 @@ def run_fleet(
                 mistake_rate,
                 agreement_sample,
                 caches,
-                harness_options,
             )
     return FleetReport(
         results=results,
@@ -423,7 +415,6 @@ def ground_truth_agreement(
     mistake_rate: float,
     sample_size: int,
     caches,
-    harness_options: InterpreterOptions,
 ) -> AgreementReport:
     """Re-test a seeded sample of flagged configs under the injection
     harness.  A flag is *confirmed* when the interpreter observably
@@ -431,7 +422,7 @@ def ground_truth_agreement(
     termination, functional failure, silent violation/ignorance) or a
     pinpointing rejection; it is *refuted* only when the system accepts
     the config with no observable effect, meaning the checker cried
-    wolf.  The sampled harnesses run under `harness_options`."""
+    wolf.  The sampled harnesses run under `HARNESS_OPTIONS`."""
     from repro.inject.harness import InjectionHarness
 
     candidates: list[tuple[str, ConfigOutcome]] = []
@@ -464,7 +455,6 @@ def ground_truth_agreement(
         if harness is None:
             harness = harnesses[name] = InjectionHarness(
                 context.system,
-                options=harness_options,
                 snapshot_cache=caches.snapshots,
             )
         verdict = harness.test_misconfiguration(config.mistake)

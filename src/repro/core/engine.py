@@ -13,7 +13,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
-from repro.analysis import AnalysisResult, TaintEngine, TaintOptions
+from repro.analysis import AnalysisResult, TaintEngine
 from repro.core.annotations import Annotation, parse_annotations
 from repro.core.constraints import ConstraintSet
 from repro.core.infer_access import infer_access_controls
@@ -33,32 +33,31 @@ from repro.lang.program import Program
 from repro.obs import span
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpexOptions:
-    """Inference knobs; defaults follow the paper."""
+    """Inference knobs; defaults follow the paper.  The ablation
+    benchmarks sweep both; the taint bounds are constants of
+    `repro.analysis.engine`."""
 
     maybelief_threshold: float = 0.75  # §2.2.4
     value_rel_transit_hops: int = 1  # §2.2.5, "one intermediate variable"
-    taint: TaintOptions = field(default_factory=TaintOptions)
-    # Disabling passes supports the ablation benchmarks.
-    enable_types: bool = True
-    enable_ranges: bool = True
-    enable_control_deps: bool = True
-    enable_value_rels: bool = True
-    enable_access_controls: bool = True
 
     def fingerprint(self) -> str:
-        """Stable content hash of every inference knob.
+        """Stable content hash of every inference knob, computed once
+        per instance (the options are frozen).
 
         Two option sets with the same fingerprint produce the same
         constraints for the same program, so the fingerprint is the
         options component of the pipeline's inference-cache key
-        (`repro.pipeline.cache`).  `asdict` recurses into nested
-        option dataclasses (e.g. `TaintOptions`), so new knobs
-        automatically invalidate old cache entries.
+        (`repro.pipeline.cache`).  `asdict` covers every field, so new
+        knobs automatically invalidate old cache entries.
         """
-        payload = json.dumps(asdict(self), sort_keys=True, default=repr)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        memo = self.__dict__.get("_fingerprint")
+        if memo is None:
+            payload = json.dumps(asdict(self), sort_keys=True, default=repr)
+            memo = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_fingerprint", memo)
+        return memo
 
 
 @dataclass
@@ -154,7 +153,6 @@ class SpexEngine:
             mapping.seeds,
             mapping.getters,
             knowledge=self.knowledge,
-            options=self.options.taint,
         )
         with span("spex.taint") as record:
             analysis = engine.run()
@@ -167,33 +165,26 @@ class SpexEngine:
 
         constraints = ConstraintSet(system=self.program.name)
         options = self.options
-        if options.enable_ranges:
-            # Constraints the mapping toolkits produced directly:
-            # GUC-table min/max columns and comparison-region enum
-            # ladders (the raw value token is only visible there).
-            for constraint in mapping.direct_constraints:
-                constraints.add(constraint)
-        # (span kind, enabled, pass, arguments after analysis+constraints)
+        # Constraints the mapping toolkits produced directly: GUC-table
+        # min/max columns and comparison-region enum ladders (the raw
+        # value token is only visible there).
+        for constraint in mapping.direct_constraints:
+            constraints.add(constraint)
+        # (span kind, pass, arguments after analysis+constraints)
         passes = (
-            ("basic", options.enable_types, infer_basic_types,
+            ("basic", infer_basic_types,
              (mapping.declared_types, self.knowledge)),
-            ("semantic", options.enable_types, infer_semantic_types,
-             (self.knowledge,)),
-            ("numeric_range", options.enable_ranges, infer_numeric_ranges,
-             (self.knowledge,)),
-            ("enum_range", options.enable_ranges, infer_enum_ranges,
-             (self.knowledge,)),
-            ("ctrl_dep", options.enable_control_deps, infer_control_deps,
-             (options.maybelief_threshold,)),
-            ("value_rel", options.enable_value_rels, infer_value_relationships,
+            ("semantic", infer_semantic_types, (self.knowledge,)),
+            ("numeric_range", infer_numeric_ranges, (self.knowledge,)),
+            ("enum_range", infer_enum_ranges, (self.knowledge,)),
+            ("ctrl_dep", infer_control_deps, (options.maybelief_threshold,)),
+            ("value_rel", infer_value_relationships,
              (options.value_rel_transit_hops,)),
-            ("access", options.enable_access_controls, infer_access_controls,
-             (self.knowledge,)),
+            ("access", infer_access_controls, (self.knowledge,)),
         )
-        for kind, enabled, infer, extra in passes:
-            if enabled:
-                with span(f"spex.infer.{kind}"):
-                    infer(analysis, constraints, *extra)
+        for kind, infer, extra in passes:
+            with span(f"spex.infer.{kind}"):
+                infer(analysis, constraints, *extra)
 
         parameters = {
             p for p in analysis.parameters if not p.startswith("__SPEX_")

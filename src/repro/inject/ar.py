@@ -122,9 +122,6 @@ class ConfigAR:
                 return entry.lineno
         return None
 
-    def names(self) -> list[str]:
-        return [e.name for e in self.entries]
-
     def serialize(self) -> str:
         """Render back to config-file text (comments preserved in
         their original relative order before entries added later)."""

@@ -66,9 +66,6 @@ class Misconfiguration:
     def primary_param(self) -> str:
         return self.settings[0][0]
 
-    def params(self) -> list[str]:
-        return [name for name, _ in self.settings]
-
 
 @dataclass(frozen=True)
 class MisconfigurationBatch:

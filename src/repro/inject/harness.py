@@ -79,12 +79,6 @@ class InjectionHarness:
     # shared across harnesses (campaign + fleet agreement) when
     # given, the harness's own otherwise.
     snapshot_cache: SnapshotCache = field(default_factory=SnapshotCache)
-    # Memo of `options.fingerprint()`: the options are fixed for the
-    # harness's lifetime and the digest sits on the per-launch hot
-    # path (do not mutate `options` after the first launch).
-    _options_fingerprint: str | None = field(
-        default=None, init=False, repr=False
-    )
 
     # -- low-level runs ------------------------------------------------------
 
@@ -126,7 +120,7 @@ class InjectionHarness:
             requests=requests,
             stats=self.snapshot_cache.boot_stats,
             hint=self.snapshot_cache.hint_for(
-                self.system.name, self._options_fingerprint
+                self.system.name, self.options.fingerprint()
             ),
         )
 
@@ -139,12 +133,10 @@ class InjectionHarness:
         """This config's boot record in the launch store.  A lookup
         like any launch's: the record is created, and counted a miss,
         when the config has none yet."""
-        if self._options_fingerprint is None:
-            self._options_fingerprint = self.options.fingerprint()
         key = snapshot_fingerprint(
             self.system.name,
             config_text,
-            self._options_fingerprint,
+            self.options.fingerprint(),
             argv=tuple(argv),
         )
         return self.snapshot_cache.record_for(key)

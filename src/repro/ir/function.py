@@ -21,13 +21,6 @@ class BasicBlock:
             return self.instructions[-1]
         return None
 
-    @property
-    def body(self) -> list[Instruction]:
-        """Instructions excluding the terminator."""
-        if self.terminator is not None:
-            return self.instructions[:-1]
-        return self.instructions
-
     def successors(self) -> list[str]:
         term = self.terminator
         return term.successors() if term is not None else []
@@ -49,13 +42,6 @@ class IRFunction:
     blocks: dict[str, BasicBlock] = field(default_factory=dict)
     entry_label: str = "entry"
     locals: dict[str, Variable] = field(default_factory=dict)
-
-    @property
-    def entry(self) -> BasicBlock:
-        return self.blocks[self.entry_label]
-
-    def block(self, label: str) -> BasicBlock:
-        return self.blocks[label]
 
     def block_order(self) -> list[BasicBlock]:
         """Blocks in insertion order (deterministic)."""

@@ -39,10 +39,6 @@ class Const(Operand):
             return repr(self.value)
         return str(self.value)
 
-    @property
-    def is_string(self) -> bool:
-        return isinstance(self.value, str)
-
 
 @dataclass(frozen=True)
 class Variable(Operand):
@@ -58,11 +54,6 @@ class Variable(Operand):
         if self.kind == "global":
             return f"@{self.name}"
         return f"%{self.name}"
-
-    @property
-    def key(self) -> tuple[str, str]:
-        """Stable identity for taint maps."""
-        return (self.scope, self.name)
 
 
 @dataclass(frozen=True)

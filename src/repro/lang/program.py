@@ -99,27 +99,6 @@ class Program:
             raise SemanticError(f"undefined struct {name!r}")
         return self.structs[name]
 
-    def field_type(self, struct: ct.StructType, field_name: str) -> ct.CType:
-        sdef = self.struct_def(struct.name)
-        ftype = sdef.field_type(field_name)
-        if ftype is None:
-            raise SemanticError(
-                f"struct {struct.name!r} has no field {field_name!r}"
-            )
-        return ftype
-
-    def source_file(self, filename: str) -> SourceFile | None:
-        for f in self.files:
-            if f.name == filename:
-                return f
-        return None
-
     def count_code_lines(self) -> int:
         """Whole-program LoC (used for Table 4)."""
         return sum(f.count_code_lines() for f in self.files)
-
-    def snippet(self, filename: str, line: int, context: int = 1) -> str:
-        source = self.source_file(filename)
-        if source is None:
-            return ""
-        return source.snippet(line, context)

@@ -41,26 +41,6 @@ class SourceFile:
     def __post_init__(self) -> None:
         self._lines = self.text.splitlines()
 
-    @property
-    def line_count(self) -> int:
-        return len(self._lines)
-
-    def line(self, lineno: int) -> str:
-        """Return the 1-based line, or '' when out of range."""
-        if 1 <= lineno <= len(self._lines):
-            return self._lines[lineno - 1]
-        return ""
-
-    def snippet(self, lineno: int, context: int = 1) -> str:
-        """Return the line plus `context` lines either side, numbered."""
-        lo = max(1, lineno - context)
-        hi = min(self.line_count, lineno + context)
-        rows = []
-        for n in range(lo, hi + 1):
-            marker = ">" if n == lineno else " "
-            rows.append(f"{marker}{n:5d} | {self.line(n)}")
-        return "\n".join(rows)
-
     def count_code_lines(self) -> int:
         """Count non-blank, non-comment-only lines (the LoC metric)."""
         count = 0

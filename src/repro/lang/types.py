@@ -178,9 +178,6 @@ CHAR = IntType(8)
 SHORT = IntType(16)
 INT = IntType(32)
 LONG = IntType(64)
-UCHAR = IntType(8, signed=False)
-USHORT = IntType(16, signed=False)
-UINT = IntType(32, signed=False)
 ULONG = IntType(64, signed=False)
 FLOAT = FloatType(32)
 DOUBLE = FloatType(64)

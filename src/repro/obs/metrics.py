@@ -152,12 +152,6 @@ class MetricsRegistry:
                 hist["count"] += incoming["count"]
                 hist["sum"] += incoming["sum"]
 
-    def clear(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-
 
 def metrics_delta(before: dict, after: dict) -> dict:
     """What happened between two snapshots, as an absorbable delta.

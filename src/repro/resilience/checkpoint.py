@@ -11,8 +11,7 @@ computes a different run key and can never resurrect a stale shard.
 Writes are atomic (temp file + ``os.replace``) and every payload is
 framed with its own sha256, verified on load: a torn or corrupted
 file reads as *missing*, so the worst a crashed writer can do is cost
-a recompute.  Concurrent writers of the same shard are safe — they
-write identical content and the last rename wins.
+a recompute.
 
 Usage::
 
@@ -29,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import tempfile
 from pathlib import Path
 
 _MAGIC = b"RPCKPT1\n"
@@ -39,7 +39,15 @@ def _digest(data: bytes) -> str:
 
 
 class CheckpointStore:
-    """Atomic, digest-verified shard checkpoints under one directory."""
+    """Atomic, digest-verified shard checkpoints under one directory.
+
+    Concurrent writers - threads or processes, of one shard or of many
+    - may assume that every ``save`` succeeds and that a ``load`` sees
+    some writer's complete payload or none, never a mix: each call
+    writes its own temp file, and the last ``os.replace`` wins.  Two
+    writers of one shard run the same shard (a timed-out thread shard
+    and its retry), so either payload is the shard's result.
+    """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
@@ -56,11 +64,18 @@ class CheckpointStore:
         path = self._shard_path(run_key, shard_key)
         path.parent.mkdir(parents=True, exist_ok=True)
         body = _MAGIC + _digest(payload).encode("ascii") + b"\n" + payload
-        # pid-tagged temp name: concurrent savers (thread or process
-        # workers) never collide, and os.replace is atomic on POSIX.
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_bytes(body)
-        os.replace(tmp, path)
+        # A temp name unique per call (threads share a pid), published
+        # by os.replace, which is atomic on POSIX.
+        fd, tmp = tempfile.mkstemp(
+            dir=path.parent, prefix=f"{path.name}.", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(body)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def load(self, run_key: str, shard_key: str) -> bytes | None:
         """The shard's payload, or None when missing/torn/corrupted."""

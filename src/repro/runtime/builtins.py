@@ -21,23 +21,16 @@ from repro.runtime.faults import (
 from repro.runtime.values import (
     ArrayValue,
     SparseArrayValue,
-    BoxSlot,
     FileHandle,
     Pointer,
-    truthy,
 )
 
 ERANGE = 34
 ENOENT = 2
 EISDIR = 21
 EACCES = 13
-EADDRINUSE = 98
-EINVAL = 22
 
-LONG_MAX = (1 << 63) - 1
-LONG_MIN = -(1 << 63)
 INT_MAX = (1 << 31) - 1
-INT_MIN = -(1 << 31)
 
 # Written into sscanf targets that fail to convert: C leaves them as
 # stack garbage, we use a recognizable poison value.
@@ -192,24 +185,11 @@ def _strlen(interp, args, loc):
     return len(_as_str(args[0], loc, "strlen argument"))
 
 
-@register("strdup")
-def _strdup(interp, args, loc):
-    return _as_str(args[0], loc)
-
-
 @register("strchr")
 def _strchr(interp, args, loc):
     s = _as_str(args[0], loc)
     c = chr(_as_int(args[1], loc) & 0xFF)
     idx = s.find(c)
-    return None if idx < 0 else s[idx:]
-
-
-@register("strrchr")
-def _strrchr(interp, args, loc):
-    s = _as_str(args[0], loc)
-    c = chr(_as_int(args[1], loc) & 0xFF)
-    idx = s.rfind(c)
     return None if idx < 0 else s[idx:]
 
 
@@ -232,11 +212,6 @@ def _str_token(interp, args, loc):
     return None
 
 
-@register("str_token_count")
-def _str_token_count(interp, args, loc):
-    return len(_as_str(args[0], loc).split())
-
-
 @register("str_trim")
 def _str_trim(interp, args, loc):
     return _as_str(args[0], loc).strip()
@@ -252,19 +227,9 @@ def _str_substr(interp, args, loc):
     return s[start : start + max(0, length)]
 
 
-@register("str_concat")
-def _str_concat(interp, args, loc):
-    return _as_str(args[0], loc) + _as_str(args[1], loc)
-
-
 @register("str_lower")
 def _str_lower(interp, args, loc):
     return _as_str(args[0], loc).lower()
-
-
-@register("str_upper")
-def _str_upper(interp, args, loc):
-    return _as_str(args[0], loc).upper()
 
 
 @register("toupper")
@@ -283,30 +248,6 @@ def _tolower(interp, args, loc):
 def _isdigit(interp, args, loc):
     c = _as_int(args[0], loc)
     return 1 if chr(c & 0xFF).isdigit() else 0
-
-
-@register("isalpha")
-def _isalpha(interp, args, loc):
-    c = _as_int(args[0], loc)
-    return 1 if chr(c & 0xFF).isalpha() else 0
-
-
-@register("isspace")
-def _isspace(interp, args, loc):
-    c = _as_int(args[0], loc)
-    return 1 if chr(c & 0xFF).isspace() else 0
-
-
-@register("islower")
-def _islower(interp, args, loc):
-    c = _as_int(args[0], loc)
-    return 1 if chr(c & 0xFF).islower() else 0
-
-
-@register("isupper")
-def _isupper(interp, args, loc):
-    c = _as_int(args[0], loc)
-    return 1 if chr(c & 0xFF).isupper() else 0
 
 
 # ---------------------------------------------------------------------------
@@ -330,25 +271,6 @@ def _atoi(interp, args, loc):
     if value > INT_MAX:
         value -= 1 << 32
     return value
-
-
-@register("atol")
-def _atol(interp, args, loc):
-    s = _as_str(args[0], loc, "atol argument")
-    m = _INT_PREFIX_RE.match(s)
-    if not m:
-        return 0
-    value = int(m.group(1)) & 0xFFFFFFFFFFFFFFFF
-    if value > LONG_MAX:
-        value -= 1 << 64
-    return value
-
-
-@register("atof")
-def _atof(interp, args, loc):
-    s = _as_str(args[0], loc, "atof argument")
-    m = _FLOAT_PREFIX_RE.match(s)
-    return float(m.group(1)) if m else 0.0
 
 
 def _strtol_impl(interp, args, loc, bits):
@@ -412,26 +334,6 @@ def _strtol(interp, args, loc):
 @register("strtoll")
 def _strtoll(interp, args, loc):
     return _strtol_impl(interp, args, loc, 64)
-
-
-@register("strtoul")
-def _strtoul(interp, args, loc):
-    value = _strtol_impl(interp, args, loc, 64)
-    return value & 0xFFFFFFFFFFFFFFFF
-
-
-@register("strtod")
-def _strtod(interp, args, loc):
-    s = _as_str(args[0], loc)
-    endp = args[1] if len(args) > 1 else None
-    m = _FLOAT_PREFIX_RE.match(s)
-    if not m:
-        if isinstance(endp, Pointer):
-            endp.store(interp, s, loc)
-        return 0.0
-    if isinstance(endp, Pointer):
-        endp.store(interp, s[m.end() :], loc)
-    return float(m.group(1))
 
 
 @register("sscanf")
@@ -499,13 +401,6 @@ def _sprintf(interp, args, loc):
     return c_format(fmt, list(args[1:]))
 
 
-@register("snprintf")
-def _snprintf(interp, args, loc):
-    n = _as_int(args[0], loc)
-    fmt = _as_str(args[1], loc)
-    return c_format(fmt, list(args[2:]))[: max(0, n)]
-
-
 # ---------------------------------------------------------------------------
 # stdio / logging
 # ---------------------------------------------------------------------------
@@ -528,46 +423,11 @@ def _fprintf(interp, args, loc):
     return len(text)
 
 
-@register("puts")
-def _puts(interp, args, loc):
-    interp.os.log("stdout", _as_str(args[0], loc))
-    return 0
-
-
-@register("fputs")
-def _fputs(interp, args, loc):
-    _write_stream(interp, args[1], _as_str(args[0], loc), loc)
-    return 0
-
-
-@register("perror")
-def _perror(interp, args, loc):
-    prefix = _as_str(args[0], loc)
-    interp.os.log("stderr", f"{prefix}: {_errno_text(interp.errno)}")
-    return 0
-
-
-@register("strerror")
-def _strerror(interp, args, loc):
-    return _errno_text(_as_int(args[0], loc))
-
-
 @register("syslog")
 def _syslog(interp, args, loc):
     fmt = _as_str(args[1], loc, "syslog format")
     interp.os.log("syslog", c_format(fmt, list(args[2:])))
     return 0
-
-
-def _errno_text(code: int) -> str:
-    return {
-        ENOENT: "No such file or directory",
-        EISDIR: "Is a directory",
-        EACCES: "Permission denied",
-        EADDRINUSE: "Address already in use",
-        EINVAL: "Invalid argument",
-        ERANGE: "Numerical result out of range",
-    }.get(code, f"Unknown error {code}")
 
 
 def _write_stream(interp, stream, text, loc):
@@ -589,12 +449,10 @@ def _write_stream(interp, stream, text, loc):
 # Files
 # ---------------------------------------------------------------------------
 
-O_RDONLY = 0
 O_WRONLY = 1
 O_RDWR = 2
 O_CREAT = 64
 O_TRUNC = 512
-O_APPEND = 1024
 
 
 @register("open")
@@ -688,18 +546,6 @@ def _fgets(interp, args, loc):
     return line
 
 
-@register("fread_all")
-def _fread_all(interp, args, loc):
-    handle = _handle_from(interp, args[0], loc)
-    if handle is None:
-        raise SegmentationFault("fread_all on NULL/invalid stream", loc)
-    if handle.is_dir:
-        interp.errno = EISDIR
-        return None
-    node = interp.os.lookup(handle.path)
-    return node.content if node else None
-
-
 @register("fwrite_str")
 def _fwrite_str(interp, args, loc):
     handle = _handle_from(interp, args[0], loc)
@@ -747,11 +593,6 @@ def _access(interp, args, loc):
     return 0
 
 
-@register("file_exists")
-def _file_exists(interp, args, loc):
-    return 1 if interp.os.exists(_as_str(args[0], loc)) else 0
-
-
 @register("is_directory")
 def _is_directory(interp, args, loc):
     node = interp.os.lookup(_as_str(args[0], loc))
@@ -765,28 +606,6 @@ def _stat_size(interp, args, loc):
         interp.errno = ENOENT
         return -1
     return len(node.content)
-
-
-@register("mkdir")
-def _mkdir(interp, args, loc):
-    path = _as_str(args[0], loc)
-    if interp.os.exists(path):
-        return -1
-    if not interp.os.parent_exists(path):
-        interp.errno = ENOENT
-        return -1
-    interp.os.add_dir(path)
-    return 0
-
-
-@register("unlink")
-def _unlink(interp, args, loc):
-    path = _as_str(args[0], loc)
-    if interp.os.exists(path):
-        del interp.os.files[path]
-        return 0
-    interp.errno = ENOENT
-    return -1
 
 
 @register("chmod")
@@ -860,32 +679,9 @@ def _listen(interp, args, loc):
     return 0
 
 
-@register("setsockopt")
-def _setsockopt(interp, args, loc):
-    return 0
-
-
-@register("connect_to")
-def _connect_to(interp, args, loc):
-    host = _as_str(args[0], loc, "connect host")
-    port = _as_int(args[1], loc)
-    if interp.os.resolve_host(host) is None:
-        interp.errno = EINVAL
-        return -1
-    if port <= 0 or port > 65535:
-        interp.errno = EINVAL
-        return -1
-    return interp.next_fd()
-
-
 @register("htons")
 def _htons(interp, args, loc):
     return _as_int(args[0], loc) & 0xFFFF
-
-
-@register("htonl")
-def _htonl(interp, args, loc):
-    return _as_int(args[0], loc) & 0xFFFFFFFF
 
 
 @register("inet_addr")
@@ -900,14 +696,6 @@ def _inet_addr(interp, args, loc):
     return value
 
 
-@register("inet_pton")
-def _inet_pton(interp, args, loc):
-    text = _as_str(args[1], loc) if len(args) > 1 else _as_str(args[0], loc)
-    parts = text.split(".")
-    ok = len(parts) == 4 and all(p.isdigit() and int(p) <= 255 for p in parts)
-    return 1 if ok else 0
-
-
 @register("gethostbyname")
 def _gethostbyname(interp, args, loc):
     return interp.os.resolve_host(_as_str(args[0], loc))
@@ -917,12 +705,6 @@ def _gethostbyname(interp, args, loc):
 def _getpwnam(interp, args, loc):
     name = _as_str(args[0], loc, "getpwnam argument")
     return name if name in interp.os.users else None
-
-
-@register("getgrnam")
-def _getgrnam(interp, args, loc):
-    name = _as_str(args[0], loc, "getgrnam argument")
-    return name if name in interp.os.groups else None
 
 
 # ---------------------------------------------------------------------------
@@ -976,16 +758,6 @@ def _malloc(interp, args, loc):
     return _allocate(_as_int(args[0], loc))
 
 
-@register("calloc")
-def _calloc(interp, args, loc):
-    return _allocate(_as_int(args[0], loc) * _as_int(args[1], loc))
-
-
-@register("free")
-def _free(interp, args, loc):
-    return 0
-
-
 @register("memset")
 def _memset(interp, args, loc):
     target = args[0]
@@ -1015,42 +787,9 @@ def _exit(interp, args, loc):
     raise ExitProcess(_as_int(args[0], loc) if args else 0)
 
 
-@register("_exit")
-def _exit_raw(interp, args, loc):
-    raise ExitProcess(_as_int(args[0], loc) if args else 0)
-
-
 @register("abort")
 def _abort(interp, args, loc):
     raise AbortFault("abort() called", loc)
-
-
-@register("getpid")
-def _getpid(interp, args, loc):
-    return 4242
-
-
-@register("daemonize")
-def _daemonize(interp, args, loc):
-    return 0
-
-
-@register("signal")
-def _signal(interp, args, loc):
-    return 0
-
-
-@register("rand")
-def _rand(interp, args, loc):
-    interp.rand_state = (interp.rand_state * 1103515245 + 12345) & 0x7FFFFFFF
-    return interp.rand_state
-
-
-@register("assert_nonnull")
-def _assert_nonnull(interp, args, loc):
-    if not truthy(args[0]):
-        raise AbortFault("assertion failed: non-null expected", loc)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -1067,9 +806,3 @@ def _recv_request(interp, args, loc):
 def _send_response(interp, args, loc):
     interp.os.send_response(_as_str(args[0], loc, "send_response argument"))
     return 0
-
-
-@register("box_new")
-def _box_new(interp, args, loc):
-    """Allocate one scalar cell and return a pointer to it."""
-    return Pointer(BoxSlot(args[0] if args else 0))

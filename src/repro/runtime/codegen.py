@@ -106,6 +106,7 @@ from repro.runtime.faults import (
     StackOverflowFault,
 )
 from repro.runtime.interpreter import (
+    MAX_CALL_DEPTH,
     Frame,
     InterpreterError,
     _BreakSignal,
@@ -624,7 +625,7 @@ class _FunctionEmitter:
         params = tuple((p.name, p.type) for p in fn.params)
         self.w(0, f"def _fn_{fname}(rt, args):")
         self.w(1, "frames = rt.frames")
-        self.w(1, "if len(frames) >= rt._max_call_depth:")
+        self.w(1, f"if len(frames) >= {MAX_CALL_DEPTH}:")
         self.w(
             2,
             f"raise StackOverflowFault({f'call depth exceeded in {fname}'!r},"

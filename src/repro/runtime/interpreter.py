@@ -101,14 +101,16 @@ class _ReturnSignal(Exception):
         super().__init__("return")
 
 
-@dataclass
+# Each MiniC frame costs several Python frames; 100 keeps us safely
+# inside CPython's default recursion limit while still letting runaway
+# recursion manifest as a SIGSEGV-style fault.
+MAX_CALL_DEPTH = 100
+
+
+@dataclass(frozen=True)
 class InterpreterOptions:
     max_steps: int = 2_000_000
     max_virtual_seconds: float = 600.0
-    # Each MiniC frame costs several Python frames; 100 keeps us safely
-    # inside CPython's default recursion limit while still letting
-    # runaway recursion manifest as a SIGSEGV-style fault.
-    max_call_depth: int = 100
     # Which launch engine executes function bodies (one of `ENGINES`):
     # "codegen", the default, lowers the AST once into generated
     # Python source compiled with `compile()`/`exec`
@@ -136,15 +138,20 @@ class InterpreterOptions:
             )
 
     def fingerprint(self) -> str:
-        """Stable content hash of every execution knob.
+        """Stable content hash of every execution knob, computed once
+        per instance (the options are frozen).
 
         Two option sets with the same fingerprint run a program
         identically, so the fingerprint is the options component of
         the boot-record key (`repro.runtime.snapshot`).  `asdict`
-        recurses, so new knobs automatically yield new keys.
+        covers every field, so new knobs automatically yield new keys.
         """
-        payload = json.dumps(asdict(self), sort_keys=True, default=repr)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        memo = self.__dict__.get("_fingerprint")
+        if memo is None:
+            payload = json.dumps(asdict(self), sort_keys=True, default=repr)
+            memo = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_fingerprint", memo)
+        return memo
 
 
 @dataclass(slots=True)
@@ -164,7 +171,6 @@ class Interpreter:
         "plan",
         "_invokes",
         "_max_steps",
-        "_max_call_depth",
         "globals",
         "global_types",
         "statics",
@@ -173,7 +179,6 @@ class Interpreter:
         "fd_table",
         "_fd_counter",
         "errno",
-        "rand_state",
         "steps",
         "_field_type_tables",
     )
@@ -191,7 +196,6 @@ class Interpreter:
         "fd_table",
         "_fd_counter",
         "errno",
-        "rand_state",
         "steps",
         "os",
     )
@@ -216,7 +220,6 @@ class Interpreter:
         self.fd_table: dict[int, FileHandle] = {}
         self._fd_counter = 2
         self.errno = 0
-        self.rand_state = 123456789
         self.steps = 0
         self._init_streams()
         self._init_globals()
@@ -224,14 +227,13 @@ class Interpreter:
     def _bind_plan(self, plan) -> None:
         """Attach a `CodegenPlan` (or None for tree-walking).
 
-        `_max_steps` is memoized off the options because the budget
-        check sits on the per-statement hot path of both engines; the
-        options must not be mutated after construction.
+        `_max_steps` is memoized off the (frozen) options because the
+        budget check sits on the per-statement hot path of both
+        engines.
         """
         self.plan = plan
         self._invokes = plan.invokes if plan is not None else {}
         self._max_steps = self.options.max_steps
-        self._max_call_depth = self.options.max_call_depth
 
     # -- snapshot support ---------------------------------------------------
 
@@ -381,7 +383,7 @@ class Interpreter:
             # Codegen engine: the generated function owns the whole
             # invoke protocol (depth check, frame, binding, coercion).
             return invoke(self, args)
-        if len(self.frames) >= self._max_call_depth:
+        if len(self.frames) >= MAX_CALL_DEPTH:
             raise StackOverflowFault(
                 f"call depth exceeded in {fn.name}", fn.location
             )

@@ -86,6 +86,7 @@ from repro.lang.source import Location
 from repro.runtime.codegen import CodegenPlan, codegen_plan_for
 from repro.runtime.faults import ExitProcess, StackOverflowFault
 from repro.runtime.interpreter import (
+    MAX_CALL_DEPTH,
     Frame,
     Interpreter,
     InterpreterOptions,
@@ -98,7 +99,6 @@ from repro.runtime.os_model import EmulatedOS, FileNode, LogRecord
 from repro.runtime.process import ProcessResult, capture_outcome
 from repro.runtime.values import (
     ArrayValue,
-    BoxSlot,
     ElemSlot,
     ErrnoSlot,
     FieldSlot,
@@ -383,14 +383,6 @@ def _copy_elem_slot(obj, memo):
     return new
 
 
-def _copy_box_slot(obj, memo):
-    new = BoxSlot.__new__(BoxSlot)
-    memo[id(obj)] = new
-    new.value = _copy_value(obj.value, memo)
-    new.declared_type = obj.declared_type
-    return new
-
-
 def _copy_pointer(obj, memo):
     if _shareable_type(type(obj.slot)):
         return obj  # a named slot: the pointer is immutable
@@ -434,7 +426,6 @@ _COPIERS = {
     VarSlot: _copy_var_slot,
     FieldSlot: _copy_field_slot,
     ElemSlot: _copy_elem_slot,
-    BoxSlot: _copy_box_slot,
     Pointer: _copy_pointer,
     FileHandle: _copy_file_handle,
     EmulatedOS: _copy_os,
@@ -450,7 +441,6 @@ _SCAN_FIELDS = {
     VarSlot: ("env",),
     FieldSlot: ("base",),
     ElemSlot: ("base",),
-    BoxSlot: ("value",),
     Pointer: ("slot",),
     FileHandle: (),
 }
@@ -893,7 +883,7 @@ def _main_args(main: FunctionDef, argv: list[str] | None) -> list:
 
 def _push_main_frame(interp: Interpreter, main: FunctionDef, args: list) -> None:
     """`call_function`'s prologue for main, verbatim."""
-    if len(interp.frames) >= interp._max_call_depth:
+    if len(interp.frames) >= MAX_CALL_DEPTH:
         raise StackOverflowFault(
             f"call depth exceeded in {main.name}", main.location
         )

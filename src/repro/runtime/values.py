@@ -230,20 +230,6 @@ class ElemSlot(Slot):
         self.base.set(self.index, value, location)
 
 
-@dataclass
-class BoxSlot(Slot):
-    """Anonymous heap cell (malloc'd scalar, out-param target)."""
-
-    value: object = None
-    declared_type: ct.CType | None = None
-
-    def get(self, rt, location: Location | None = None) -> object:
-        return self.value
-
-    def set(self, rt, value: object, location: Location | None = None) -> None:
-        self.value = coerce(self.declared_type, value)
-
-
 @dataclass(frozen=True)
 class Pointer:
     """A typed pointer to a slot (or NULL, represented by None overall);

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import AnalysisResult, GlobalSeed, ParamSeed, TaintEngine
+from repro.analysis.engine import MAX_ROUNDS
 from repro.core import SpexEngine
 from repro.ir import build_ir
 from repro.lang.program import Program
@@ -34,7 +35,7 @@ def round_loop(engine: TaintEngine) -> AnalysisResult:
     for seed in engine.global_seeds:
         loc = ("global", seed.var, seed.path)
         engine.global_labels.setdefault(loc, {})[seed.param] = 0
-    for _round in range(engine.options.max_rounds):
+    for _round in range(MAX_ROUNDS):
         engine.summaries = {}
         before_events = len(engine.events)
         before_globals = {k: dict(v) for k, v in engine.global_labels.items()}
@@ -59,7 +60,6 @@ def twin(engine: TaintEngine) -> TaintEngine:
         engine.global_seeds + engine.param_seeds,
         list(engine.getters.values()),
         knowledge=engine.knowledge,
-        options=engine.options,
     )
 
 

@@ -8,7 +8,7 @@ permission mode", and when the identity is itself configuration the
 constraint records the pairing.
 """
 
-from repro.core import SpexEngine, SpexOptions
+from repro.core import SpexEngine
 from repro.core.accuracy import score_accuracy, truth_access
 from repro.core.constraints import AccessControlConstraint
 from repro.lang.program import Program
@@ -49,9 +49,9 @@ int startup() {
 """
 
 
-def run_spex(source, annotations=ANNOTATIONS, options=None):
+def run_spex(source, annotations=ANNOTATIONS):
     program = Program.from_sources({"system.c": source})
-    return SpexEngine(program, annotations, options=options).run()
+    return SpexEngine(program, annotations).run()
 
 
 def access_controls(report):
@@ -132,12 +132,6 @@ class TestInference:
             """
         )
         assert by_identity(report) == {("data_dir", "read", "user")}
-
-    def test_pass_can_be_disabled(self):
-        options = SpexOptions(enable_access_controls=False)
-        report = run_spex(PAIRED_SOURCE, options=options)
-        assert access_controls(report) == []
-        assert report.constraint_counts()["access_control"] == 0
 
     def test_counts_surface_in_report(self):
         report = run_spex(PAIRED_SOURCE)

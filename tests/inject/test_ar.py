@@ -15,7 +15,7 @@ class TestKeyValueDialect:
         ar = ConfigAR.parse("a=1\nb=2\n", KeyValueDialect("="))
         ar.set("a", "9")
         assert ar.get("a") == "9"
-        assert ar.names() == ["a", "b"]
+        assert [e.name for e in ar.entries] == ["a", "b"]
 
     def test_set_appends_new(self):
         ar = ConfigAR.parse("a=1\n", KeyValueDialect("="))

@@ -246,7 +246,7 @@ class TestTopLevel:
             """
         )
         decl = ast.globals[0]
-        assert decl.type == ct.UINT
+        assert decl.type == ct.IntType(32, signed=False)
 
     def test_syntax_error_reports_location(self):
         with pytest.raises(ParseError) as err:

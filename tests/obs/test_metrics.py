@@ -151,18 +151,6 @@ class TestDeltaAndAbsorb:
         with pytest.raises(ValueError, match="bucket edges"):
             metrics_delta(before, after)
 
-    def test_clear_empties_every_family(self):
-        registry = MetricsRegistry()
-        registry.inc("c")
-        registry.gauge("g", 1)
-        registry.observe("h", 0.5)
-        registry.clear()
-        assert registry.snapshot() == {
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-        }
-
 
 class TestKillSwitch:
     def test_disabled_drops_counters_and_histograms_not_gauges(self):

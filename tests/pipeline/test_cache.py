@@ -3,6 +3,7 @@ takes home, and key sensitivity to every component of the content
 fingerprint."""
 
 import ast
+import dataclasses
 import json
 from pathlib import Path
 
@@ -54,22 +55,17 @@ class TestSpexFingerprint:
         )
 
     def test_changed_options_change_key(self):
-        ablated = SpexOptions(enable_value_rels=False)
-        assert spex_fingerprint(
-            SOURCES, ANNOTATIONS, SpexOptions()
-        ) != spex_fingerprint(SOURCES, ANNOTATIONS, ablated)
+        base = spex_fingerprint(SOURCES, ANNOTATIONS, SpexOptions())
+        for ablated in (
+            SpexOptions(maybelief_threshold=0.5),
+            SpexOptions(value_rel_transit_hops=2),
+        ):
+            assert spex_fingerprint(SOURCES, ANNOTATIONS, ablated) != base
 
     def test_source_and_annotation_boundary_is_part_of_the_key(self):
         assert spex_fingerprint({"a.c": "xy"}, "") != spex_fingerprint(
             {"a.c": "x"}, "y"
         )
-
-    def test_nested_taint_options_change_key(self):
-        deeper = SpexOptions()
-        deeper.taint.max_rounds += 1
-        assert spex_fingerprint(
-            SOURCES, ANNOTATIONS, SpexOptions()
-        ) != spex_fingerprint(SOURCES, ANNOTATIONS, deeper)
 
 
 class TestContentKey:
@@ -137,7 +133,8 @@ class TestInferenceCache:
         cache = InferenceCache()
         system = get_system("apache")
         Campaign(system, inference_cache=cache).run_spex()
-        ablated = SpexOptions(enable_control_deps=False)
+        # A threshold no belief reaches: no control dependency survives.
+        ablated = SpexOptions(maybelief_threshold=1.01)
         report = Campaign(
             system, spex_options=ablated, inference_cache=cache
         ).run_spex()
@@ -267,6 +264,12 @@ class TestPipelineCaches:
         fingerprint = SpexOptions().fingerprint()
         assert len(fingerprint) == 64
         int(fingerprint, 16)  # raises if not hex
+
+    def test_options_are_frozen_and_hashed_once(self):
+        options = SpexOptions()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            options.maybelief_threshold = 0.5
+        assert options.fingerprint() is options.fingerprint()
 
 
 def _runtime_imports(path: Path) -> set[str]:

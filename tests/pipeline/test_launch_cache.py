@@ -4,6 +4,8 @@ lookup accounting (a harness given no store accounts in its own),
 slimmed startup results, and campaign parity between a shared store
 and a campaign's own."""
 
+import dataclasses
+
 import pytest
 
 from repro.inject.campaign import Campaign
@@ -49,6 +51,14 @@ class TestLaunchFingerprint:
         fingerprint = InterpreterOptions().fingerprint()
         assert len(fingerprint) == 64
         int(fingerprint, 16)  # raises if not hex
+
+    def test_interpreter_options_are_frozen_and_hashed_once(self):
+        # Every harness shares one options instance, and each launch
+        # keys its boot record by the fingerprint.
+        options = InterpreterOptions()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            options.max_steps = 1
+        assert options.fingerprint() is options.fingerprint()
 
 
 class TestHarnessLaunchCaching:

@@ -2,6 +2,7 @@
 digest-verified reads, content addressing."""
 
 import os
+import threading
 
 from repro.resilience import CheckpointStore
 
@@ -95,13 +96,40 @@ class TestAtomicity:
         ]
         assert leftovers == []
 
-    def test_temp_name_is_pid_tagged(self, tmp_path):
-        # Concurrent savers (thread or process workers) must never
-        # collide on the temp name; the pid tag guarantees it across
-        # processes.
+    def test_thread_writers_of_one_shard_both_succeed(
+        self, tmp_path, monkeypatch
+    ):
+        # A timed-out thread shard and its retry save the same key from
+        # one process.  Both finish writing before either renames: each
+        # rename must publish a complete temp file of its own.
         store = CheckpointStore(tmp_path)
-        path = store._shard_path("run", "s")
-        assert str(os.getpid()) in f"{path.name}.{os.getpid()}.tmp"
+        barrier = threading.Barrier(2, timeout=10)
+        real_replace = os.replace
+
+        def replace_after_both_wrote(src, dst):
+            barrier.wait()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_after_both_wrote)
+        payloads = [b"first" * 50, b"second" * 50]
+        errors = []
+
+        def save(payload):
+            try:
+                store.save("run", "s", payload)
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=save, args=(p,)) for p in payloads]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert store.load("run", "s") in payloads
+        assert [p.suffix for p in tmp_path.rglob("*") if p.is_file()] == [
+            ".ckpt"
+        ]
 
 
 class TestClear:

@@ -288,7 +288,7 @@ class TestSystemParity:
         parameter of the vendor template in turn."""
         system = get_system(name)
         template = system.template_ar()
-        for param in list(template.names())[:10]:
+        for param in [e.name for e in template.entries][:10]:
             ar = template.clone()
             ar.set(param, "999999999999")
             config = ar.serialize()

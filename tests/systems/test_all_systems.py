@@ -34,7 +34,7 @@ class TestRegistry:
     def test_decoders_and_effective_locations_reference_params(self):
         for system in all_systems():
             template = system.template_ar()
-            names = set(template.names())
+            names = {e.name for e in template.entries}
             for param in system.effective_locations:
                 assert param in names, (system.name, param)
 

@@ -617,6 +617,29 @@ class TestTestOnlyApi:
         })
         assert list(flagged) == ["mod.Outer.run"]
 
+    def test_module_constants_are_checked(self, tmp_path):
+        flagged = self._flagged(tmp_path, {
+            "src/repro/consts.py": (
+                "LIMIT = 4\n"
+                "UNUSED: int = 8\n"
+                "TESTED = 16\n"
+                "lowercase_alias = len\n"
+                "_PRIVATE = 32\n"
+            ),
+            "src/repro/user.py": "from repro.consts import LIMIT\n",
+            "tests/test_consts.py": "from repro.consts import TESTED\n",
+        })
+        assert list(flagged) == ["consts.UNUSED", "consts.TESTED"]
+        assert flagged["consts.UNUSED"].startswith("nothing references")
+        assert flagged["consts.TESTED"].startswith("only tests reference")
+
+    def test_assigning_a_constant_is_not_a_use(self, tmp_path):
+        flagged = self._flagged(tmp_path, {
+            "src/repro/consts.py": "LIMIT = 4\n",
+            "src/repro/user.py": "def _reset():\n    LIMIT = 0\n    return 1\n",
+        })
+        assert list(flagged) == ["consts.LIMIT"]
+
     def test_allowlist_tracks_reality(self):
         # Every entry names a real definition that the rule would flag
         # without its entry, and carries its reason; nothing else on
@@ -633,6 +656,94 @@ class TestTestOnlyApi:
         assert {m.split("`")[1] for *_, m in unlisted} == set(
             TEST_ONLY_ALLOWLIST
         )
+
+
+class TestUnusedBuiltin:
+    """The whole-repo rule over registered builtins, on a miniature
+    repository with its own builtins module."""
+
+    BUILTINS = (
+        "REGISTRY = {}\n"
+        "def register(name):\n"
+        "    return lambda fn: REGISTRY.setdefault(name, fn)\n"
+        "@register(\"strlen\")\n"
+        "def _strlen(interp, args, loc):\n"
+        "    return 0\n"
+        "@register(\"never_called\")\n"
+        "def _never_called(interp, args, loc):\n"
+        "    return 0\n"
+    )
+
+    def _flagged(self, tmp_path: Path, files: dict[str, str]) -> list[str]:
+        from lint import find_unused_builtins
+
+        files = {"src/repro/runtime/builtins.py": self.BUILTINS, **files}
+        for rel, text in files.items():
+            path = tmp_path / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+        out = []
+        for path, _, code, message in find_unused_builtins(tmp_path):
+            assert code == "unused-builtin"
+            assert not path.is_absolute()
+            out.append(message.split("`")[1])
+        return out
+
+    def test_builtin_nothing_calls_flagged(self, tmp_path):
+        flagged = self._flagged(tmp_path, {
+            "src/repro/systems/demo.py": (
+                'SOURCE = """int main() { return strlen("x"); }"""\n'
+            ),
+        })
+        assert flagged == ["never_called"]
+
+    def test_a_call_in_any_caller_root_counts(self, tmp_path):
+        flagged = self._flagged(tmp_path, {
+            "tests/test_demo.py": 'SOURCE = "never_called (1); strlen(s);"\n',
+        })
+        assert flagged == []
+
+    def test_a_name_without_a_call_does_not_count(self, tmp_path):
+        flagged = self._flagged(tmp_path, {
+            "src/repro/knowledge.py": 'APIS = ["strlen", "never_called"]\n',
+            "tools/notes.py": 'TEXT = "strlen(s); never_called(s)"\n',
+        })
+        assert flagged == ["strlen", "never_called"]
+
+    def test_aliased_register_in_a_system_module(self, tmp_path):
+        # storage_a's idiom: the decorator imported under another name.
+        flagged = self._flagged(tmp_path, {
+            "src/repro/systems/vendor.py": (
+                "from repro.runtime.builtins import register as _reg\n"
+                "@_reg(\"vendor_call\")\n"
+                "def _vendor_call(interp, args, loc):\n"
+                "    return 0\n"
+                "@_reg(\"vendor_unused\")\n"
+                "def _vendor_unused(interp, args, loc):\n"
+                "    return 0\n"
+                'SOURCE = "strlen(s); never_called(); vendor_call(1);"\n'
+            ),
+        })
+        assert flagged == ["vendor_unused"]
+
+    def test_repo_system_builtins_are_seen(self):
+        # The real registry: the rule finds storage_a's vendor builtins
+        # (test_repo_is_clean then shows its MiniC calls them).
+        import ast
+
+        from lint import _registered_builtins
+
+        storage = REPO_ROOT / "src" / "repro" / "systems" / "storage_a.py"
+        tree = ast.parse(storage.read_text(encoding="utf-8"))
+        names = {
+            name
+            for name, _ in _registered_builtins(
+                storage, tree, REPO_ROOT / "src" / "repro"
+            )
+        }
+        assert names == {
+            "wafl_reserve", "ontap_schedule_scrub", "netapp_register_port",
+        }
 
 
 class TestExistingDetectors:
@@ -662,13 +773,13 @@ class TestExistingDetectors:
 
     def test_repo_is_clean(self):
         # The gate `make lint` enforces: every linted file is free of
-        # every per-file detector's findings, and the whole-repo rule
-        # reports nothing.
+        # every per-file detector's findings, and the whole-repo rules
+        # report nothing.
         from lint import (
             DEFAULT_PATHS,
-            find_test_only_api,
             iter_python_files,
             run_builtin,
+            run_repo_rules,
         )
 
         files = iter_python_files(
@@ -676,4 +787,4 @@ class TestExistingDetectors:
         )
         assert files
         assert run_builtin(files) == 0
-        assert find_test_only_api(REPO_ROOT) == []
+        assert run_repo_rules(REPO_ROOT) == 0

@@ -85,7 +85,22 @@ have actually bitten this codebase:
   never flags a live one.  Code that only tests call is code nobody
   uses that still has to be maintained; delete it, or name it in
   ``TEST_ONLY_ALLOWLIST`` with the reason it stays.  The rule runs
-  with the default paths only (it needs the whole tree).
+  with the default paths only (it needs the whole tree).  Public
+  upper-case module constants (``LONG_MAX``) are held to the same
+  rule; assigning a name is not a reference to it.  The rule cannot
+  see builtins (private functions reached through the registry):
+  ``unused-builtin`` covers those.  Dataclass fields need a check by
+  hand.
+* ``unused-builtin`` - a whole-repo rule: a builtin of the emulated
+  libc (a ``@register("name")`` in ``runtime/builtins.py``, or an
+  aliased ``register`` imported from it, as ``systems/storage_a.py``
+  does) that no MiniC source calls, that is, no string literal in
+  ``src/``, ``tests/``, ``examples/`` or ``benchmarks/`` contains
+  ``name(``.  The libc exists only to run the subject systems; a
+  builtin nothing calls is emulation nobody runs.  The match is
+  textual, so a word followed by a parenthesis in prose also counts
+  (``call-free (``): the rule can miss a dead builtin but never flags
+  a live one.  It runs whenever ``test-only-api`` runs.
 
 When ruff or pyflakes *is* installed, ``--external`` additionally runs
 it (ruff restricted to F-codes) for broader coverage; absence of both
@@ -624,19 +639,37 @@ _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _public_definitions(module: str, tree: ast.Module):
-    """``(dotted name, node)`` of every public module-level function or
-    class and every public method of a module-level class."""
+    """``(dotted name, name, line)`` of every public module-level
+    function, class or constant and every public method of a
+    module-level class."""
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (
+                node.targets if isinstance(node, ast.Assign) else [node.target]
+            )
+            for target in targets:
+                if isinstance(target, ast.Name) and _is_constant(target.id):
+                    yield f"{module}.{target.id}", target.id, node.lineno
+            continue
         if not isinstance(node, _DEFS):
             continue
         if not node.name.startswith("_"):
-            yield f"{module}.{node.name}", node
+            yield f"{module}.{node.name}", node.name, node.lineno
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, _FUNCTIONS) and not (
                     member.name.startswith("_")
                 ):
-                    yield f"{module}.{node.name}.{member.name}", member
+                    yield (
+                        f"{module}.{node.name}.{member.name}",
+                        member.name,
+                        member.lineno,
+                    )
+
+
+def _is_constant(name: str) -> bool:
+    """A public module constant: an upper-case name (``LONG_MAX``)."""
+    return not name.startswith("_") and name.isupper()
 
 
 def _assigns_all(node: ast.AST) -> bool:
@@ -663,10 +696,10 @@ class _References:
         else:
             self.free.add(name)
 
-    def uses(self, path: Path, node: ast.AST) -> bool:
-        place = (path, node.lineno)
-        return node.name in self.free or any(
-            place not in owners for owners in self.owned.get(node.name, ())
+    def uses(self, path: Path, name: str, line: int) -> bool:
+        place = (path, line)
+        return name in self.free or any(
+            place not in owners for owners in self.owned.get(name, ())
         )
 
     def scan(self, path: Path, tree: ast.AST, *, count_imports=True):
@@ -678,7 +711,8 @@ class _References:
 
         def visit(node: ast.AST, enclosing: tuple[ast.AST, ...]) -> None:
             if isinstance(node, ast.Name):
-                note(node.id, enclosing)
+                if not isinstance(node.ctx, ast.Store):
+                    note(node.id, enclosing)
             elif isinstance(node, ast.Attribute):
                 note(node.attr, enclosing)
             elif isinstance(node, ast.alias):
@@ -739,24 +773,91 @@ def find_test_only_api(
     for path, tree in _parse_all(root, ["src/repro"]):
         rel = path.relative_to(library).with_suffix("")
         parts = rel.parts[:-1] if rel.name == "__init__" else rel.parts
-        for dotted, node in _public_definitions(".".join(parts), tree):
-            if dotted in allowlist or used.uses(path, node):
+        module = ".".join(parts)
+        for dotted, name, line in _public_definitions(module, tree):
+            if dotted in allowlist or used.uses(path, name, line):
                 continue
             who = (
                 "only tests reference"
-                if tested.uses(path, node)
+                if tested.uses(path, name, line)
                 else "nothing references"
             )
             findings.append(
                 (
                     path.relative_to(root),
-                    node.lineno,
+                    line,
                     "test-only-api",
                     f"{who} `{dotted}` outside its own body; "
                     "delete it, or name it in TEST_ONLY_ALLOWLIST with "
                     "the reason it stays",
                 )
             )
+    return findings
+
+
+# Where a call of a builtin counts: the MiniC sources in string
+# literals (the subject systems, examples, tests and benchmarks).
+CALLER_ROOTS = ["src", "tests", "examples", "benchmarks"]
+BUILTINS_MODULE = "repro.runtime.builtins"
+_CALLED_WORD = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(")
+
+
+def _register_aliases(path: Path, tree: ast.Module, library: Path) -> set:
+    """The names that bind the builtin ``register`` decorator in a
+    library module: ``register`` inside the builtins module itself, and
+    whatever ``from repro.runtime.builtins import register [as x]``
+    binds elsewhere."""
+    if path == library / "runtime" / "builtins.py":
+        return {"register"}
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == BUILTINS_MODULE
+        for alias in node.names
+        if alias.name == "register"
+    }
+
+
+def _registered_builtins(path: Path, tree: ast.Module, library: Path):
+    """``(name, line)`` of every ``@register("name")`` in one module."""
+    aliases = _register_aliases(path, tree, library)
+    for node in ast.walk(tree):
+        if not isinstance(node, _FUNCTIONS):
+            continue
+        for deco in node.decorator_list:
+            if (
+                isinstance(deco, ast.Call)
+                and isinstance(deco.func, ast.Name)
+                and deco.func.id in aliases
+                and deco.args
+                and isinstance(deco.args[0], ast.Constant)
+                and isinstance(deco.args[0].value, str)
+            ):
+                yield deco.args[0].value, deco.lineno
+
+
+def find_unused_builtins(root: Path) -> list[tuple[Path, int, str, str]]:
+    """The ``unused-builtin`` findings for the repository at ``root``."""
+    library = root / "src" / "repro"
+    called: set[str] = set()
+    for _, tree in _parse_all(root, CALLER_ROOTS):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                called.update(_CALLED_WORD.findall(node.value))
+    findings = []
+    for path, tree in _parse_all(root, ["src/repro"]):
+        for name, line in _registered_builtins(path, tree, library):
+            if name not in called:
+                findings.append(
+                    (
+                        path.relative_to(root),
+                        line,
+                        "unused-builtin",
+                        f"no MiniC source calls the builtin `{name}`; "
+                        "delete it, or call it from the system that "
+                        "needs it",
+                    )
+                )
     return findings
 
 
@@ -791,7 +892,7 @@ def run_builtin(files: list[Path]) -> int:
 
 
 def run_repo_rules(root: Path) -> int:
-    findings = find_test_only_api(root)
+    findings = find_test_only_api(root) + find_unused_builtins(root)
     for found_path, line, code, message in findings:
         print(f"{found_path}:{line}: {code}: {message}")
     return len(findings)
