@@ -16,9 +16,9 @@ test-fast: lint
 	$(PYTHON) -m pytest -x -q -m "not bench"
 
 # AST-based dead-code + mutable-default checks (no third-party install
-# needed), plus the whole-repo rules test-only-api and unused-builtin,
-# which run when no paths are given; add LINT_EXTERNAL=1 to also run
-# ruff/pyflakes when installed.
+# needed), plus the whole-repo rules test-only-api, test-only-setting
+# and unused-builtin, which run when no paths are given; add
+# LINT_EXTERNAL=1 to also run ruff/pyflakes when installed.
 LINT_EXTERNAL ?=
 lint:
 	$(PYTHON) tools/lint.py $(if $(LINT_EXTERNAL),--external)

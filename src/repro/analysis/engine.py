@@ -575,7 +575,7 @@ class _FunctionAnalysis:
         self._set_temp(inst.dest, labels)
         if isinstance(inst.src, Temp) and inst.src.id in self.temp_origin:
             self.temp_origin[inst.dest.id] = self.temp_origin[inst.src.id]
-        if labels and inst.explicit:
+        if labels:
             self._emit(
                 CastEvent(
                     function=self.fn.name,

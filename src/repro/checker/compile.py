@@ -46,7 +46,7 @@ from repro.core.constraints import (
     SemanticTypeConstraint,
     ValueRelConstraint,
 )
-from repro.core.engine import SpexOptions, SpexReport
+from repro.core.engine import SpexReport
 from repro.inject.ar import ConfigAR, ConfigDialect
 from repro.knowledge import SemanticType
 from repro.lang import types as ct
@@ -237,37 +237,27 @@ def compile_checker(
     return checker
 
 
-def checker_for_system(
-    system: SubjectSystem,
-    options: SpexOptions | None = None,
-    caches=None,
-    env: EnvView | None = None,
-) -> CompiledChecker:
+def checker_for_system(system: SubjectSystem, caches=None) -> CompiledChecker:
     """Fetch (or infer + compile) the checker for one system.
 
     With a `PipelineCaches`, inference is served by content fingerprint
     from the shared `InferenceCache` and the compiled checker from the
     `checkers` cache, so repeated fleet runs and `check` invocations
-    never re-run SPEX for an unchanged program.
+    never re-run SPEX for an unchanged program.  The checker sees the
+    system's own emulated environment (`EnvView.from_os`).
     """
     from repro.inject.campaign import Campaign
     from repro.pipeline.cache import PipelineCaches, checker_fingerprint
 
     caches = caches or PipelineCaches()
-    spex_key = caches.inference.key_for(system, options)
+    spex_key = caches.inference.key_for(system)
     checker_key = checker_fingerprint(
         spex_key, system.default_config, repr(system.dialect)
     )
-    campaign = Campaign(
-        system,
-        spex_options=options or SpexOptions(),
-        inference_cache=caches.inference,
-    )
+    campaign = Campaign(system, inference_cache=caches.inference)
     return caches.checkers.get_or_compute(
         checker_key,
-        lambda: compile_checker(
-            campaign.run_spex(), system, env=env, spex_key=spex_key
-        ),
+        lambda: compile_checker(campaign.run_spex(), system, spex_key=spex_key),
     )
 
 

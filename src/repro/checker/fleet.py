@@ -14,13 +14,14 @@ interpreter observably misbehaves (or pinpoints the mistake) under the
 very same config.
 
 Every executor runs the one by-name shard function `_validate_chunk`
-over tasks of (system name, options, chunk range, pool digest), through
-the executor's checkpointed map (`map_checkpointed`), which resumes a
-killed run from its finished chunks.  For the duration of a run the
-parent plants each system's context (system, mistake pool, template,
-mix, compiled checker) in module state, where inline and thread shards
-and fork-started workers read it; a worker that finds none rebuilds it
-from the system name and verifies the pool digest before validating.
+over tasks of (system name, seed, mistake rate, chunk range, pool
+digest), through the executor's checkpointed map (`map_checkpointed`),
+which resumes a killed run from its finished chunks.  For the duration
+of a run the parent plants each system's context (system, mistake
+pool, template, mix, compiled checker) in module state, keyed by
+system name, where inline and thread shards and fork-started workers
+read it; a worker that finds none rebuilds it from the system name and
+verifies the pool digest before validating.
 
 Usage::
 
@@ -39,7 +40,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.accuracy import PrecisionRecall, precision_recall
-from repro.core.engine import SpexOptions
 from repro.checker.compile import CompiledChecker, checker_for_system
 from repro.checker.corpus import (
     DEFAULT_MISTAKE_RATE,
@@ -53,6 +53,7 @@ from repro.checker.corpus import (
 from repro.checker.validate import validate_config
 from repro.obs import get_registry, span
 from repro.resilience import CheckpointStore, FailedShard, RetryPolicy
+from repro.store import content_key
 
 DEFAULT_CHUNK_SIZE = 256
 
@@ -212,7 +213,6 @@ def run_fleet(
     executor: str = "serial",
     max_workers: int | None = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    spex_options: SpexOptions | None = None,
     caches=None,
     agreement_sample: int = 0,
     retry_policy: RetryPolicy | None = None,
@@ -230,15 +230,14 @@ def run_fleet(
     `repro.chaos.ChaosSchedule` injecting faults into chunk tasks;
     `checkpoint` persists every completed chunk so a killed run
     resumes from its last checkpoint — the run key content-addresses
-    the full spec (systems, size, seed, rates, option fingerprints,
-    pool digests), so a checkpoint can never leak across specs.
+    the full spec (systems, size, seed, rates, pool digests), so a
+    checkpoint can never leak across specs.
     """
     from repro.pipeline.cache import PipelineCaches
     from repro.pipeline.executor import map_checkpointed, resolve_executor
     from repro.systems.registry import iter_systems
 
     caches = caches if caches is not None else PipelineCaches()
-    options = spex_options or SpexOptions()
     chosen = resolve_executor(executor, max_workers)
     chunk_size = max(1, chunk_size)
     get_registry().inc("fleet.runs")
@@ -250,22 +249,18 @@ def run_fleet(
     shards: list[tuple[str, tuple]] = []
     with span("fleet.compile"):
         for system in iter_systems(systems):
-            context = _build_context(system, options, caches)
+            context = _build_context(system, caches)
             contexts[system.name] = context
             for start in range(0, size, chunk_size):
                 count = min(chunk_size, size - start)
                 task = (
-                    system.name, options, seed, mistake_rate, start, count,
+                    system.name, seed, mistake_rate, start, count,
                     context.digest,
                 )
                 shards.append((f"{system.name}:{start}:{count}", task))
 
-    run_key = _fleet_run_key(
-        contexts, size, seed, mistake_rate, chunk_size, options
-    )
-    options_fp = options.fingerprint()
-    planted = {(name, options_fp): c for name, c in contexts.items()}
-    _FLEET_CONTEXTS.update(planted)
+    run_key = _fleet_run_key(contexts, size, seed, mistake_rate, chunk_size)
+    _FLEET_CONTEXTS.update(contexts)
     try:
         mapped = map_checkpointed(
             chosen,
@@ -281,8 +276,8 @@ def run_fleet(
             caches=caches,
         )
     finally:
-        for key in planted:
-            _FLEET_CONTEXTS.pop(key, None)
+        for name in contexts:
+            _FLEET_CONTEXTS.pop(name, None)
 
     # Fold chunk results back in submission order (determinism) while
     # streaming per-system tallies instead of keeping every outcome.
@@ -334,18 +329,17 @@ def _fleet_run_key(
     seed: int,
     mistake_rate: float,
     chunk_size: int,
-    options: SpexOptions,
 ) -> str:
     """Content-address the full run spec: any change to the targeted
-    systems, corpus shape, seeds, inference options or mistake pools
-    yields a different key, so stale checkpoints can never fold in."""
-    digests = "|".join(
-        f"{name}:{contexts[name].digest}" for name in sorted(contexts)
-    )
-    return (
-        f"fleet|{size}|{seed}|{mistake_rate!r}|{chunk_size}|"
-        f"{options.fingerprint()}|{digests}"
-    )
+    systems, corpus shape, seeds or mistake pools yields a different
+    key, so stale checkpoints can never fold in."""
+    digests = [
+        part
+        for name in sorted(contexts)
+        for part in (name, contexts[name].digest)
+    ]
+    spec = (size, seed, repr(mistake_rate), chunk_size)
+    return content_key("fleet", *map(str, spec), *digests)
 
 
 class _SystemFold:
@@ -478,28 +472,25 @@ def ground_truth_agreement(
 
 # -- the shard function -------------------------------------------------------
 #
-# Each run plants its contexts here, keyed by (system name, options
-# fingerprint), for the duration of its fan-out; inline and thread
-# shards and fork-started pool workers read them.  A worker that finds
-# none (a spawn start method) rebuilds the context by name and keeps it
-# for the chunks it serves after, and verifies the pool digest so a
-# divergent re-inference fails loudly instead of planting different
-# mistakes.
+# Each run plants its contexts here, keyed by system name, for the
+# duration of its fan-out; inline and thread shards and fork-started
+# pool workers read them.  A worker that finds none (a spawn start
+# method) rebuilds the context by name and keeps it for the chunks it
+# serves after, and verifies the pool digest so a divergent
+# re-inference fails loudly instead of planting different mistakes.
 
-_FLEET_CONTEXTS: dict[tuple[str, str], _SystemContext] = {}
+_FLEET_CONTEXTS: dict[str, _SystemContext] = {}
 
 
-def _build_context(system, options: SpexOptions, caches) -> _SystemContext:
+def _build_context(system, caches) -> _SystemContext:
     """Compile (or fetch, content-addressed) one system's checker and
     derive its mistake pool, mix and template."""
     before = caches.checkers.stats.snapshot()
-    checker = checker_for_system(system, options, caches=caches)
+    checker = checker_for_system(system, caches=caches)
     # peek, not get: compilation already populated this entry, and the
     # footer's hit counters must reflect avoided inference runs, not
     # this bookkeeping read.
-    spex_report = caches.inference.peek(
-        caches.inference.key_for(system, options)
-    )
+    spex_report = caches.inference.peek(caches.inference.key_for(system))
     if spex_report is None:  # pragma: no cover - cache contract
         raise RuntimeError(
             f"inference result for {system.name} missing after "
@@ -517,30 +508,29 @@ def _build_context(system, options: SpexOptions, caches) -> _SystemContext:
     )
 
 
-def _fleet_context(name: str, options: SpexOptions) -> _SystemContext:
+def _fleet_context(name: str) -> _SystemContext:
     """The run's planted context for one system, or one rebuilt from
     its name on the shard's stores."""
     from repro.pipeline.executor import worker_caches
     from repro.systems.registry import get_system
 
-    key = (name, options.fingerprint())
-    context = _FLEET_CONTEXTS.get(key)
+    context = _FLEET_CONTEXTS.get(name)
     if context is None:
-        context = _build_context(get_system(name), options, worker_caches())
-        _FLEET_CONTEXTS[key] = context
+        context = _build_context(get_system(name), worker_caches())
+        _FLEET_CONTEXTS[name] = context
     return context
 
 
 def _validate_chunk(task) -> ChunkResult:
     """The fleet's one shard function, under every executor: generate
     and validate one chunk of a system's corpus, by name."""
-    name, options, seed, mistake_rate, start, count, parent_digest = task
-    context = _fleet_context(name, options)
+    name, seed, mistake_rate, start, count, parent_digest = task
+    context = _fleet_context(name)
     if context.digest != parent_digest:
         raise RuntimeError(
             f"worker rebuilt a divergent mistake pool for {name}: the "
             "plantable misconfigurations do not match what the parent "
-            "sampled from (the worker's sources or options differ)"
+            "sampled from (the worker's sources differ)"
         )
     registry = get_registry()
     registry.inc("fleet.chunks")

@@ -9,9 +9,7 @@ parameter's slice.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.analysis import AnalysisResult, TaintEngine
 from repro.core.annotations import Annotation, parse_annotations
@@ -35,29 +33,14 @@ from repro.obs import span
 
 @dataclass(frozen=True)
 class SpexOptions:
-    """Inference knobs; defaults follow the paper.  The ablation
-    benchmarks sweep both; the taint bounds are constants of
+    """Inference knobs; defaults follow the paper.  Only
+    `SpexEngine(options=)` takes them (the ablation benchmarks sweep
+    both): every campaign, checker and cache above the engine runs the
+    defaults.  The taint bounds are constants of
     `repro.analysis.engine`."""
 
     maybelief_threshold: float = 0.75  # §2.2.4
     value_rel_transit_hops: int = 1  # §2.2.5, "one intermediate variable"
-
-    def fingerprint(self) -> str:
-        """Stable content hash of every inference knob, computed once
-        per instance (the options are frozen).
-
-        Two option sets with the same fingerprint produce the same
-        constraints for the same program, so the fingerprint is the
-        options component of the pipeline's inference-cache key
-        (`repro.pipeline.cache`).  `asdict` covers every field, so new
-        knobs automatically invalidate old cache entries.
-        """
-        memo = self.__dict__.get("_fingerprint")
-        if memo is None:
-            payload = json.dumps(asdict(self), sort_keys=True, default=repr)
-            memo = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-            object.__setattr__(self, "_fingerprint", memo)
-        return memo
 
 
 @dataclass

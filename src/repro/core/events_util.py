@@ -60,17 +60,10 @@ def canonical_usages(events: list[UsageEvent]) -> list[UsageEvent]:
     )
 
 
-def usages_by_param(
-    events: list[UsageEvent], max_hops: int | None = None
-) -> dict[str, list[UsageEvent]]:
+def usages_by_param(events: list[UsageEvent]) -> dict[str, list[UsageEvent]]:
     out: dict[str, list[UsageEvent]] = defaultdict(list)
     for event in canonical_usages(events):
-        names = (
-            event.labels.names()
-            if max_hops is None
-            else event.labels.within_hops(max_hops)
-        )
-        for name in names:
+        for name in event.labels.names():
             out[name].append(event)
     return dict(out)
 

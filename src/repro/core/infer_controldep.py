@@ -32,7 +32,7 @@ _DEP_MAX_HOPS = 1
 def infer_control_deps(
     result: AnalysisResult,
     constraints: ConstraintSet,
-    threshold: float = 0.75,
+    threshold: float,
 ) -> None:
     branches = branch_event_index(result.events_of(BranchCondEvent))
     usages = usages_by_param(result.events_of(UsageEvent))

@@ -27,7 +27,7 @@ from repro.core.events_util import canonical_branch_events, flip_op
 def infer_value_relationships(
     result: AnalysisResult,
     constraints: ConstraintSet,
-    max_transit_hops: int = 1,
+    max_transit_hops: int,
 ) -> None:
     events = [
         e

@@ -21,9 +21,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.core import SpexEngine, SpexOptions, SpexReport
+from repro.core import SpexEngine, SpexReport
 from repro.inject.generators import (
-    GeneratorRegistry,
     Misconfiguration,
     batch_by_param,
     default_generators,
@@ -85,10 +84,8 @@ class Campaign:
     """spex -> generate -> inject -> classify, for one system."""
 
     system: "SubjectSystem"
-    generators: GeneratorRegistry = field(default_factory=default_generators)
-    spex_options: SpexOptions = field(default_factory=SpexOptions)
-    # Shared by the pipeline so ablation sweeps and re-runs skip
-    # re-inference; None means infer fresh each time.
+    # Shared by the pipeline so re-runs skip re-inference; None means
+    # infer fresh each time.
     inference_cache: "InferenceCache | None" = None
     # The launch store (`repro.runtime.snapshot.SnapshotCache`): most
     # configs' boot prefix is interpreted once across all of this
@@ -105,7 +102,7 @@ class Campaign:
     def run_spex(self) -> SpexReport:
         if self.inference_cache is None:
             return self._infer()
-        key = self.inference_cache.key_for(self.system, self.spex_options)
+        key = self.inference_cache.key_for(self.system)
         return self.inference_cache.get_or_compute(key, self._infer)
 
     def _infer(self) -> SpexReport:
@@ -119,7 +116,6 @@ class Campaign:
                 program,
                 self.system.annotations,
                 knowledge=knowledge,
-                options=self.spex_options,
             )
             return engine.run()
 
@@ -127,7 +123,9 @@ class Campaign:
         """All misconfigurations of this campaign, batched per
         parameter (Table 2 rules plus guided case alteration)."""
         template = self.system.template_ar()
-        misconfs = self.generators.generate(spex_report.constraints, template)
+        misconfs = default_generators().generate(
+            spex_report.constraints, template
+        )
         misconfs += self._case_alterations(spex_report, template)
         return batch_by_param(misconfs), template
 

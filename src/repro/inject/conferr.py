@@ -12,8 +12,6 @@ per injection for both tools.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.core.constraints import BasicTypeConstraint
 from repro.inject.ar import ConfigAR
 from repro.inject.generators import Misconfiguration
@@ -82,11 +80,8 @@ _OPERATORS = [
 ]
 
 
-@dataclass
 class ConfErrBaseline:
     """Generates generic (constraint-blind) misconfigurations."""
-
-    operators: list = field(default_factory=lambda: list(_OPERATORS))
 
     def generate(self, template: ConfigAR) -> list[Misconfiguration]:
         out: list[Misconfiguration] = []
@@ -94,7 +89,7 @@ class ConfErrBaseline:
         for entry in template.entries:
             if not entry.value:
                 continue
-            for op_name, operator in self.operators:
+            for op_name, operator in _OPERATORS:
                 for settings in operator(entry.name, entry.value):
                     key = (settings,)
                     if key in seen:
@@ -113,11 +108,11 @@ class ConfErrBaseline:
         return out
 
 
-def run_conferr_baseline(system, harness=None):
+def run_conferr_baseline(system):
     """Test every baseline misconfiguration; returns (tested, verdicts)."""
     from repro.inject.harness import InjectionHarness
 
-    harness = harness or InjectionHarness(system)
+    harness = InjectionHarness(system)
     misconfs = ConfErrBaseline().generate(system.template_ar())
     verdicts = [harness.test_misconfiguration(m) for m in misconfs]
     return misconfs, verdicts

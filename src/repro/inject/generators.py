@@ -29,14 +29,15 @@ per-parameter batches for the harness::
     assert all(m.primary_param == b.param for b in batches for m in b)
 
 Custom rules subclass :class:`GeneratorPlugin`, implement
-``applies_to`` and ``generate``, and are added to the registry with
-``registry.add(MyPlugin())`` - "every generation rule is implemented
-as a plug-in, which can be extended for customization".
+``applies_to`` and ``generate``, and join the roster in
+:func:`default_generators` - "every generation rule is implemented as
+a plug-in, which can be extended for customization".  Every campaign
+runs that one roster.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.constraints import (
     AccessControlConstraint,
@@ -587,12 +588,10 @@ class AccessControlViolationPlugin(GeneratorPlugin):
 
 @dataclass
 class GeneratorRegistry:
-    """The plug-in set; extensible per system (custom data types)."""
+    """The plug-in set; `default_generators()` builds the one roster
+    every campaign runs."""
 
-    plugins: list[GeneratorPlugin] = field(default_factory=list)
-
-    def add(self, plugin: GeneratorPlugin) -> None:
-        self.plugins.append(plugin)
+    plugins: list[GeneratorPlugin]
 
     def generate(
         self, constraints, template: ConfigAR
@@ -611,28 +610,19 @@ class GeneratorRegistry:
                     out.append(misconf)
         return out
 
-    def roster(self) -> list[str]:
-        """Qualified plug-in identities (rule name plus implementing
-        class).  This is the registry's fingerprint component: two
-        plug-ins sharing a rule name but behaving differently (e.g. a
-        subclass) must not reuse each other's cached campaigns."""
-        return [
-            f"{plugin.rule_name}="
-            f"{type(plugin).__module__}.{type(plugin).__qualname__}"
-            for plugin in self.plugins
-        ]
-
 
 def default_generators() -> GeneratorRegistry:
-    registry = GeneratorRegistry()
-    registry.add(BasicTypeViolationPlugin())
-    registry.add(ExtremeValuePlugin())
-    registry.add(SemanticTypeViolationPlugin())
-    registry.add(RangeViolationPlugin())
-    registry.add(ControlDepViolationPlugin())
-    registry.add(ValueRelViolationPlugin())
-    registry.add(AccessControlViolationPlugin())
-    return registry
+    return GeneratorRegistry(
+        [
+            BasicTypeViolationPlugin(),
+            ExtremeValuePlugin(),
+            SemanticTypeViolationPlugin(),
+            RangeViolationPlugin(),
+            ControlDepViolationPlugin(),
+            ValueRelViolationPlugin(),
+            AccessControlViolationPlugin(),
+        ]
+    )
 
 
 def _negate_str(op: str) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.lang import types as ct
 from repro.lang.source import Location
@@ -40,7 +41,8 @@ class IRFunction:
     params: list[Variable]
     location: Location
     blocks: dict[str, BasicBlock] = field(default_factory=dict)
-    entry_label: str = "entry"
+    # Every function's first block; the builder names it so.
+    entry_label: ClassVar[str] = "entry"
     locals: dict[str, Variable] = field(default_factory=dict)
 
     def block_order(self) -> list[BasicBlock]:

@@ -95,7 +95,6 @@ class Cast(Instruction):
     type: ct.CType
     src: Operand
     location: Location
-    explicit: bool = True
 
     def uses(self):
         return [self.src]

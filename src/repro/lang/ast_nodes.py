@@ -199,7 +199,6 @@ class VarDecl(Stmt):
     init: Expr | None
     location: Location
     is_static: bool = False
-    is_const: bool = False
 
 
 @dataclass

@@ -339,6 +339,7 @@ class Lexer:
         return Token(TokenKind.CHAR_LIT, f"'{value}'", loc, value=ord(value))
 
 
-def tokenize(text: str, filename: str = "<string>") -> list[Token]:
-    """Tokenize `text`, returning the token list ending with EOF."""
-    return Lexer(SourceFile(filename, text)).tokens()
+def tokenize(text: str) -> list[Token]:
+    """Tokenize `text` (named ``<string>`` in locations), returning the
+    token list ending with EOF."""
+    return Lexer(SourceFile("<string>", text)).tokens()

@@ -764,6 +764,7 @@ def _const_int(expr: Expr) -> int:
     raise ParseError("expected constant integer expression", expr.location)
 
 
-def parse_source(text: str, filename: str = "<string>") -> SourceAst:
-    """Parse one MiniC source string into a :class:`SourceAst`."""
-    return Parser(SourceFile(filename, text)).parse_file()
+def parse_source(text: str) -> SourceAst:
+    """Parse one MiniC source string (named ``<string>`` in locations)
+    into a :class:`SourceAst`."""
+    return Parser(SourceFile("<string>", text)).parse_file()

@@ -13,7 +13,7 @@ from repro.core.constraints import (
     ValueRelConstraint,
 )
 from repro.core.engine import SpexReport
-from repro.knowledge import ApiKnowledge, Unit, default_knowledge
+from repro.knowledge import Unit, default_knowledge
 
 
 # -- case sensitivity (Table 6) -----------------------------------------------
@@ -151,10 +151,8 @@ class UnsafeApiFinding:
         return sorted(self.params)
 
 
-def detect_unsafe_apis(
-    report: SpexReport, knowledge: ApiKnowledge | None = None
-) -> UnsafeApiFinding:
-    knowledge = knowledge or default_knowledge()
+def detect_unsafe_apis(report: SpexReport) -> UnsafeApiFinding:
+    knowledge = default_knowledge()
     finding = UnsafeApiFinding()
     for event in report.analysis.events_of(CallArgEvent):
         spec = knowledge.get(event.callee)

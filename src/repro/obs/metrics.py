@@ -101,9 +101,10 @@ class MetricsRegistry:
         with self._lock:
             return self._counters.get(name, 0)
 
-    def gauge_value(self, name: str, default: float = 0) -> float:
+    def gauge_value(self, name: str) -> float:
+        """The gauge's last value; 0 if it was never set."""
         with self._lock:
-            return self._gauges.get(name, default)
+            return self._gauges.get(name, 0)
 
     def snapshot(self) -> dict:
         """Deep plain-dict copy: ``{"counters", "gauges", "histograms"}``."""

@@ -4,7 +4,7 @@ The paper's evaluation (Table 5) sweeps injection campaigns over
 seven subject systems (eight here, with nginx); this package turns
 that sweep into a first-class workload: campaigns fan out across a
 pluggable executor, SPEX inference results are cached by content hash
-so re-runs and ablation sweeps skip re-inference, and one launch store
+so re-runs skip re-inference, and one launch store
 lets a re-run resume every launch from its config's boot record.
 
 Layering: `repro.pipeline` sits above `repro.inject` (the single-
@@ -18,7 +18,6 @@ from repro.pipeline.cache import (
     ContentCache,
     InferenceCache,
     PipelineCaches,
-    campaign_fingerprint,
     checker_fingerprint,
     spex_fingerprint,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "SerialExecutor",
     "SystemRun",
     "ThreadExecutor",
-    "campaign_fingerprint",
     "checker_fingerprint",
     "executor_names",
     "resolve_executor",

@@ -1,14 +1,14 @@
 """Content-addressed caches for the campaign pipeline.
 
 Inference dominates nothing (campaigns do), but it is the part that is
-*pure*: the same (program sources, annotations, options) triple always
-produces the same `SpexReport`.  The pipeline therefore keys inference
-results by a content hash of exactly that triple, so repeated
-campaigns, ablation sweeps and multi-executor parity runs skip
-re-inference entirely.  The launch store, the `SnapshotCache`
-(defined beside the boot records it stores, in
-`repro.runtime.snapshot`), works at the opposite end of the stack: it
-backs the launch engine's warm-boot replay with per-config boot
+*pure*: the same (program sources, annotations) pair always produces
+the same `SpexReport` under the paper's inference settings, the only
+ones a campaign runs.  The pipeline therefore keys inference results
+by a content hash of exactly that pair, so repeated campaigns and
+multi-executor parity runs skip re-inference entirely.  The launch
+store, the `SnapshotCache` (defined beside the boot records it stores,
+in `repro.runtime.snapshot`), works at the opposite end of the stack:
+it backs the launch engine's warm-boot replay with per-config boot
 records keyed by (system, config text, argv, interpreter options),
 shared across harnesses so one config's boot prefix is interpreted
 once - twice when its first run could not capture - and every later
@@ -18,16 +18,15 @@ statements, and a pipeline re-run re-executes every campaign against
 these two stores.
 
 Every store here is a `repro.store.ContentCache` and every key a
-`repro.store.content_key`; a changed source file, annotation block or
-`SpexOptions` knob yields a new key, so stale entries are never served
-(they are merely unreferenced).  `ContentCache` and `CacheStats` live
-in that leaf module, which the launch store imports too, and are
-re-exported here.
+`repro.store.content_key`; a changed source file or annotation block
+yields a new key, so stale entries are never served (they are merely
+unreferenced).  `ContentCache` and `CacheStats` live in that leaf
+module, which the launch store imports too, and are re-exported here.
 
 Usage::
 
     cache = InferenceCache()
-    key = spex_fingerprint(system.sources, system.annotations, options)
+    key = spex_fingerprint(system.sources, system.annotations)
     report = cache.get_or_compute(key, lambda: engine.run())
     cache.stats.hits, cache.stats.misses
 """
@@ -36,47 +35,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.engine import SpexOptions, SpexReport
+from repro.core.engine import SpexReport
 from repro.obs.metrics import get_registry
 from repro.runtime.snapshot import SnapshotCache
 from repro.store import CacheStats, ContentCache, Counters, content_key
 
 
-def spex_fingerprint(
-    sources: dict[str, str],
-    annotations: str,
-    options: SpexOptions | None = None,
-) -> str:
+def spex_fingerprint(sources: dict[str, str], annotations: str) -> str:
     """Content hash of one inference job.
 
-    The key covers everything `SpexEngine` reads: every source file
-    (name and text, order-independent), the mapping annotations, and
-    the full option set via `SpexOptions.fingerprint()`.
+    The key covers everything `SpexEngine` reads besides its default
+    options: every source file (name and text, order-independent) and
+    the mapping annotations.
     """
     return content_key(
         *(part for name in sorted(sources) for part in (name, sources[name])),
         annotations,
-        (options or SpexOptions()).fingerprint(),
     )
-
-
-def campaign_fingerprint(spex_key: str, roster: list[str]) -> str:
-    """Key of one full campaign: the inference key plus the qualified
-    generation-rule roster (`GeneratorRegistry.roster()`).  A changed
-    plug-in set - including a same-named plug-in with a different
-    implementing class - yields a new key even when inference is
-    unchanged, so a checkpointed run (whose run key is built from
-    these) never resumes campaigns of another spec."""
-    return content_key(spex_key, *sorted(roster))
 
 
 class InferenceCache(ContentCache[SpexReport]):
     """`SpexReport`s keyed by `spex_fingerprint`."""
 
-    def key_for(self, system, options: SpexOptions | None = None) -> str:
+    def key_for(self, system) -> str:
         """Key of one subject system's inference job (duck-typed: any
         object with `.sources` and `.annotations` works)."""
-        return spex_fingerprint(system.sources, system.annotations, options)
+        return spex_fingerprint(system.sources, system.annotations)
 
 
 def checker_fingerprint(
@@ -104,12 +88,18 @@ class PipelineCaches:
     - the fleet validator's layer: re-checking a config fleet against
     an unchanged program re-infers and re-compiles nothing.
     `snapshots` is the launch store; its record lookups report as the
-    "launches" section and its boot counters as "snapshots".
+    "launches" section and its boot counters as "snapshots".  Every
+    instance starts with empty stores of its own; share one by passing
+    the instance.
     """
 
-    inference: InferenceCache = field(default_factory=InferenceCache)
-    checkers: ContentCache = field(default_factory=ContentCache)
-    snapshots: SnapshotCache = field(default_factory=SnapshotCache)
+    inference: InferenceCache = field(
+        default_factory=InferenceCache, init=False
+    )
+    checkers: ContentCache = field(default_factory=ContentCache, init=False)
+    snapshots: SnapshotCache = field(
+        default_factory=SnapshotCache, init=False
+    )
 
     def _sections(self) -> dict[str, Counters]:
         """Every published section and the counters behind it."""

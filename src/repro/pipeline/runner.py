@@ -4,19 +4,19 @@
 `repro.inject.Campaign` primitive.  One pipeline run:
 
 1. enumerates target systems through the registry's bulk API and
-   keys the sweep by their campaign fingerprints (sources +
-   annotations + options + generation rules);
+   keys the sweep by their inference fingerprints (sources +
+   annotations; every campaign runs the paper's inference settings
+   and the default generation rules);
 2. fans the campaigns out over a pluggable executor (serial / thread
    / process) - the sweep's only fan-out: each campaign tests its own
    batches in order.  Every executor runs the one by-name shard
    function `_run_campaign`, through the executor's checkpointed map
    (`map_checkpointed`), which resumes a killed sweep from its
    finished campaigns - the one store of whole campaign results;
-3. shares one `InferenceCache` so ablation sweeps over harness or
-   generator settings never re-run SPEX inference for an unchanged
-   program, and one launch store (`SnapshotCache`) so repeated
-   launches of a config resume from its boot snapshot across
-   campaigns and re-runs.
+3. shares one `InferenceCache` so re-runs and engine comparisons
+   never re-run SPEX inference for an unchanged program, and one
+   launch store (`SnapshotCache`) so repeated launches of a config
+   resume from its boot snapshot across campaigns and re-runs.
 
 Every run executes every campaign: a re-run re-infers nothing and
 resumes its launches from the boot records the first run left.
@@ -38,13 +38,11 @@ import dataclasses
 import time
 from dataclasses import dataclass, field
 
-from repro.core import SpexOptions
 from repro.inject.campaign import Campaign, CampaignReport, Vulnerability
-from repro.inject.generators import GeneratorRegistry, default_generators
 from repro.inject.harness import HARNESS_OPTIONS
 from repro.inject.reactions import ReactionCategory
 from repro.obs import get_registry, span
-from repro.pipeline.cache import PipelineCaches, campaign_fingerprint
+from repro.pipeline.cache import PipelineCaches
 from repro.pipeline.executor import (
     Executor,
     map_checkpointed,
@@ -53,6 +51,7 @@ from repro.pipeline.executor import (
 )
 from repro.resilience import CheckpointStore, FailedShard, RetryPolicy
 from repro.runtime.interpreter import InterpreterOptions
+from repro.store import content_key
 from repro.systems.registry import get_system, iter_systems, system_names
 
 
@@ -124,19 +123,15 @@ class PipelineReport:
         }
 
 
-def _run_campaign(
-    task: tuple[str, SpexOptions, GeneratorRegistry, InterpreterOptions]
-) -> SystemRun:
+def _run_campaign(task: tuple[str, InterpreterOptions]) -> SystemRun:
     """The pipeline's one shard function, under every executor: run
     one system's campaign by name (a `SubjectSystem` never crosses a
     pickle boundary) on the shard's stores (`worker_caches()`)."""
-    name, spex_options, generators, harness_options = task
+    name, harness_options = task
     started = time.perf_counter()
     caches = worker_caches()
     report = Campaign(
         get_system(name),
-        generators=generators,
-        spex_options=spex_options,
         inference_cache=caches.inference,
         snapshot_cache=caches.snapshots,
         harness_options=harness_options,
@@ -157,8 +152,6 @@ class CampaignPipeline:
     """
 
     systems: list[str] | None = None
-    spex_options: SpexOptions = field(default_factory=SpexOptions)
-    generators: GeneratorRegistry = field(default_factory=default_generators)
     executor: str | Executor = "serial"
     max_workers: int | None = None
     caches: PipelineCaches = field(default_factory=PipelineCaches)
@@ -177,49 +170,34 @@ class CampaignPipeline:
     chaos: object = None
     checkpoint: CheckpointStore | None = None
 
-    def run(
-        self,
-        names: list[str] | None = None,
-        executor: str | Executor | None = None,
-    ) -> PipelineReport:
-        """Run the sweep; `names`/`executor` override the configured
-        targets/strategy for this call only."""
-        chosen = resolve_executor(
-            self.executor if executor is None else executor, self.max_workers
-        )
+    def run(self, names: list[str] | None = None) -> PipelineReport:
+        """Run the sweep; `names` overrides the configured targets for
+        this call only."""
+        chosen = resolve_executor(self.executor, self.max_workers)
         targets = names if names is not None else self.systems
         systems = list(iter_systems(targets))
         get_registry().inc("pipeline.runs")
         started = time.perf_counter()
 
         # (system name, spex key) for every target; the run key
-        # content-addresses the sweep by its campaign fingerprints, so
-        # a checkpoint can only resume the exact same spec.
+        # content-addresses the sweep by its inference keys, so a
+        # checkpoint can only resume the exact same spec.
         keyed = [
-            (
-                system.name,
-                self.caches.inference.key_for(system, self.spex_options),
-            )
+            (system.name, self.caches.inference.key_for(system))
             for system in systems
         ]
-        roster = self.generators.roster()
-        run_key = "pipeline|" + "|".join(
-            sorted(campaign_fingerprint(key, roster) for _, key in keyed)
-        )
-        if chosen.envelope and keyed:
-            self._check_process_compatible()
+        run_key = content_key("pipeline", *sorted(key for _, key in keyed))
         harness_options = HARNESS_OPTIONS
         if self.engine is not None:
             harness_options = dataclasses.replace(
                 HARNESS_OPTIONS, engine=self.engine
             )
-        shared = (self.spex_options, self.generators, harness_options)
         # A campaign's shard key is its system's name: the run key
-        # already pins every campaign fingerprint.
+        # already pins every inference key.
         mapped = map_checkpointed(
             chosen,
             _run_campaign,
-            [(name, (name, *shared)) for name, _ in keyed],
+            [(name, (name, harness_options)) for name, _ in keyed],
             SystemRun,
             label="pipeline",
             span_name="pipeline.execute",
@@ -259,16 +237,6 @@ class CampaignPipeline:
             return
         if spex_key not in self.caches.inference:
             self.caches.inference.put(spex_key, report.spex_report)
-
-    def _check_process_compatible(self) -> None:
-        """A process worker unpickles the generator registry by class
-        reference: only the default roster is known to survive that."""
-        if self.generators.roster() != default_generators().roster():
-            raise ValueError(
-                "the process executor rebuilds campaigns in worker "
-                "processes and cannot ship a customised generator "
-                "registry; use the serial or thread executor"
-            )
 
 
 __all__ = [

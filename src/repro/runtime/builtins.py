@@ -123,8 +123,7 @@ def c_format(fmt: str, args: list) -> str:
             spec = {"o": "o", "x": "x", "X": "X"}[conv]
             out.append(format(_to_int(arg) & 0xFFFFFFFFFFFFFFFF, spec))
         elif conv in "eEfgG":
-            value = float(_to_int(arg)) if isinstance(arg, int) else float(arg or 0.0)
-            out.append(format(value, conv.lower() if conv in "eE" else "f"))
+            out.append(format(_to_float(arg), conv.lower() if conv in "eE" else "f"))
         elif conv == "c":
             out.append(chr(_to_int(arg) & 0xFF) if isinstance(arg, int) else str(arg)[:1])
         elif conv == "s":
@@ -143,6 +142,17 @@ def _to_int(value) -> int:
     if isinstance(value, (int, float)):
         return int(value)
     return 0
+
+
+def _to_float(value) -> float:
+    """A %e/%f/%g argument as a float; anything non-numeric reads as 0.0,
+    as ``_to_int`` does for the integer conversions."""
+    try:
+        if isinstance(value, int):
+            return float(_to_int(value))
+        return float(value or 0.0)
+    except (TypeError, ValueError, OverflowError):
+        return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -557,16 +567,6 @@ def _fwrite_str(interp, args, loc):
         return -1
     interp.os.update_node(node, content=node.content + text)
     return len(text)
-
-
-@register("close")
-def _close(interp, args, loc):
-    fd = _as_int(args[0], loc)
-    handle = interp.fd_table.pop(fd, None)
-    if handle:
-        handle.closed = True
-        return 0
-    return -1
 
 
 @register("fclose")

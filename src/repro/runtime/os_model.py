@@ -88,11 +88,10 @@ class EmulatedOS:
         return node
 
     def add_file(self, path: str, content: str = "", mode: int = 0o644,
-                 owner: str = "root", writable: bool = True) -> FileNode:
+                 writable: bool = True) -> FileNode:
         self._ensure_parents(path)
         node = FileNode(
-            path=path, content=content, mode=mode, owner=owner,
-            writable=writable,
+            path=path, content=content, mode=mode, writable=writable
         )
         self.files[path] = node
         return node

@@ -132,18 +132,15 @@ def run_program(
     os_model: EmulatedOS | None = None,
     argv: list[str] | None = None,
     options: InterpreterOptions | None = None,
-    plan=None,
 ) -> ProcessResult:
     """Execute a program's main() and capture the process outcome.
 
     With `options.engine == "codegen"` (the default) the program's
     memoized generated-source `CodegenPlan` executes the function
-    bodies; `"tree"` walks the AST.  Pass a `plan` explicitly only to
-    share a pre-fetched plan on a hot path.
+    bodies; `"tree"` walks the AST.
     """
     os_model = os_model if os_model is not None else EmulatedOS()
     options = options if options is not None else InterpreterOptions()
-    if plan is None and options.engine == "codegen":
-        plan = codegen_plan_for(program)
+    plan = codegen_plan_for(program) if options.engine == "codegen" else None
     interp = Interpreter(program, os_model, options, plan=plan)
     return capture_outcome(interp, lambda: interp.run_main(argv))

@@ -241,12 +241,9 @@ class BackgroundServer:
         caches=None,
         max_workers: int | None = None,
         max_pending: int | None = None,
-        deadline_seconds: float | None = None,
         drain_timeout: float | None = None,
     ) -> None:
-        self._service_args = (
-            systems, caches, max_workers, max_pending, deadline_seconds
-        )
+        self._service_args = (systems, caches, max_workers, max_pending)
         self._drain_timeout = drain_timeout
         self._host = host
         self._port = port
@@ -272,20 +269,13 @@ class BackgroundServer:
         asyncio.run(self._main())
 
     async def _main(self) -> None:
-        (
-            systems,
-            caches,
-            max_workers,
-            max_pending,
-            deadline_seconds,
-        ) = self._service_args
+        systems, caches, max_workers, max_pending = self._service_args
         try:
             service = ValidationService(
                 systems=systems,
                 caches=caches,
                 max_workers=max_workers,
                 max_pending=max_pending,
-                deadline_seconds=deadline_seconds,
             )
             await service.start()
             self._server = ValidationServer(

@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 
 from repro.checker.compile import checker_for_system
 from repro.checker.validate import ERROR, ValidationReport, validate_config
-from repro.core.engine import SpexOptions
 from repro.obs import MetricsRegistry, get_tracer
 from repro.pipeline.cache import PipelineCaches
 from repro.resilience import CircuitBreaker
@@ -104,7 +103,6 @@ class ValidationService:
         self,
         systems: list[str] | None = None,
         caches: PipelineCaches | None = None,
-        spex_options: SpexOptions | None = None,
         max_workers: int | None = None,
         max_results: int = DEFAULT_MAX_RESULTS,
         max_pending: int | None = None,
@@ -121,7 +119,6 @@ class ValidationService:
             system.name: system for system in iter_systems(systems)
         }
         self.caches = caches if caches is not None else PipelineCaches()
-        self._options = spex_options or SpexOptions()
         self._workers = max_workers or DEFAULT_WORKERS
         self._pool: ThreadPoolExecutor | None = None
         self._checkers: dict[str, object] = {}
@@ -189,9 +186,7 @@ class ValidationService:
 
     def _compile_checker(self, name: str):
         begun = time.perf_counter()
-        checker = checker_for_system(
-            self._systems[name], self._options, caches=self.caches
-        )
+        checker = checker_for_system(self._systems[name], caches=self.caches)
         # Runs on pool threads during start(); plain dict assignment
         # per distinct key is safe and the timings feed the metrics op.
         elapsed = time.perf_counter() - begun

@@ -134,9 +134,9 @@ class ParamSpec:
     """One configuration parameter, declared once.
 
     * ``decode`` - slug into `DECODERS`: how a *user* reads the value.
-    * ``var`` / ``field_path`` - where the effective value lives after
-      parsing (`SAME_AS_NAME` maps the parameter to the variable of
-      the same name; None opts out of effective-value tracking).
+    * ``var`` - the global variable the effective value lives in
+      after parsing (`SAME_AS_NAME` maps the parameter to the variable
+      of the same name; None opts out of effective-value tracking).
     * ``manual`` - the documentation excerpt, or None for parameters
       that are undocumented by design (they feed the undocumented-
       constraint analysis).
@@ -149,7 +149,6 @@ class ParamSpec:
     name: str
     decode: str = "string"
     var: str | None = SAME_AS_NAME
-    field_path: tuple[str, ...] = ()
     manual: str | None = None
     truth: tuple[TruthEntry, ...] = ()
 
@@ -165,12 +164,11 @@ class OsDir:
 
 @dataclass(frozen=True)
 class OsFile:
-    """A file the system expects in its emulated world."""
+    """An empty root-owned file the system expects in its emulated
+    world."""
 
     path: str
-    content: str = ""
     mode: int = 0o644
-    owner: str = "root"
 
 
 @dataclass
@@ -231,10 +229,7 @@ class SubjectSystem:
             self.decoders[param.name] = DECODERS[param.decode]
             if param.var is not None:
                 var = param.var if param.var else param.name
-                self.effective_locations[param.name] = (
-                    var,
-                    tuple(param.field_path),
-                )
+                self.effective_locations[param.name] = (var, ())
             if param.manual is not None:
                 self.manual[param.name] = param.manual
             self.ground_truth.extend(param.truth)
@@ -280,9 +275,7 @@ class SubjectSystem:
         for entry in self.os_dirs:
             os_model.add_dir(entry.path, mode=entry.mode, owner=entry.owner)
         for entry in self.os_files:
-            os_model.add_file(
-                entry.path, entry.content, mode=entry.mode, owner=entry.owner
-            )
+            os_model.add_file(entry.path, mode=entry.mode)
         return os_model
 
     def install_config(self, os_model: EmulatedOS, text: str) -> None:

@@ -5,7 +5,6 @@ import pytest
 import repro.checker.fleet as fleet
 from repro.checker import run_fleet
 from repro.checker.corpus import DEFAULT_MISTAKE_RATE
-from repro.core import SpexOptions
 from repro.pipeline import PipelineCaches, SerialExecutor
 from repro.systems.registry import get_system
 
@@ -136,8 +135,8 @@ class TestShardRebuild:
 
     def _tasks(self, digest: str) -> list[tuple]:
         return [
-            (self.NAME, SpexOptions(), 5, DEFAULT_MISTAKE_RATE, start,
-             min(16, 60 - start), digest)
+            (self.NAME, 5, DEFAULT_MISTAKE_RATE, start, min(16, 60 - start),
+             digest)
             for start in range(0, 60, 16)
         ]
 
@@ -149,12 +148,9 @@ class TestShardRebuild:
     def test_rebuild_by_name_matches_the_planted_run(
         self, serial_report, caches, monkeypatch
     ):
-        planted = fleet._build_context(
-            get_system(self.NAME), SpexOptions(), caches
-        )
-        key = (self.NAME, SpexOptions().fingerprint())
+        planted = fleet._build_context(get_system(self.NAME), caches)
         tasks = self._tasks(planted.digest)
-        monkeypatch.setattr(fleet, "_FLEET_CONTEXTS", {key: planted})
+        monkeypatch.setattr(fleet, "_FLEET_CONTEXTS", {self.NAME: planted})
         from_planted = self._run(tasks, caches)
 
         monkeypatch.setattr(fleet, "_FLEET_CONTEXTS", {})
@@ -162,7 +158,7 @@ class TestShardRebuild:
         rebuilt = self._run(tasks, cold)
         # The shard rebuilt its context on its own stores, once.
         assert cold.checkers.stats.misses == 1
-        assert fleet._FLEET_CONTEXTS[key].checker is not planted.checker
+        assert fleet._FLEET_CONTEXTS[self.NAME].checker is not planted.checker
         assert [c.outcomes for c in rebuilt] == [
             c.outcomes for c in from_planted
         ]

@@ -36,7 +36,7 @@ class TestGauges:
         assert registry.gauge_value("g") == 2.5
 
     def test_missing_gauge_reads_default(self):
-        assert MetricsRegistry().gauge_value("nope", default=7) == 7
+        assert MetricsRegistry().gauge_value("nope") == 0
 
 
 class TestHistograms:

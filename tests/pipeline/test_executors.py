@@ -3,7 +3,6 @@
 import pytest
 
 from repro.inject.campaign import Campaign
-from repro.inject.generators import GeneratorPlugin, default_generators
 from repro.pipeline import (
     CampaignPipeline,
     ProcessExecutor,
@@ -130,11 +129,6 @@ class TestPipelineCaching:
         assert warm.cache_stats["launches"]["hits"] > launches["hits"]
         assert warm.vulnerability_sets() == cold.vulnerability_sets()
 
-    def test_executor_override_per_run(self):
-        pipeline = CampaignPipeline(systems=["apache"])
-        report = pipeline.run(executor="thread")
-        assert report.executor == "thread"
-
     def test_report_aggregates(self):
         report = CampaignPipeline(systems=SUBSET).run()
         assert report.total_vulnerabilities() == sum(
@@ -146,29 +140,6 @@ class TestPipelineCaching:
         summary = report.summary_dict()
         assert [s["name"] for s in summary["systems"]] == SUBSET
         assert "mysql" not in [run.name for run in report.runs]
-
-
-class TestProcessExecutorGuards:
-    def test_custom_generators_rejected(self):
-        class NullPlugin(GeneratorPlugin):
-            rule_name = "null"
-
-            def applies_to(self, constraint):
-                return False
-
-            def generate(self, constraint, template):
-                return []
-
-        generators = default_generators()
-        generators.add(NullPlugin())
-        pipeline = CampaignPipeline(
-            systems=["apache"], generators=generators, executor="process"
-        )
-        with pytest.raises(ValueError, match="process executor"):
-            pipeline.run()
-        # The same roster is fine on an in-process executor.
-        report = pipeline.run(executor="serial")
-        assert report.total_vulnerabilities() > 0
 
 
 if __name__ == "__main__":

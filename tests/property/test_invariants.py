@@ -116,3 +116,9 @@ class TestCFormat:
     @given(st.integers(-(2**31), 2**31 - 1))
     def test_decimal_faithful(self, value):
         assert c_format("%d", [value]) == str(value)
+
+    def test_float_conversion_of_non_numeric_string(self):
+        # A string that is not a number reads as 0.0, as it does for %d.
+        assert c_format("%E", [":"]) == "0.000000e+00"
+        assert c_format("%f", ["1.5"]) == "1.500000"
+        assert c_format("%g", [2**2000]) == "0.000000"

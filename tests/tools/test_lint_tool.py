@@ -658,6 +658,182 @@ class TestTestOnlyApi:
         )
 
 
+class TestTestOnlySetting:
+    """The whole-repo settings rule, run on a miniature repository."""
+
+    def _flagged(self, tmp_path: Path, files: dict[str, str]) -> dict:
+        """``{dotted setting: message}`` of every finding in a repo made
+        of ``files`` (repo-relative path -> source)."""
+        from lint import find_test_only_settings
+
+        for rel, text in files.items():
+            path = tmp_path / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+        out = {}
+        for path, _, code, message in find_test_only_settings(tmp_path, {}):
+            assert code == "test-only-setting"
+            assert not path.is_absolute()
+            out[message.split("`")[1]] = message
+        return out
+
+    def test_keyword_only_a_test_sets_flagged(self, tmp_path):
+        flagged = self._flagged(tmp_path, {
+            "src/repro/mod.py": "def run(x, fast=False):\n    return x\n",
+            "src/repro/user.py": "from repro.mod import run\nrun(1)\n",
+            "tests/test_mod.py": "from repro.mod import run\nrun(1, fast=True)\n",
+        })
+        assert list(flagged) == ["mod.run(fast)"]
+        assert flagged["mod.run(fast)"].startswith("only tests set")
+
+    def test_keyword_positional_and_unpacked_calls_set(self, tmp_path):
+        source = (
+            "def run(x, fast=False, *, depth=0, width=1):\n"
+            "    return x\n"
+        )
+        flagged = self._flagged(tmp_path, {
+            "src/repro/mod.py": source,
+            "src/repro/user.py": (
+                "import repro.mod as m\n"
+                "m.run(1, True, depth=2)\n"
+            ),
+        })
+        assert list(flagged) == ["mod.run(width)"]
+        assert flagged["mod.run(width)"].startswith("nothing sets")
+        assert self._flagged(tmp_path, {
+            "src/repro/user.py": "import repro.mod as m\nm.run(1, **opts)\n",
+        }) == {}
+
+    def test_dataclass_fields_replace_and_attribute_stores(self, tmp_path):
+        flagged = self._flagged(tmp_path, {
+            "src/repro/opts.py": (
+                "from dataclasses import dataclass\n"
+                "@dataclass\n"
+                "class Opts:\n"
+                "    name: str\n"
+                "    level: int = 1\n"
+                "    mode: str = 'a'\n"
+                "    tag: str = ''\n"
+                "    limit: int = 9\n"
+            ),
+            "src/repro/user.py": (
+                "import dataclasses\n"
+                "from repro.opts import Opts\n"
+                "o = dataclasses.replace(Opts('n'), mode='b')\n"
+                "o.tag = 'x'\n"
+            ),
+            "tests/test_opts.py": "from repro.opts import Opts\nOpts('n', limit=2)\n",
+        })
+        assert list(flagged) == ["opts.Opts(level)", "opts.Opts(limit)"]
+        assert flagged["opts.Opts(level)"].startswith("nothing sets")
+        assert flagged["opts.Opts(limit)"].startswith("only tests set")
+
+    def test_methods_and_constructors(self, tmp_path):
+        flagged = self._flagged(tmp_path, {
+            "src/repro/mod.py": (
+                "class Box:\n"
+                "    def __init__(self, size=1):\n"
+                "        self.size = size\n"
+                "    def grow(self, by=1):\n"
+                "        return self.size + by\n"
+                "    @staticmethod\n"
+                "    def make(size=1):\n"
+                "        return Box(size)\n"
+            ),
+            "src/repro/user.py": (
+                "from repro.mod import Box\n"
+                "Box(2).grow()\n"
+                "Box.make(3)\n"
+            ),
+        })
+        assert list(flagged) == ["mod.Box.grow(by)"]
+
+    def test_subclass_and_cls_constructors_count(self, tmp_path):
+        flagged = self._flagged(tmp_path, {
+            "src/repro/mod.py": (
+                "from dataclasses import dataclass\n"
+                "@dataclass\n"
+                "class Base:\n"
+                "    limit: int = 1\n"
+                "    other: int = 2\n"
+                "    @classmethod\n"
+                "    def fresh(cls):\n"
+                "        return cls(other=3)\n"
+                "class Child(Base):\n"
+                "    pass\n"
+            ),
+            "src/repro/user.py": (
+                "from repro.mod import Child\nChild(limit=4).fresh()\n"
+            ),
+        })
+        assert flagged == {}
+
+    def test_state_and_private_names_skipped(self, tmp_path):
+        flagged = self._flagged(tmp_path, {
+            "src/repro/mod.py": (
+                "from collections import defaultdict\n"
+                "from dataclasses import dataclass, field\n"
+                "@dataclass\n"
+                "class Report:\n"
+                "    items: list = field(default_factory=list)\n"
+                "    by_kind: dict = field(\n"
+                "        default_factory=lambda: defaultdict(list)\n"
+                "    )\n"
+                "    _memo: dict | None = None\n"
+                "    done: bool = field(default=False, init=False)\n"
+                "def _helper(x=1):\n"
+                "    return x\n"
+                "def run(x, _depth=0):\n"
+                "    return x\n"
+            ),
+            "src/repro/user.py": (
+                "from repro.mod import Report, run\nReport()\nrun(1)\n"
+            ),
+        })
+        assert flagged == {}
+
+    def test_executed_doc_block_sets(self, tmp_path):
+        from docs_check import DOC_FILES
+
+        flagged = self._flagged(tmp_path, {
+            "src/repro/mod.py": "def run(x, fast=False):\n    return x\n",
+            DOC_FILES[0]: (
+                "```python\nfrom repro.mod import run\nrun(1, fast=True)\n```\n"
+            ),
+        })
+        assert flagged == {}
+
+    def test_allowlist_tracks_reality(self):
+        # Every entry names a real setting that the rule would flag
+        # without its entry, and carries its reason; nothing else on
+        # the repo needs one.
+        from lint import TEST_ONLY_SETTING_ALLOWLIST, find_test_only_settings
+
+        assert set(TEST_ONLY_SETTING_ALLOWLIST) == {
+            "chaos.ChaosSchedule(stall_rate)",
+            "chaos.ChaosSchedule(kill_rate)",
+            "chaos.ChaosSchedule(stall_seconds)",
+            "checker.compile.compile_checker(env)",
+            "checker.fleet.run_fleet(retry_policy)",
+            "checker.fleet.run_fleet(chaos)",
+            "pipeline.runner.CampaignPipeline(retry_policy)",
+            "pipeline.runner.CampaignPipeline(chaos)",
+            "analysis.seeds.ParamSeed(path)",
+            "runtime.os_model.EmulatedOS.add_file(writable)",
+            "serve.server.BackgroundServer(max_pending)",
+            "serve.service.ValidationService(max_results)",
+            "serve.service.ValidationService(circuit_threshold)",
+            "serve.service.ValidationService(circuit_reset_seconds)",
+        }
+        assert all(
+            reason.strip() for reason in TEST_ONLY_SETTING_ALLOWLIST.values()
+        )
+        unlisted = find_test_only_settings(REPO_ROOT, {})
+        assert {m.split("`")[1] for *_, m in unlisted} == set(
+            TEST_ONLY_SETTING_ALLOWLIST
+        )
+
+
 class TestUnusedBuiltin:
     """The whole-repo rule over registered builtins, on a miniature
     repository with its own builtins module."""
@@ -709,6 +885,22 @@ class TestUnusedBuiltin:
             "tools/notes.py": 'TEXT = "strlen(s); never_called(s)"\n',
         })
         assert flagged == ["strlen", "never_called"]
+
+    def test_a_docstring_mention_does_not_count(self, tmp_path):
+        # Prose naming a builtin keeps nothing alive; only code strings
+        # (MiniC sources) call.
+        flagged = self._flagged(tmp_path, {
+            "src/repro/runtime/helpers.py": (
+                '"""Wraps never_called(x) for callers."""\n'
+                "class Wrapper:\n"
+                '    """See never_called (n)."""\n'
+                "    def run(self):\n"
+                '        """never_called(1)"""\n'
+                "        return 1\n"
+                'SOURCE = "int main() { return strlen(s); }"\n'
+            ),
+        })
+        assert flagged == ["never_called"]
 
     def test_aliased_register_in_a_system_module(self, tmp_path):
         # storage_a's idiom: the decorator imported under another name.

@@ -89,18 +89,36 @@ have actually bitten this codebase:
   upper-case module constants (``LONG_MAX``) are held to the same
   rule; assigning a name is not a reference to it.  The rule cannot
   see builtins (private functions reached through the registry):
-  ``unused-builtin`` covers those.  Dataclass fields need a check by
-  hand.
+  ``unused-builtin`` covers those.
+* ``test-only-setting`` - a whole-repo rule: a defaulted parameter of
+  a public function, method or class constructor under ``src/repro/``,
+  or a defaulted field of a public dataclass there, that nothing in
+  the ``test-only-api`` reference roots (or an executed doc block)
+  sets, so every real caller runs its default.  Setting it means a
+  keyword of that name at a call of that callee (a constructor's
+  callee is its class or a subclass, or ``cls`` inside the class),
+  enough positional arguments to reach it, a call passing ``*args``
+  or ``**kwargs`` to that callee, and for a field or constructor
+  parameter also ``replace(..., name=)`` or an attribute store
+  ``x.name = ...``.  Private names and fields that start as an empty
+  container (``field(default_factory=list)``, a ``defaultdict``) are
+  state, not settings, and are skipped.  Matching is by name, so the
+  rule can miss a dead setting but never flags a live one.  A setting
+  only tests turn is a configuration surface nobody uses; delete it,
+  or name it in ``TEST_ONLY_SETTING_ALLOWLIST`` with the reason it
+  stays.  It runs whenever ``test-only-api`` runs.
 * ``unused-builtin`` - a whole-repo rule: a builtin of the emulated
   libc (a ``@register("name")`` in ``runtime/builtins.py``, or an
   aliased ``register`` imported from it, as ``systems/storage_a.py``
   does) that no MiniC source calls, that is, no string literal in
   ``src/``, ``tests/``, ``examples/`` or ``benchmarks/`` contains
   ``name(``.  The libc exists only to run the subject systems; a
-  builtin nothing calls is emulation nobody runs.  The match is
-  textual, so a word followed by a parenthesis in prose also counts
-  (``call-free (``): the rule can miss a dead builtin but never flags
-  a live one.  It runs whenever ``test-only-api`` runs.
+  builtin nothing calls is emulation nobody runs.  Docstrings (the
+  first string statement of a module, class or function) are prose
+  and do not count; in any other string the match is textual, so a
+  word followed by a parenthesis there also counts: the rule can miss
+  a dead builtin but never flags a live one.  It runs whenever
+  ``test-only-api`` runs.
 
 When ruff or pyflakes *is* installed, ``--external`` additionally runs
 it (ruff restricted to F-codes) for broader coverage; absence of both
@@ -748,6 +766,24 @@ def _parse_all(root: Path, names: list[str]):
             yield path, ast.parse(path.read_text(encoding="utf-8"))
 
 
+def _doc_blocks(root: Path):
+    """The code of every ``python`` block ``tools/docs_check.py``
+    executes."""
+    for name in DOC_FILES:
+        doc = root / name
+        if doc.exists():
+            text = doc.read_text(encoding="utf-8")
+            for _, code in extract_python_blocks(text):
+                yield code
+
+
+def _module_name(library: Path, path: Path) -> str:
+    """The dotted name of a module below ``src/repro/``."""
+    rel = path.relative_to(library).with_suffix("")
+    parts = rel.parts[:-1] if rel.name == "__init__" else rel.parts
+    return ".".join(parts)
+
+
 def find_test_only_api(
     root: Path, allowlist: dict[str, str] | None = None
 ) -> list[tuple[Path, int, str, str]]:
@@ -759,21 +795,15 @@ def find_test_only_api(
     for path, tree in _parse_all(root, REFERENCE_ROOTS):
         reexports = path.name == "__init__.py" and library in path.parents
         used.scan(path, tree, count_imports=not reexports)
-    for name in DOC_FILES:
-        doc = root / name
-        if doc.exists():
-            text = doc.read_text(encoding="utf-8")
-            for _, code in extract_python_blocks(text):
-                for word in _WORD.findall(code):
-                    used.add(word)
+    for code in _doc_blocks(root):
+        for word in _WORD.findall(code):
+            used.add(word)
     for path, tree in _parse_all(root, ["tests"]):
         tested.scan(path, tree)
 
     findings = []
     for path, tree in _parse_all(root, ["src/repro"]):
-        rel = path.relative_to(library).with_suffix("")
-        parts = rel.parts[:-1] if rel.name == "__init__" else rel.parts
-        module = ".".join(parts)
+        module = _module_name(library, path)
         for dotted, name, line in _public_definitions(module, tree):
             if dotted in allowlist or used.uses(path, name, line):
                 continue
@@ -790,6 +820,322 @@ def find_test_only_api(
                     f"{who} `{dotted}` outside its own body; "
                     "delete it, or name it in TEST_ONLY_ALLOWLIST with "
                     "the reason it stays",
+                )
+            )
+    return findings
+
+
+# Defaulted parameters and dataclass fields under src/repro/ that no
+# caller outside tests/ sets and that stay on purpose, keyed by
+# ``<dotted callable>(<name>)``; every entry carries its reason.
+TEST_ONLY_SETTING_ALLOWLIST = {
+    "analysis.seeds.ParamSeed(path)": (
+        "seeds a struct field behind a pointer parameter; no mapping "
+        "emits one, and test_taint pins the engine's field-path seeding"
+    ),
+    "chaos.ChaosSchedule(stall_rate)": (
+        "the chaos tier stalls shards to drive the watchdog timeout path"
+    ),
+    "chaos.ChaosSchedule(kill_rate)": (
+        "the chaos and worker-death tiers kill workers to drive crash "
+        "recovery"
+    ),
+    "chaos.ChaosSchedule(stall_seconds)": (
+        "the chaos tier sizes stalls against the watchdog deadline"
+    ),
+    "checker.compile.compile_checker(env)": (
+        "the fake-environment seam: a test compiles a checker against a "
+        "hand-built EnvView"
+    ),
+    "checker.fleet.run_fleet(retry_policy)": (
+        "the chaos tier supervises fleet chunks through kill and resume"
+    ),
+    "checker.fleet.run_fleet(chaos)": (
+        "the chaos tier injects faults into fleet chunks"
+    ),
+    "pipeline.runner.CampaignPipeline(retry_policy)": (
+        "the chaos tier supervises campaigns through kill and resume"
+    ),
+    "pipeline.runner.CampaignPipeline(chaos)": (
+        "the chaos and worker-death tiers inject faults into campaigns"
+    ),
+    "runtime.os_model.EmulatedOS.add_file(writable)": (
+        "a read-only file: open, fopen, fwrite_str and access refuse "
+        "writes to it and EnvView.read_only mirrors it; no system "
+        "declares one, and the builtin and ACL tests pin the veto"
+    ),
+    "serve.server.BackgroundServer(max_pending)": (
+        "the serve chaos tier sheds load on an in-process server; the "
+        "CLI sets the same bound on ValidationService"
+    ),
+    "serve.service.ValidationService(max_results)": (
+        "the serve tests evict result snapshots (cursor-expired) with a "
+        "small bound"
+    ),
+    "serve.service.ValidationService(circuit_threshold)": (
+        "the serve degradation tests trip the per-system breaker"
+    ),
+    "serve.service.ValidationService(circuit_reset_seconds)": (
+        "the serve degradation tests half-open the breaker on a fake clock"
+    ),
+}
+
+
+def _decorator_names(node: ast.AST) -> set[str]:
+    names = set()
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Attribute):
+            names.add(target.attr)
+        elif isinstance(target, ast.Name):
+            names.add(target.id)
+    return names
+
+
+def _defaulted_params(args: ast.arguments, skip_first: bool):
+    """``(name, positional index or None)`` of every parameter with a
+    default; the index counts from the first argument a caller passes
+    (past ``self``/``cls`` when ``skip_first``)."""
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    for index in range(first, len(positional)):
+        if not positional[index].arg.startswith("_"):
+            yield positional[index].arg, index - skip_first
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None and not arg.arg.startswith("_"):
+            yield arg.arg, None
+
+
+# A field that starts as an empty container the object fills is state,
+# not a setting.
+_CONTAINERS = {"list", "dict", "set"}
+
+
+def _is_empty_container(factory: ast.expr | None) -> bool:
+    """``list``/``dict``/``set``, or a lambda building an empty one or
+    a ``defaultdict``."""
+    if isinstance(factory, ast.Name):
+        return factory.id in _CONTAINERS
+    if not isinstance(factory, ast.Lambda):
+        return False
+    body = factory.body
+    return (
+        isinstance(body, ast.Call)
+        and isinstance(body.func, ast.Name)
+        and (
+            body.func.id == "defaultdict"
+            or (body.func.id in _CONTAINERS and not body.args)
+        )
+    )
+
+
+def _dataclass_fields(node: ast.ClassDef):
+    """``(name, positional index)`` of every defaulted init field of a
+    dataclass, leaving out private ones and empty containers.  The
+    index ignores inherited fields, so it can only be too low: a
+    positional call then counts as reaching the field."""
+    index = 0
+    for stmt in node.body:
+        if not (
+            isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+        ) or "ClassVar" in ast.unparse(stmt.annotation):
+            continue
+        options = {}
+        value = stmt.value
+        if (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id == "field"
+        ):
+            options = {kw.arg: kw.value for kw in value.keywords}
+        init = options.get("init")
+        if isinstance(init, ast.Constant) and init.value is False:
+            continue
+        factory = options.get("default_factory")
+        if value is not None and not (
+            _is_empty_container(factory) or stmt.target.id.startswith("_")
+        ):
+            yield stmt.target.id, index
+        index += 1
+
+
+def _class_bases(trees) -> dict[str, set[str]]:
+    """``{class name: names of the classes it derives from}``."""
+    bases: dict[str, set[str]] = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases.setdefault(node.name, set()).update(
+                    name for base in node.bases for name in _class_names(base)
+                )
+    return bases
+
+
+def _public_settings(module: str, tree: ast.Module, subclasses):
+    """``(dotted name, callee names, setting, positional index, line,
+    is_field)`` of every defaulted parameter of a public module-level
+    function, constructor or method, and every defaulted field of a
+    public dataclass.  A constructor's callees are its class and every
+    class derived from it; ``is_field`` marks what an attribute store
+    or ``dataclasses.replace`` may set too."""
+    for node in tree.body:
+        if not isinstance(node, _DEFS) or node.name.startswith("_"):
+            continue
+        if isinstance(node, _FUNCTIONS):
+            for name, index in _defaulted_params(node.args, False):
+                yield (
+                    f"{module}.{node.name}({name})",
+                    {node.name}, name, index, node.lineno, False,
+                )
+            continue
+        builders = {node.name} | subclasses(node.name)
+        if "dataclass" in _decorator_names(node):
+            for name, index in _dataclass_fields(node):
+                yield (
+                    f"{module}.{node.name}({name})",
+                    builders, name, index, node.lineno, True,
+                )
+        for member in node.body:
+            if not isinstance(member, _FUNCTIONS):
+                continue
+            decorators = _decorator_names(member)
+            if member.name == "__init__":
+                dotted, callees, is_field = node.name, builders, True
+            elif member.name.startswith("_") or "property" in decorators:
+                continue
+            else:
+                dotted = f"{node.name}.{member.name}"
+                callees, is_field = {member.name}, False
+            skip = "staticmethod" not in decorators
+            for name, index in _defaulted_params(member.args, skip):
+                yield (
+                    f"{module}.{dotted}({name})",
+                    callees, name, index, member.lineno, is_field,
+                )
+
+
+def _callee_name(func: ast.expr) -> str | None:
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    if isinstance(func, ast.Name):
+        return func.id
+    return None
+
+
+class _Settings:
+    """What a set of files sets, by name: the keywords and the number
+    of positional arguments passed at calls of each callee name, the
+    callees called with ``*args``/``**kwargs`` (which may set
+    anything), the keywords of ``replace(...)`` calls and the
+    attribute names stored to."""
+
+    def __init__(self) -> None:
+        self.keywords: dict[str, set[str]] = {}
+        self.positional: dict[str, int] = {}
+        self.unpacked: set[str] = set()
+        self.replaced: set[str] = set()
+        self.stored: set[str] = set()
+
+    def scan(self, tree: ast.AST) -> None:
+        classes = {
+            id(child): node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for child in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(
+                node.ctx, ast.Store
+            ):
+                self.stored.add(node.attr)
+            if not isinstance(node, ast.Call):
+                continue
+            callee = _callee_name(node.func)
+            if callee == "cls" and id(node) in classes:
+                callee = classes[id(node)]
+            if callee is None:
+                continue
+            keywords = {kw.arg for kw in node.keywords}
+            if callee == "replace":
+                self.replaced.update(keywords - {None})
+            if None in keywords or any(
+                isinstance(arg, ast.Starred) for arg in node.args
+            ):
+                self.unpacked.add(callee)
+            self.keywords.setdefault(callee, set()).update(keywords)
+            self.positional[callee] = max(
+                self.positional.get(callee, 0), len(node.args)
+            )
+
+    def sets(self, callees, name, index, is_field) -> bool:
+        if is_field and (name in self.replaced or name in self.stored):
+            return True
+        return any(
+            callee in self.unpacked
+            or name in self.keywords.get(callee, ())
+            or (
+                index is not None
+                and self.positional.get(callee, 0) > index
+            )
+            for callee in callees
+        )
+
+
+def find_test_only_settings(
+    root: Path, allowlist: dict[str, str] | None = None
+) -> list[tuple[Path, int, str, str]]:
+    """The ``test-only-setting`` findings for the repository at
+    ``root`` (``TEST_ONLY_SETTING_ALLOWLIST`` unless ``allowlist`` is
+    given)."""
+    if allowlist is None:
+        allowlist = TEST_ONLY_SETTING_ALLOWLIST
+    library = root / "src" / "repro"
+    used, tested = _Settings(), _Settings()
+    for _, tree in _parse_all(root, REFERENCE_ROOTS):
+        used.scan(tree)
+    for code in _doc_blocks(root):
+        used.scan(ast.parse(code))
+    for _, tree in _parse_all(root, ["tests"]):
+        tested.scan(tree)
+
+    trees = list(_parse_all(root, ["src/repro"]))
+    bases = _class_bases(trees)
+
+    def subclasses(name: str) -> set[str]:
+        found: set[str] = set()
+        todo = [name]
+        while todo:
+            parent = todo.pop()
+            for child, parents in bases.items():
+                if parent in parents and child not in found:
+                    found.add(child)
+                    todo.append(child)
+        return found
+
+    findings = []
+    for path, tree in trees:
+        module = _module_name(library, path)
+        for dotted, callees, name, index, line, is_field in _public_settings(
+            module, tree, subclasses
+        ):
+            if dotted in allowlist or used.sets(
+                callees, name, index, is_field
+            ):
+                continue
+            who = (
+                "only tests set"
+                if tested.sets(callees, name, index, is_field)
+                else "nothing sets"
+            )
+            findings.append(
+                (
+                    path.relative_to(root),
+                    line,
+                    "test-only-setting",
+                    f"{who} `{dotted}`, so every caller runs its default; "
+                    "delete the setting, or name it in "
+                    "TEST_ONLY_SETTING_ALLOWLIST with the reason it stays",
                 )
             )
     return findings
@@ -836,13 +1182,32 @@ def _registered_builtins(path: Path, tree: ast.Module, library: Path):
                 yield deco.args[0].value, deco.lineno
 
 
+def _docstrings(tree: ast.Module) -> set[int]:
+    """The ids of the docstring nodes of a module and of its classes
+    and functions: prose, which calls nothing."""
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, *_DEFS))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+        and isinstance(node.body[0].value.value, str)
+    }
+
+
 def find_unused_builtins(root: Path) -> list[tuple[Path, int, str, str]]:
     """The ``unused-builtin`` findings for the repository at ``root``."""
     library = root / "src" / "repro"
     called: set[str] = set()
     for _, tree in _parse_all(root, CALLER_ROOTS):
+        prose = _docstrings(tree)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in prose
+            ):
                 called.update(_CALLED_WORD.findall(node.value))
     findings = []
     for path, tree in _parse_all(root, ["src/repro"]):
@@ -892,7 +1257,11 @@ def run_builtin(files: list[Path]) -> int:
 
 
 def run_repo_rules(root: Path) -> int:
-    findings = find_test_only_api(root) + find_unused_builtins(root)
+    findings = (
+        find_test_only_api(root)
+        + find_test_only_settings(root)
+        + find_unused_builtins(root)
+    )
     for found_path, line, code, message in findings:
         print(f"{found_path}:{line}: {code}: {message}")
     return len(findings)
